@@ -11,7 +11,6 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     canonical_shuffle,
-    hadamard,
     is_psd,
     kron,
     psd_report,
@@ -56,15 +55,17 @@ from .hill import (
     reconstruct_map,
 )
 from .domination import (
+    LYAPUNOV,
+    STEIN,
     DominationReport,
     HillPickMatrix,
     LyapunovProblem,
+    Order,
     check_domination,
     closed_form_matricization,
     domination_oracle,
     hill_pick_coeff,
     hill_pick_matrix,
-    hill_pick_matrix_real,
     is_stein_regular,
     lyapunov_matricization,
     lyapunov_order_map,

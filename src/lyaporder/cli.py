@@ -23,10 +23,10 @@ import numpy as np
 
 from .domination import (
     DominationReport,
+    HillPickMatrix,
     check_domination,
     domination_oracle,
     hill_pick_matrix,
-    hill_pick_matrix_real,
     lyapunov_order_map,
     stein_order_map,
 )
@@ -71,7 +71,7 @@ def _fmt_complex(z: complex, precision: int) -> str:
 
 def _fmt_matrix(m: np.ndarray, precision: int, indent: str = "  ") -> str:
     cells = [[_fmt_complex(complex(x), precision) for x in row] for row in np.atleast_2d(m)]
-    widths = [max(len(cells[r][c]) for r in range(len(cells))) for c in range(len(cells[0]))]
+    widths = [max(len(cell) for cell in column) for column in zip(*cells)]
     lines = [
         indent + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
     ]
@@ -86,6 +86,14 @@ def _json_matrix(m: np.ndarray) -> list:
     return [[_json_complex(complex(x)) for x in row] for row in np.atleast_2d(m)]
 
 
+def _hill_pick_json(hp: HillPickMatrix) -> dict:
+    return {
+        "matrix": _json_matrix(hp.matrix),
+        "upsilon": [list(pair) for pair in hp.upsilon],
+        "block_offsets": list(hp.block_offsets),
+    }
+
+
 def _problem_header(loaded: LoadedProblem) -> dict:
     spec = loaded.problem.spec
     return {
@@ -93,6 +101,13 @@ def _problem_header(loaded: LoadedProblem) -> dict:
         "eigenvalues": [_json_complex(e.eigenvalue) for e in spec.eigens],
         "block_sizes": [list(e.sizes) for e in spec.eigens],
     }
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _tolerances_from_flags(args) -> Tolerances | None:
@@ -123,7 +138,9 @@ def _build_parser() -> _Parser:
 
     check = subs.add_parser("check", help="decide Lyapunov domination")
     _add_common_flags(check)
-    check.add_argument("--oracle-trials", type=int, default=1000, help="oracle sample count")
+    check.add_argument(
+        "--oracle-trials", type=positive_int, default=1000, help="oracle sample count"
+    )
     check.add_argument("--seed", type=int, default=None, help="override the file's seed")
     check.add_argument(
         "--verbose",
@@ -153,7 +170,7 @@ def _build_parser() -> _Parser:
 
     verify = subs.add_parser("verify", help="sampling oracle only")
     _add_common_flags(verify)
-    verify.add_argument("--trials", type=int, default=1000, help="oracle sample count")
+    verify.add_argument("--trials", type=positive_int, default=1000, help="oracle sample count")
     verify.add_argument("--seed", type=int, default=None, help="override the file's seed")
 
     return parser
@@ -170,11 +187,7 @@ def _report_json(report: DominationReport, loaded: LoadedProblem) -> dict:
         out["oracle"]["witness"] = _json_matrix(report.oracle_witness)
     out["seed"] = report.seed
     if report.hill_pick is not None:
-        out["hill_pick"] = {
-            "matrix": _json_matrix(report.hill_pick.matrix),
-            "upsilon": [list(pair) for pair in report.hill_pick.upsilon],
-            "block_offsets": list(report.hill_pick.block_offsets),
-        }
+        out["hill_pick"] = _hill_pick_json(report.hill_pick)
     return out
 
 
@@ -210,15 +223,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_hill_pick(args) -> int:
     loaded = load_problem_file(args.path, _tolerances_from_flags(args))
-    prob = loaded.problem
-    hp = hill_pick_matrix(prob) if prob.spec.field == "complex" else hill_pick_matrix_real(prob)
+    hp = hill_pick_matrix(loaded.problem)
     if args.json:
         out = dict(_problem_header(loaded))
-        out["hill_pick"] = {
-            "matrix": _json_matrix(hp.matrix),
-            "upsilon": [list(pair) for pair in hp.upsilon],
-            "block_offsets": list(hp.block_offsets),
-        }
+        out["hill_pick"] = _hill_pick_json(hp)
         print(json.dumps(out))
     else:
         print(f"hill-pick matrix ({hp.size}x{hp.size}, field {hp.field}):")

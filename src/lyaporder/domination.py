@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from math import comb
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
-from scipy.linalg import block_diag, lu_factor, lu_solve
 
+from .hill import hill_at_selection, matricization_blocks
 from .jordan import (
     BicommElement,
     JordanSpec,
@@ -43,6 +43,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     as_matrix,
+    block_diag,
     kron,
     psd_report,
     unvec,
@@ -51,6 +52,9 @@ from .linalg import (
 from .starmaps import StarLinearMap, choi_matrix
 
 __all__ = [
+    "Order",
+    "LYAPUNOV",
+    "STEIN",
     "LyapunovProblem",
     "HillPickMatrix",
     "DominationReport",
@@ -60,7 +64,6 @@ __all__ = [
     "hill_pick_coeff",
     "upsilon_selection",
     "hill_pick_matrix",
-    "hill_pick_matrix_real",
     "check_domination",
     "sample_lyapunov_solutions",
     "domination_oracle",
@@ -83,11 +86,7 @@ class LyapunovProblem:
 
     def __post_init__(self):
         validate_bicomm_element(self.spec, self.element)
-        if not is_lyapunov_regular(self.spec, self.tol):
-            raise ValueError(
-                "not Lyapunov regular: some pair of eigenvalues satisfies "
-                "lam_i + conj(lam_j) == 0"
-            )
+        LYAPUNOV.require_regular(self.spec, self.tol)
 
 
 @dataclass(eq=False)
@@ -139,16 +138,93 @@ def lyapunov_matricization(a, field: str = "complex") -> StarLinearMap:
     return StarLinearMap(kron(am.T, eye) + kron(eye, am.conj().T), n, n, field)
 
 
+def is_stein_regular(spec: JordanSpec, tol: Tolerances | None = None) -> bool:
+    """True when lam_i * conj(lam_j) != 1 for all eigenvalue pairs.
+
+    Exactly the invertibility condition of I - conj(A) (x) A, whose
+    eigenvalues are 1 - conj(lam_i) lam_j.
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    vals = eigenvalue_list(spec)
+    for a in vals:
+        for b in vals:
+            if abs(a * b.conjugate() - 1.0) <= tol.eq_rel * (1.0 + abs(a) * abs(b)):
+                return False
+    return True
+
+
+def stein_matricization(a, field: str = "complex") -> StarLinearMap:
+    """Matricization I - conj(A) (x) A of the map X -> X - A X A*."""
+    am = as_matrix(a)
+    n = am.shape[0]
+    if am.shape != (n, n):
+        raise ValueError("A must be square")
+    return StarLinearMap(np.eye(n * n, dtype=np.complex128) - kron(am.conj(), am), n, n, field)
+
+
+@dataclass(frozen=True, eq=False)
+class Order:
+    """A cone order: H lies in the cone of M when cone(H, M) is PSD.
+
+    B dominates A in the order when every Hermitian H in the cone of A also
+    lies in the cone of B.  matricization(M, field) is the matricization of
+    X -> cone(X, M); regular(spec, tol) tells whether that map is invertible
+    for A, and singular names the eigenvalue condition under which it is not.
+    """
+
+    name: str
+    matricization: Callable[..., StarLinearMap]
+    regular: Callable[..., bool]
+    cone: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    singular: str
+
+    def require_regular(self, spec: JordanSpec, tol: Tolerances) -> None:
+        if not self.regular(spec, tol):
+            raise ValueError(
+                f"not {self.name} regular: some pair of eigenvalues satisfies {self.singular}"
+            )
+
+
+LYAPUNOV = Order(
+    "Lyapunov",
+    lyapunov_matricization,
+    is_lyapunov_regular,
+    lambda h, m: h @ m + m.conj().T @ h,
+    "lam_i + conj(lam_j) == 0",
+)
+STEIN = Order(
+    "Stein",
+    stein_matricization,
+    is_stein_regular,
+    lambda h, m: h - m @ h @ m.conj().T,
+    "lam_i * conj(lam_j) == 1",
+)
+
+
+def _composite(order: Order, a: np.ndarray, b: np.ndarray, field: str) -> StarLinearMap:
+    """The map cone_B o cone_A^{-1}, as L_B @ inv(L_A); L_A must be invertible."""
+    la = order.matricization(a, field).matrix
+    lb = order.matricization(b, field).matrix
+    n = a.shape[0]
+    return StarLinearMap(np.linalg.solve(la.T, lb.T).T, n, n, field)
+
+
+def _order_map(prob: LyapunovProblem, order: Order) -> StarLinearMap:
+    spec = prob.spec
+    order.require_regular(spec, prob.tol)
+    a = build_A(spec)
+    b = build_bicomm_element(spec, prob.element)
+    return _composite(order, a, b, spec.field)
+
+
 def lyapunov_order_map(prob: LyapunovProblem) -> StarLinearMap:
     """The composite map lyap_B o lyap_A^{-1} built from the problem data."""
-    a = build_A(prob.spec)
-    b = build_bicomm_element(prob.spec, prob.element)
-    la = lyapunov_matricization(a, prob.spec.field).matrix
-    lb = lyapunov_matricization(b, prob.spec.field).matrix
-    n = prob.spec.dim
-    # lb @ inv(la); la is invertible because the problem is Lyapunov regular.
-    composite = np.linalg.solve(la.T, lb.T).T
-    return StarLinearMap(composite, n, n, prob.spec.field)
+    return _order_map(prob, LYAPUNOV)
+
+
+def stein_order_map(prob: LyapunovProblem) -> StarLinearMap:
+    """The composite Stein map stein_B o stein_A^{-1}."""
+    return _order_map(prob, STEIN)
 
 
 def hill_pick_coeff(
@@ -200,7 +276,7 @@ def _coefficient_block(prob: LyapunovProblem, eigen_j: int, shift_i: int) -> np.
             for c in range(s):
                 t += hill_pick_coeff(prob, eigen_j, shift_i, a, c) * np.eye(s, k=-c)
             parts.append(t)
-    return block_diag(*parts).astype(np.complex128)
+    return block_diag(*parts)
 
 
 def closed_form_matricization(prob: LyapunovProblem) -> np.ndarray:
@@ -226,7 +302,7 @@ def closed_form_matricization(prob: LyapunovProblem) -> np.ndarray:
             for i in range(s):
                 r += np.kron(np.eye(s, k=-i), coeff_blocks[j, i])
             parts.append(r)
-    jordan_side = block_diag(*parts).astype(np.complex128)
+    jordan_side = block_diag(*parts)
     p = spec.similarity
     if p is None:
         return jordan_side
@@ -253,70 +329,34 @@ def upsilon_selection(spec: JordanSpec) -> tuple[tuple[int, int], ...]:
     return tuple(sel)
 
 
-def _selection_offsets(spec: JordanSpec) -> tuple[int, ...]:
-    offsets = []
-    acc = 0
-    for e in spec.eigens:
-        offsets.append(acc)
-        pair = spec.field == "real" and e.eigenvalue.imag > 0
-        acc += (2 if pair else 1) * e.sizes[0]
-    return tuple(offsets)
-
-
-def _extract_hill_at(l_big: np.ndarray, n: int, selection) -> np.ndarray:
-    """Hill matrix read off a matricization at a pinned block selection.
-
-    Entry (k, l) is the value of the block at selection[l] taken at the
-    in-block position given by selection[k].
-    """
-    w = len(selection)
-    h = np.zeros((w, w), dtype=np.complex128)
-    for k, (rk, ck) in enumerate(selection):
-        for l, (rl, cl) in enumerate(selection):
-            h[k, l] = l_big[rl * n + rk, cl * n + ck]
-    return h
-
-
 def hill_pick_matrix(prob: LyapunovProblem) -> HillPickMatrix:
-    """The Hill-Pick matrix over the complex field, from closed-form coefficients.
+    """The Hill-Pick matrix: the composite map's Hill matrix at upsilon_selection.
 
-    Block (i, j) has entries f[j, b | i, a] = hill_pick_coeff(j, b, i, a) for
-    a, b ranging over the leading block sizes; positive semidefiniteness of
-    the result is equivalent to B Lyapunov dominating A.
+    Over the complex field it is assembled from closed-form coefficients:
+    block (i, j) has entries f[j, b | i, a] = hill_pick_coeff(j, b, i, a) for
+    a, b ranging over the leading block sizes.  Over the real field it is
+    read off the composite matricization in the Jordan basis.  Either way,
+    positive semidefiniteness of the result is equivalent to B Lyapunov
+    dominating A.
     """
     spec = prob.spec
-    if spec.field != "complex":
-        raise ValueError("use hill_pick_matrix_real for real-field problems")
-    leads = [e.sizes[0] for e in spec.eigens]
-    offsets = _selection_offsets(spec)
-    w = sum(leads)
-    h = np.zeros((w, w), dtype=np.complex128)
-    for i, li in enumerate(leads):
-        for j, lj in enumerate(leads):
-            for a in range(li):
-                for b in range(lj):
-                    h[offsets[i] + a, offsets[j] + b] = hill_pick_coeff(prob, j, b, i, a)
-    return HillPickMatrix(h, upsilon_selection(spec), offsets, "complex")
-
-
-def hill_pick_matrix_real(prob: LyapunovProblem) -> HillPickMatrix:
-    """The Hill-Pick matrix over the real field, by numeric block extraction.
-
-    Computes the composite matricization in the Jordan basis and reads the
-    pinned Hill matrix at the canonical selection; PSD is again equivalent
-    to domination.
-    """
-    spec = prob.spec
-    if spec.field != "real":
-        raise ValueError("use hill_pick_matrix for complex-field problems")
-    ja = build_JA(spec)
-    bt = build_bicomm_jordan(spec, prob.element)
-    la = lyapunov_matricization(ja, "real").matrix
-    lb = lyapunov_matricization(bt, "real").matrix
-    composite = np.linalg.solve(la.T, lb.T).T
     sel = upsilon_selection(spec)
-    h = _extract_hill_at(composite, spec.dim, sel)
-    return HillPickMatrix(h.real.astype(np.complex128), sel, _selection_offsets(spec), "real")
+    # Each eigenvalue's slice starts at its diagonal block position.
+    offsets = tuple(k for k, (row, col) in enumerate(sel) if row == col)
+    if spec.field == "complex":
+        leads = [e.sizes[0] for e in spec.eigens]
+        h = np.zeros((len(sel), len(sel)), dtype=np.complex128)
+        for i, li in enumerate(leads):
+            for j, lj in enumerate(leads):
+                for a in range(li):
+                    for b in range(lj):
+                        h[offsets[i] + a, offsets[j] + b] = hill_pick_coeff(prob, j, b, i, a)
+    else:
+        bt = build_bicomm_jordan(spec, prob.element)
+        jordan_map = _composite(LYAPUNOV, build_JA(spec), bt, "real")
+        # The Hill-Pick matrix is the transpose of the Hill matrix pinned at upsilon.
+        h = hill_at_selection(matricization_blocks(jordan_map), sel).T.real.astype(np.complex128)
+    return HillPickMatrix(h, sel, offsets, spec.field)
 
 
 def _random_psd(rng: np.random.Generator, n: int, field: str) -> np.ndarray:
@@ -325,6 +365,32 @@ def _random_psd(rng: np.random.Generator, n: int, field: str) -> np.ndarray:
         g = g + 1j * rng.standard_normal((n, n))
     g = g.astype(np.complex128)
     return g @ g.conj().T
+
+
+def _cone_solutions(
+    a, order: Order, field: str, count: int, seed: int
+) -> Iterator[np.ndarray]:
+    """Yield count Hermitian H with cone(H, A) = W for random PSD targets W = G G*.
+
+    The targets are drawn one trial at a time from a single default_rng(seed)
+    stream, so trial k sees the same W however the solves are grouped.  They
+    are solved in batches of 1, 2, 4, ... with one solve per batch: a caller
+    that stops at the first trial pays for one solve, and one that runs all
+    trials for about log2(count) of them.  L_A must be invertible.
+    """
+    am = as_matrix(a)
+    n = am.shape[0]
+    la = order.matricization(am, field).matrix
+    rng = np.random.default_rng(seed)
+    done, batch = 0, 1
+    while done < count:
+        size = min(batch, count - done)
+        targets = np.stack([vec(_random_psd(rng, n, field)) for _ in range(size)], axis=1)
+        for x in np.linalg.solve(la, targets).T:
+            h = unvec(x, n, n)
+            yield (h + h.conj().T) / 2.0
+        done += size
+        batch *= 2
 
 
 def sample_lyapunov_solutions(
@@ -340,41 +406,25 @@ def sample_lyapunov_solutions(
     H A + A* H = W; every returned H is symmetrized.  A must be Lyapunov
     regular (the map is inverted directly).
     """
-    am = as_matrix(a)
-    n = am.shape[0]
-    la = lyapunov_matricization(am, field).matrix
-    factored = lu_factor(la)
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(int(count)):
-        w = _random_psd(rng, n, field)
-        h = unvec(lu_solve(factored, vec(w)), n, n)
-        out.append((h + h.conj().T) / 2.0)
-    return out
+    return list(_cone_solutions(a, LYAPUNOV, field, int(count), seed))
 
 
 def domination_oracle(
-    prob: LyapunovProblem, trials: int = 1000, seed: int = 0
+    prob: LyapunovProblem, trials: int = 1000, seed: int = 0, order: Order = LYAPUNOV
 ) -> tuple[str, Optional[np.ndarray]]:
-    """Brute-force check of the order on sampled Lyapunov solutions of A.
+    """Brute-force check of the order on sampled cone elements of A.
 
-    Each trial draws H with H A + A* H PSD by construction and tests whether
-    H B + B* H fails the PSD test outright ("no", beyond the tolerance
-    band).  Returns ("violation", H) at the first failure, otherwise
-    ("consistent", None); consistency is evidence, not proof.
+    Each trial draws H with cone(H, A) PSD by construction (H A + A* H for
+    the Lyapunov order, H - A H A* for Stein) and tests whether cone(H, B)
+    fails the PSD test outright ("no", beyond the tolerance band).  Returns
+    ("violation", H) at the first failure, otherwise ("consistent", None);
+    consistency is evidence, not proof.
     """
     spec = prob.spec
     a = build_A(spec)
     b = build_bicomm_element(spec, prob.element)
-    n = spec.dim
-    la = lyapunov_matricization(a, spec.field).matrix
-    factored = lu_factor(la)
-    rng = np.random.default_rng(seed)
-    for _ in range(int(trials)):
-        w = _random_psd(rng, n, spec.field)
-        h = unvec(lu_solve(factored, vec(w)), n, n)
-        h = (h + h.conj().T) / 2.0
-        verdict, _ = psd_report(h @ b + b.conj().T @ h, prob.tol)
+    for h in _cone_solutions(a, order, spec.field, int(trials), seed):
+        verdict, _ = psd_report(order.cone(h, b), prob.tol)
         if verdict == "no":
             return "violation", h
     return "consistent", None
@@ -392,13 +442,9 @@ def check_domination(
     domination fails.
     """
     tol = prob.tol
-    if prob.spec.field == "complex":
-        hp = hill_pick_matrix(prob)
-    else:
-        hp = hill_pick_matrix_real(prob)
+    hp = hill_pick_matrix(prob)
     hp_verdict, hp_eig = psd_report(hp.matrix, tol)
-    composite = lyapunov_order_map(prob)
-    choi_verdict, choi_eig = psd_report(choi_matrix(composite), tol)
+    choi_verdict, choi_eig = psd_report(choi_matrix(lyapunov_order_map(prob)), tol)
     status, witness = domination_oracle(prob, oracle_trials, seed)
     agree = hp_verdict == choi_verdict or "marginal" in (hp_verdict, choi_verdict)
     return DominationReport(
@@ -414,50 +460,6 @@ def check_domination(
     )
 
 
-# --------------------------------------------------------------------------
-# Stein order: the disk analogue, H - A H A* in place of H A + A* H.
-# --------------------------------------------------------------------------
-
-
-def is_stein_regular(spec: JordanSpec, tol: Tolerances | None = None) -> bool:
-    """True when lam_i * conj(lam_j) != 1 for all eigenvalue pairs.
-
-    Exactly the invertibility condition of I - conj(A) (x) A, whose
-    eigenvalues are 1 - conj(lam_i) lam_j.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    vals = eigenvalue_list(spec)
-    for a in vals:
-        for b in vals:
-            if abs(a * b.conjugate() - 1.0) <= tol.eq_rel * (1.0 + abs(a) * abs(b)):
-                return False
-    return True
-
-
-def stein_matricization(a, field: str = "complex") -> StarLinearMap:
-    """Matricization I - conj(A) (x) A of the map X -> X - A X A*."""
-    am = as_matrix(a)
-    n = am.shape[0]
-    if am.shape != (n, n):
-        raise ValueError("A must be square")
-    return StarLinearMap(np.eye(n * n, dtype=np.complex128) - kron(am.conj(), am), n, n, field)
-
-
-def stein_order_map(prob: LyapunovProblem) -> StarLinearMap:
-    """The composite Stein map stein_B o stein_A^{-1}."""
-    spec = prob.spec
-    if not is_stein_regular(spec, prob.tol):
-        raise ValueError(
-            "not Stein regular: some pair of eigenvalues satisfies lam_i * conj(lam_j) == 1"
-        )
-    a = build_A(spec)
-    b = build_bicomm_element(spec, prob.element)
-    la = stein_matricization(a, spec.field).matrix
-    lb = stein_matricization(b, spec.field).matrix
-    composite = np.linalg.solve(la.T, lb.T).T
-    return StarLinearMap(composite, spec.dim, spec.dim, spec.field)
-
-
 def stein_domination(
     prob: LyapunovProblem, oracle_trials: int = 1000, seed: int = 0
 ) -> DominationReport:
@@ -467,24 +469,8 @@ def stein_domination(
     closed-form Hill-Pick matrix is assembled for this order); the sampling
     oracle draws H with H - A H A* PSD and tests H - B H B*.
     """
-    spec = prob.spec
-    tol = prob.tol
-    composite = stein_order_map(prob)
-    choi_verdict, choi_eig = psd_report(choi_matrix(composite), tol)
-    a = build_A(spec)
-    b = build_bicomm_element(spec, prob.element)
-    n = spec.dim
-    factored = lu_factor(stein_matricization(a, spec.field).matrix)
-    rng = np.random.default_rng(seed)
-    status, witness = "consistent", None
-    for _ in range(int(oracle_trials)):
-        w = _random_psd(rng, n, spec.field)
-        h = unvec(lu_solve(factored, vec(w)), n, n)
-        h = (h + h.conj().T) / 2.0
-        verdict, _ = psd_report(h - b @ h @ b.conj().T, tol)
-        if verdict == "no":
-            status, witness = "violation", h
-            break
+    choi_verdict, choi_eig = psd_report(choi_matrix(stein_order_map(prob)), prob.tol)
+    status, witness = domination_oracle(prob, oracle_trials, seed, STEIN)
     agree = status == "consistent" or choi_verdict != "yes"
     return DominationReport(
         verdict=_VERDICT[choi_verdict],

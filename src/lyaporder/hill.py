@@ -49,6 +49,7 @@ __all__ = [
     "Certificate",
     "ahat_matrix",
     "matricization_blocks",
+    "hill_at_selection",
     "minimal_hill_from_blocks",
     "nonminimal_hill",
     "hill_from_choi",
@@ -158,13 +159,14 @@ def _factors_from_alpha(alpha, n, q):
     return [a.conj().reshape(n, q) for a in alpha]
 
 
-def _pinned_hill(blocks, selection):
-    r = len(selection)
-    h = np.zeros((r, r), dtype=np.complex128)
-    for k, (ik, jk) in enumerate(selection):
-        for l, (il, jl) in enumerate(selection):
-            h[k, l] = np.conj(blocks[il, jl][ik, jk])
-    return h
+def hill_at_selection(blocks: np.ndarray, selection) -> np.ndarray:
+    """Matricization entries read at a block selection: H[k, l] = blocks[s_k][s_l].
+
+    Entry (k, l) is the entry at in-block position selection[l] of the block
+    at selection[k], for blocks as returned by :func:`matricization_blocks`.
+    """
+    rows, cols = np.array(selection, dtype=int).reshape(-1, 2).T
+    return blocks[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
 
 
 def minimal_hill_from_blocks(m: StarLinearMap, tol: Tolerances | None = None) -> HillRep:
@@ -188,11 +190,7 @@ def minimal_hill_from_blocks(m: StarLinearMap, tol: Tolerances | None = None) ->
         )
     alpha = _expansion_coefficients(blocks, selection, n, q, tol.eq_rel)
     factors = _factors_from_alpha(alpha, n, q)
-    r = len(selection)
-    h = np.zeros((r, r), dtype=np.complex128)
-    for k, (ik, jk) in enumerate(selection):
-        for l, (il, jl) in enumerate(selection):
-            h[k, l] = blocks[ik, jk][il, jl]
+    h = hill_at_selection(blocks, selection)
     return HillRep(factors, h, tuple(selection), True, n, q, m.field)
 
 
@@ -219,7 +217,9 @@ def nonminimal_hill(
     blocks = matricization_blocks(m)
     alpha = _expansion_coefficients(blocks, selection, n, q, tol.eq_rel)
     factors = _factors_from_alpha(alpha, n, q)
-    h = _pinned_hill(blocks, selection)
+    # Pinned coefficients: H[k, l] = conj(blocks[s_l][s_k]), equal to
+    # blocks[s_k][s_l] for a *-linear map.
+    h = hill_at_selection(blocks, selection).T.conj()
     minimal = len(selection) == rank_tol(choi_matrix(m), tol)
     return HillRep(factors, h, tuple(selection), minimal, n, q, m.field)
 

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, frob, rank_tol
+from .linalg import DEFAULT_TOLERANCES, Tolerances, as_matrix, block_diag, frob, rank_tol
 
 __all__ = [
     "EigenBlock",
@@ -189,16 +188,20 @@ def build_JA(spec: JordanSpec) -> np.ndarray:
         else:
             j = lam * np.eye(blk.size, dtype=np.complex128) + _shift(blk.size)
         parts.append(j)
-    return block_diag(*parts).astype(np.complex128)
+    return block_diag(*parts)
+
+
+def _from_jordan_basis(spec: JordanSpec, m: np.ndarray) -> np.ndarray:
+    """P @ M @ inv(P), by a solve rather than an explicit inverse; M without P."""
+    p = spec.similarity
+    if p is None:
+        return m
+    return np.linalg.solve(p.T, (p @ m).T).T
 
 
 def build_A(spec: JordanSpec) -> np.ndarray:
     """A = P @ J @ inv(P); just J when no similarity is given."""
-    j = build_JA(spec)
-    p = spec.similarity
-    if p is None:
-        return j
-    return p @ j @ np.linalg.inv(p)
+    return _from_jordan_basis(spec, build_JA(spec))
 
 
 @dataclass(frozen=True)
@@ -248,16 +251,12 @@ def build_bicomm_jordan(spec: JordanSpec, elem: BicommElement) -> np.ndarray:
         else:
             t = sum(row[v] * _shift(blk.size, v) for v in range(blk.size))
         parts.append(np.atleast_2d(t))
-    return block_diag(*parts).astype(np.complex128)
+    return block_diag(*parts)
 
 
 def build_bicomm_element(spec: JordanSpec, elem: BicommElement) -> np.ndarray:
     """B = P @ Btilde @ inv(P) for the Toeplitz pattern Btilde."""
-    b = build_bicomm_jordan(spec, elem)
-    p = spec.similarity
-    if p is None:
-        return b
-    return p @ b @ np.linalg.inv(p)
+    return _from_jordan_basis(spec, build_bicomm_jordan(spec, elem))
 
 
 class MembershipResult(NamedTuple):

@@ -27,10 +27,9 @@ __all__ = [
     "vec",
     "unvec",
     "kron",
-    "hadamard",
+    "block_diag",
     "canonical_shuffle",
     "frob",
-    "rel_error",
     "rank_tol",
     "psd_report",
     "is_psd",
@@ -88,12 +87,17 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product of two equal-shape matrices."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return ma * mb
+def block_diag(*blocks) -> np.ndarray:
+    """Block-diagonal matrix with the given square blocks along the diagonal, in order."""
+    mats = [as_matrix(b) for b in blocks]
+    size = sum(m.shape[0] for m in mats)
+    out = np.zeros((size, size), dtype=np.complex128)
+    off = 0
+    for m in mats:
+        k = m.shape[0]
+        out[off : off + k, off : off + k] = m
+        off += k
+    return out
 
 
 def canonical_shuffle(m: int, n: int) -> np.ndarray:
@@ -114,13 +118,6 @@ def canonical_shuffle(m: int, n: int) -> np.ndarray:
 def frob(m) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(m, dtype=np.complex128)))
-
-
-def rel_error(x, y) -> float:
-    """Frobenius distance of x from y, relative to 1 + ||y||_F."""
-    xm = np.asarray(x, dtype=np.complex128)
-    ym = np.asarray(y, dtype=np.complex128)
-    return float(np.linalg.norm(xm - ym) / (1.0 + np.linalg.norm(ym)))
 
 
 def rank_tol(m, tol: Tolerances | None = None) -> int:

@@ -24,7 +24,6 @@ from lyaporder import (
     find_c1_witness,
     find_c2_witness,
     hill_pick_matrix,
-    hill_pick_matrix_real,
     is_completely_positive,
     lyapunov_order_map,
     minimal_hill_from_blocks,
@@ -214,7 +213,7 @@ def test_criterion_7_real_field_cross_check():
     disagreements = 0
     compared = 0
     for prob in problems:
-        hp_verdict, _ = psd_report(hill_pick_matrix_real(prob).matrix, prob.tol)
+        hp_verdict, _ = psd_report(hill_pick_matrix(prob).matrix, prob.tol)
         choi_verdict, _ = psd_report(choi_matrix(lyapunov_order_map(prob)), prob.tol)
         if "marginal" in (hp_verdict, choi_verdict):
             continue
@@ -236,10 +235,7 @@ def test_criterion_8_similarity_invariance():
         verdicts = []
         for s in (spec, other):
             prob = LyapunovProblem(s, elem)
-            hp = (
-                hill_pick_matrix(prob) if field == "complex" else hill_pick_matrix_real(prob)
-            )
-            hp_verdict, _ = psd_report(hp.matrix, prob.tol)
+            hp_verdict, _ = psd_report(hill_pick_matrix(prob).matrix, prob.tol)
             choi_verdict, _ = psd_report(choi_matrix(lyapunov_order_map(prob)), prob.tol)
             verdicts.append((hp_verdict, choi_verdict))
         (hp1, c1), (hp2, c2) = verdicts

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -98,6 +100,22 @@ class TestExitCodes:
     def test_bad_flag(self, capsys):
         assert run(["check", problem("scalar_b_equals_a.json"), "--no-such-flag"]) == 64
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "pick_not_dominated.json", "--trials", "0"],
+            ["verify", "scalar_b_equals_a.json", "--trials", "-1"],
+            ["check", "pick_not_dominated.json", "--oracle-trials", "-5"],
+            ["check", "scalar_b_equals_a.json", "--oracle-trials", "0"],
+        ],
+    )
+    def test_trial_count_below_one_rejected(self, argv, capsys):
+        command, name, *flags = argv
+        assert run([command, problem(name), *flags]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be at least 1" in captured.err
+
 
 class TestJsonOutput:
     def test_round_trip(self, capsys):
@@ -175,6 +193,12 @@ class TestHillCommand:
         )
         assert run(["hill", path, "--map", "stein"]) == 0
 
+    def test_zero_stein_map_prints(self, capsys):
+        # B = I makes the Stein composite zero: an empty (r = 0) representation.
+        assert run(["hill", problem("jordan_block_dominator.json"), "--map", "stein"]) == 0
+        out = capsys.readouterr().out
+        assert "r = 0, rank(choi) = 0, rank(H) = 0" in out and "hill matrix:" in out
+
     def test_raw_map(self, capsys):
         assert run(["hill", problem("raw_transpose_map.json"), "--map", "raw", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -191,6 +215,19 @@ class TestVerifyCommand:
 
     def test_consistent_exit(self, capsys):
         assert run(["verify", problem("scalar_b_equals_a.json"), "--trials", "100"]) == 0
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    code = "import sys, lyaporder.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestProblemFileParsing:

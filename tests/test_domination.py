@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lyaporder import (
+    LYAPUNOV,
+    STEIN,
     BicommElement,
     EigenBlock,
     JordanSpec,
@@ -15,7 +17,6 @@ from lyaporder import (
     domination_oracle,
     hill_pick_coeff,
     hill_pick_matrix,
-    hill_pick_matrix_real,
     is_psd,
     is_stein_regular,
     lyapunov_matricization,
@@ -30,7 +31,7 @@ from lyaporder import (
     vec,
     unvec,
 )
-from lyaporder.domination import _extract_hill_at
+from lyaporder.hill import hill_at_selection, matricization_blocks
 from lyaporder.jordan import build_bicomm_jordan, build_JA
 from lyaporder.starmaps import StarLinearMap
 from helpers import (
@@ -50,6 +51,26 @@ def diag_problem(lams, ts):
 
 PICK_NOT_DOMINATED = diag_problem([1.0, 2.0], [1.0, 3.0])
 PICK_MIN_EIG = 1.25 - np.sqrt(265.0) / 12.0  # eigenvalue of [[1, 4/3], [4/3, 3/2]]
+STEIN_FLIP = diag_problem([0.5, 1.0 / 3.0], [0.5, -1.0 / 3.0])
+
+
+def per_trial_witness(prob, matricization, cone, trials, seed):
+    """Reference oracle: one target, one solve and one PSD test per trial."""
+    spec = prob.spec
+    a = build_A(spec)
+    b = build_bicomm_element(spec, prob.element)
+    n = spec.dim
+    la = matricization(a, spec.field).matrix
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        g = rng.standard_normal((n, n))
+        if spec.field == "complex":
+            g = g + 1j * rng.standard_normal((n, n))
+        h = unvec(np.linalg.solve(la, vec(g @ g.conj().T)), n, n)
+        h = (h + h.conj().T) / 2.0
+        if psd_report(cone(h, b), prob.tol)[0] == "no":
+            return h
+    return None
 
 
 class TestMatricization:
@@ -198,13 +219,21 @@ class TestHillPickMatrix:
         spec = JordanSpec("real", (EigenBlock(1 + 1j, (1,)), EigenBlock(2.0, (2,))))
         assert upsilon_selection(spec) == ((0, 0), (1, 0), (2, 2), (3, 2))
 
+    def test_block_offsets_frozen(self):
+        spec = JordanSpec("complex", (EigenBlock(1.0, (2, 1)), EigenBlock(2.0, (1,))))
+        hp = hill_pick_matrix(LyapunovProblem(spec, BicommElement(((1.0, 0.0), (1.0,)))))
+        assert hp.block_offsets == (0, 2) and hp.field == "complex"
+        spec = JordanSpec("real", (EigenBlock(1 + 1j, (1,)), EigenBlock(2.0, (2,))))
+        hp = hill_pick_matrix(LyapunovProblem(spec, BicommElement(((1 + 1j,), (2.0, 0.0)))))
+        assert hp.block_offsets == (0, 2) and hp.field == "real"
+
     def test_matches_extraction_from_closed_form(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
             spec = random_jordan_spec(rng)  # no similarity: jordan basis
             prob = LyapunovProblem(spec, random_element(rng, spec))
-            big = closed_form_matricization(prob)
-            extracted = _extract_hill_at(big, spec.dim, upsilon_selection(spec))
+            big = StarLinearMap(closed_form_matricization(prob), spec.dim, spec.dim)
+            extracted = hill_at_selection(matricization_blocks(big), upsilon_selection(spec)).T
             assert np.allclose(hill_pick_matrix(prob).matrix, extracted, atol=1e-9)
 
     def test_matches_pinned_hill_transpose(self):
@@ -227,14 +256,14 @@ class TestHillPickReal:
     def test_real_diagonal_is_classical_pick(self):
         spec = JordanSpec("real", (EigenBlock(1.0, (1,)), EigenBlock(3.0, (1,))))
         prob = LyapunovProblem(spec, BicommElement(((0.5,), (2.0,))))
-        hp = hill_pick_matrix_real(prob)
+        hp = hill_pick_matrix(prob)
         expect = [[1.0 / 2.0, 2.5 / 4.0], [2.5 / 4.0, 4.0 / 6.0]]
         assert np.allclose(hp.matrix, expect, atol=1e-12)
 
     def test_pair_b_equals_a_psd(self):
         spec = JordanSpec("real", (EigenBlock(1 + 1j, (1,)),))
         prob = LyapunovProblem(spec, a_element(spec))
-        hp = hill_pick_matrix_real(prob)
+        hp = hill_pick_matrix(prob)
         assert psd_report(hp.matrix)[1] >= -1e-12
 
     def test_verdict_matches_complexified_choi(self):
@@ -242,14 +271,10 @@ class TestHillPickReal:
         for _ in range(10):
             spec = random_jordan_spec(rng, field="real", similarity=True)
             prob = LyapunovProblem(spec, random_element(rng, spec))
-            hp_verdict = is_psd(hill_pick_matrix_real(prob).matrix)
+            hp_verdict = is_psd(hill_pick_matrix(prob).matrix)
             choi_verdict = is_psd(choi_matrix(lyapunov_order_map(prob)))
             if "marginal" not in (hp_verdict, choi_verdict):
                 assert hp_verdict == choi_verdict
-
-    def test_complex_field_rejected(self):
-        with pytest.raises(ValueError):
-            hill_pick_matrix_real(PICK_NOT_DOMINATED)
 
 
 class TestCheckDomination:
@@ -312,6 +337,15 @@ class TestSampling:
         for h in sample_lyapunov_solutions(a, count=10, seed=2):
             assert is_psd(h) == "yes"
 
+    def test_smaller_count_is_a_prefix(self):
+        a = np.array([[1.0, 1.0], [0.0, 2.0]])
+        for k, m in ((1, 1), (3, 4), (5, 6)):
+            short = sample_lyapunov_solutions(a, count=k, seed=5)
+            long = sample_lyapunov_solutions(a, count=k + m, seed=5)
+            assert len(short) == k and len(long) == k + m
+            for h_short, h_long in zip(short, long):
+                np.testing.assert_allclose(h_short, h_long, rtol=0, atol=1e-12)
+
     def test_cone_combinations(self):
         a = np.array([[1.0, 1.0], [0.0, 2.0]])
         h1, h2 = sample_lyapunov_solutions(a, count=2, seed=3)
@@ -327,6 +361,17 @@ class TestOracle:
     def test_violation_found(self):
         status, h = domination_oracle(PICK_NOT_DOMINATED, trials=1000, seed=0)
         assert status == "violation" and h is not None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_witness_matches_per_trial_loop(self, seed):
+        def lyap(h, b):
+            return h @ b + b.conj().T @ h
+
+        for prob in (PICK_NOT_DOMINATED, STEIN_FLIP):
+            status, h = domination_oracle(prob, trials=1000, seed=seed)
+            expect = per_trial_witness(prob, lyapunov_matricization, lyap, 1000, seed)
+            assert status == "violation"
+            np.testing.assert_allclose(h, expect, rtol=0, atol=1e-12)
 
     def test_positive_scaling_consistent(self):
         rng = np.random.default_rng(10)
@@ -378,10 +423,27 @@ class TestStein:
         assert report.oracle_status == "consistent"
 
     def test_flip_violates(self):
-        prob = diag_problem([0.5, 1.0 / 3.0], [0.5, -1.0 / 3.0])
-        report = stein_domination(prob, oracle_trials=1000, seed=0)
+        report = stein_domination(STEIN_FLIP, oracle_trials=1000, seed=0)
         assert report.verdict == "not_dominates"
         assert report.oracle_status == "violation"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_witness_matches_per_trial_loop(self, seed):
+        def stein(h, b):
+            return h - b @ h @ b.conj().T
+
+        report = stein_domination(STEIN_FLIP, oracle_trials=1000, seed=seed)
+        expect = per_trial_witness(STEIN_FLIP, stein_matricization, stein, 1000, seed)
+        assert report.oracle_status == "violation"
+        np.testing.assert_allclose(report.oracle_witness, expect, rtol=0, atol=1e-12)
+
+    def test_orders_carry_their_cone(self):
+        rng = np.random.default_rng(14)
+        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        for order in (LYAPUNOV, STEIN):
+            x = order.cone(h, m)
+            assert np.allclose(vec(x), order.matricization(m).matrix @ vec(h))
 
 
 class TestSimilarityInvariance:

@@ -8,7 +8,6 @@ from lyaporder.linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     canonical_shuffle,
-    hadamard,
     is_psd,
     kron,
     psd_report,
@@ -79,22 +78,6 @@ class TestKron:
         lhs = kron(a, b) @ kron(c, d)
         rhs = kron(a @ c, b @ d)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(rhs))
-
-
-class TestHadamard:
-    def test_ones_identity(self):
-        m = np.array([[1, 2], [3, 4]])
-        assert np.array_equal(hadamard(np.ones((2, 2)), m), m.astype(complex))
-
-    def test_annihilator(self):
-        assert not hadamard(np.zeros((2, 2)), np.ones((2, 2))).any()
-
-    def test_direct(self):
-        assert np.array_equal(hadamard([[1, 2]], [[3, 4]]), np.array([[3, 8]], dtype=complex))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestShuffle:
