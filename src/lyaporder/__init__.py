@@ -28,7 +28,6 @@ from .jordan import (
     build_JA,
     check_bicomm_membership,
     extract_bicomm_coeffs,
-    is_lyapunov_regular,
 )
 from .starmaps import (
     StarLinearMap,
@@ -66,6 +65,7 @@ from .domination import (
     domination_oracle,
     hill_pick_coeff,
     hill_pick_matrix,
+    is_lyapunov_regular,
     is_stein_regular,
     lyapunov_matricization,
     lyapunov_order_map,

@@ -31,7 +31,7 @@ from .domination import (
     stein_order_map,
 )
 from .hill import minimal_hill_from_blocks, nonminimal_hill
-from .linalg import DEFAULT_TOLERANCES, Tolerances, rank_tol
+from .linalg import rank_tol
 from .problemfile import LoadedProblem, ProblemFileError, load_problem_file
 from .starmaps import choi_matrix
 
@@ -110,17 +110,9 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _tolerances_from_flags(args) -> Tolerances | None:
-    values = {}
-    if getattr(args, "tol_rank", None) is not None:
-        values["rank_rel"] = args.tol_rank
-    if getattr(args, "tol_psd", None) is not None:
-        values["psd_rel"] = args.tol_psd
-    if getattr(args, "tol_eq", None) is not None:
-        values["eq_rel"] = args.tol_eq
-    if not values:
-        return None
-    return Tolerances(**{**DEFAULT_TOLERANCES.__dict__, **values})
+def _tolerances_from_flags(args) -> dict[str, float]:
+    flags = {"rank_rel": args.tol_rank, "psd_rel": args.tol_psd, "eq_rel": args.tol_eq}
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def _add_common_flags(sub):

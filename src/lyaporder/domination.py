@@ -36,7 +36,7 @@ from .jordan import (
     build_bicomm_jordan,
     build_JA,
     eigenvalue_list,
-    is_lyapunov_regular,
+    inner_blocks,
     validate_bicomm_element,
 )
 from .linalg import (
@@ -44,6 +44,7 @@ from .linalg import (
     Tolerances,
     as_matrix,
     block_diag,
+    gaussian,
     kron,
     psd_report,
     unvec,
@@ -67,6 +68,7 @@ __all__ = [
     "check_domination",
     "sample_lyapunov_solutions",
     "domination_oracle",
+    "is_lyapunov_regular",
     "is_stein_regular",
     "stein_matricization",
     "stein_order_map",
@@ -78,7 +80,11 @@ _VERDICT = {"yes": "dominates", "no": "not_dominates", "marginal": "marginal"}
 
 @dataclass(eq=False)
 class LyapunovProblem:
-    """A Lyapunov-regular A given by Jordan data plus bicommutant data for B."""
+    """A given by Jordan data plus bicommutant data for B.
+
+    Regularity of A is not checked here: it depends on the order, and each
+    route that inverts an order's map checks it for that order.
+    """
 
     spec: JordanSpec
     element: BicommElement
@@ -86,7 +92,6 @@ class LyapunovProblem:
 
     def __post_init__(self):
         validate_bicomm_element(self.spec, self.element)
-        LYAPUNOV.require_regular(self.spec, self.tol)
 
 
 @dataclass(eq=False)
@@ -138,21 +143,6 @@ def lyapunov_matricization(a, field: str = "complex") -> StarLinearMap:
     return StarLinearMap(kron(am.T, eye) + kron(eye, am.conj().T), n, n, field)
 
 
-def is_stein_regular(spec: JordanSpec, tol: Tolerances | None = None) -> bool:
-    """True when lam_i * conj(lam_j) != 1 for all eigenvalue pairs.
-
-    Exactly the invertibility condition of I - conj(A) (x) A, whose
-    eigenvalues are 1 - conj(lam_i) lam_j.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    vals = eigenvalue_list(spec)
-    for a in vals:
-        for b in vals:
-            if abs(a * b.conjugate() - 1.0) <= tol.eq_rel * (1.0 + abs(a) * abs(b)):
-                return False
-    return True
-
-
 def stein_matricization(a, field: str = "complex") -> StarLinearMap:
     """Matricization I - conj(A) (x) A of the map X -> X - A X A*."""
     am = as_matrix(a)
@@ -168,15 +158,29 @@ class Order:
 
     B dominates A in the order when every Hermitian H in the cone of A also
     lies in the cone of B.  matricization(M, field) is the matricization of
-    X -> cone(X, M); regular(spec, tol) tells whether that map is invertible
-    for A, and singular names the eigenvalue condition under which it is not.
+    X -> cone(X, M).  Its eigenvalues for M = A are, up to sign, the values
+    pair(lam_i, lam_j) over all eigenvalue pairs of A, so the map is
+    invertible exactly when none of them vanishes; slack(lam_i, lam_j) is the
+    scale that eq_rel is relative to.  singular names the vanishing condition.
     """
 
     name: str
     matricization: Callable[..., StarLinearMap]
-    regular: Callable[..., bool]
+    pair: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    slack: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cone: Callable[[np.ndarray, np.ndarray], np.ndarray]
     singular: str
+
+    def regular(self, spec: JordanSpec, tol: Tolerances | None = None) -> bool:
+        """True when no eigenvalue pair of A makes the order's map singular.
+
+        A pair counts as singular when |pair| <= eq_rel * slack.  Over the
+        real field the implicit conjugates of the listed pairs take part.
+        """
+        tol = tol or DEFAULT_TOLERANCES
+        vals = np.array(eigenvalue_list(spec))
+        a, b = vals[:, None], vals[None, :]
+        return not np.any(np.abs(self.pair(a, b)) <= tol.eq_rel * self.slack(a, b))
 
     def require_regular(self, spec: JordanSpec, tol: Tolerances) -> None:
         if not self.regular(spec, tol):
@@ -188,17 +192,21 @@ class Order:
 LYAPUNOV = Order(
     "Lyapunov",
     lyapunov_matricization,
-    is_lyapunov_regular,
+    lambda a, b: a + b.conj(),
+    lambda a, b: np.abs(a) + np.abs(b),
     lambda h, m: h @ m + m.conj().T @ h,
     "lam_i + conj(lam_j) == 0",
 )
 STEIN = Order(
     "Stein",
     stein_matricization,
-    is_stein_regular,
+    lambda a, b: a * b.conj() - 1.0,
+    lambda a, b: 1.0 + np.abs(a) * np.abs(b),
     lambda h, m: h - m @ h @ m.conj().T,
     "lam_i * conj(lam_j) == 1",
 )
+is_lyapunov_regular = LYAPUNOV.regular
+is_stein_regular = STEIN.regular
 
 
 def _composite(order: Order, a: np.ndarray, b: np.ndarray, field: str) -> StarLinearMap:
@@ -290,6 +298,7 @@ def closed_form_matricization(prob: LyapunovProblem) -> np.ndarray:
     spec = prob.spec
     if spec.field != "complex":
         raise ValueError("the closed-form pipeline covers the complex field only")
+    LYAPUNOV.require_regular(spec, prob.tol)
     coeff_blocks = {
         (j, i): _coefficient_block(prob, j, i)
         for j, e in enumerate(spec.eigens)
@@ -318,15 +327,10 @@ def upsilon_selection(spec: JordanSpec) -> tuple[tuple[int, int], ...]:
     coefficient slot: the leading Jordan block size, doubled for the 2x2-pair
     eigenvalues of the real field.
     """
-    sel: list[tuple[int, int]] = []
-    off = 0
-    for e in spec.eigens:
-        pair = spec.field == "real" and e.eigenvalue.imag > 0
-        lead = (2 if pair else 1) * e.sizes[0]
-        total = (2 if pair else 1) * sum(e.sizes)
-        sel.extend((off + a, off) for a in range(lead))
-        off += total
-    return tuple(sel)
+    leads = {}
+    for blk in inner_blocks(spec):
+        leads.setdefault(blk.eigen_index, blk)  # the largest block comes first
+    return tuple((b.offset + a, b.offset) for b in leads.values() for a in range(b.dim))
 
 
 def hill_pick_matrix(prob: LyapunovProblem) -> HillPickMatrix:
@@ -337,9 +341,10 @@ def hill_pick_matrix(prob: LyapunovProblem) -> HillPickMatrix:
     a, b ranging over the leading block sizes.  Over the real field it is
     read off the composite matricization in the Jordan basis.  Either way,
     positive semidefiniteness of the result is equivalent to B Lyapunov
-    dominating A.
+    dominating A.  A must be Lyapunov regular.
     """
     spec = prob.spec
+    LYAPUNOV.require_regular(spec, prob.tol)
     sel = upsilon_selection(spec)
     # Each eigenvalue's slice starts at its diagonal block position.
     offsets = tuple(k for k, (row, col) in enumerate(sel) if row == col)
@@ -360,10 +365,7 @@ def hill_pick_matrix(prob: LyapunovProblem) -> HillPickMatrix:
 
 
 def _random_psd(rng: np.random.Generator, n: int, field: str) -> np.ndarray:
-    g = rng.standard_normal((n, n))
-    if field == "complex":
-        g = g + 1j * rng.standard_normal((n, n))
-    g = g.astype(np.complex128)
+    g = gaussian(rng, (n, n), field)
     return g @ g.conj().T
 
 
@@ -394,11 +396,7 @@ def _cone_solutions(
 
 
 def sample_lyapunov_solutions(
-    a,
-    count: int = 1,
-    seed: int = 0,
-    tol: Tolerances | None = None,
-    field: str = "complex",
+    a, count: int = 1, seed: int = 0, field: str = "complex"
 ) -> list[np.ndarray]:
     """Draw Hermitian H with H A + A* H PSD, by pulling random PSD targets back.
 
@@ -418,9 +416,13 @@ def domination_oracle(
     the Lyapunov order, H - A H A* for Stein) and tests whether cone(H, B)
     fails the PSD test outright ("no", beyond the tolerance band).  Returns
     ("violation", H) at the first failure, otherwise ("consistent", None);
-    consistency is evidence, not proof.
+    consistency is evidence, not proof.  A must be regular for the order,
+    and trials at least 1.
     """
+    if int(trials) < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     spec = prob.spec
+    order.require_regular(spec, prob.tol)
     a = build_A(spec)
     b = build_bicomm_element(spec, prob.element)
     for h in _cone_solutions(a, order, spec.field, int(trials), seed):

@@ -37,6 +37,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     frob,
+    gaussian,
     is_psd,
     kron,
     rank_tol,
@@ -322,14 +323,6 @@ def _structured_candidate(spec: JordanSpec, kind: str) -> np.ndarray:
     return x0 if p is None else p @ x0
 
 
-def _random_candidates(rng, dim, field, trials):
-    for _ in range(trials):
-        if field == "real":
-            yield rng.standard_normal(dim).astype(np.complex128)
-        else:
-            yield rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-
-
 def find_c1_witness(
     rep: HillRep,
     jordan: JordanSpec | None = None,
@@ -355,7 +348,7 @@ def find_c1_witness(
         z = _structured_candidate(jordan, "c1")
         return z if _witness_ok_c1(ahat, z, r, n, tol) else None
     rng = np.random.default_rng(seed)
-    for z in _random_candidates(rng, q, rep.field, trials):
+    for z in (gaussian(rng, q, rep.field) for _ in range(trials)):
         if _witness_ok_c1(ahat, z, r, n, tol):
             return z
     return None
@@ -380,7 +373,7 @@ def find_c2_witness(
         x = _structured_candidate(jordan, "c2")
         return x if _witness_ok_c2(ahat, x, r, q, tol) else None
     rng = np.random.default_rng(seed)
-    for x in _random_candidates(rng, n, rep.field, trials):
+    for x in (gaussian(rng, n, rep.field) for _ in range(trials)):
         if _witness_ok_c2(ahat, x, r, q, tol):
             return x
     return None

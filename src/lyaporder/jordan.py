@@ -35,7 +35,6 @@ __all__ = [
     "MAX_BLOCK_SIZE",
     "inner_blocks",
     "eigenvalue_list",
-    "is_lyapunov_regular",
     "build_JA",
     "build_A",
     "validate_bicomm_element",
@@ -107,11 +106,7 @@ class JordanSpec:
     @property
     def dim(self) -> int:
         """Total matrix size, counting implicit conjugate blocks twice."""
-        n = 0
-        for e in self.eigens:
-            mult = 2 if self._is_pair(e) else 1
-            n += mult * sum(e.sizes)
-        return n
+        return sum(blk.dim for blk in inner_blocks(self))
 
     def _is_pair(self, e: EigenBlock) -> bool:
         return self.field == "real" and e.eigenvalue.imag > 0
@@ -150,45 +145,15 @@ def eigenvalue_list(spec: JordanSpec) -> list[complex]:
     return vals
 
 
-def is_lyapunov_regular(spec: JordanSpec, tol: Tolerances | None = None) -> bool:
-    """True when no two eigenvalues satisfy lam_i + conj(lam_j) == 0.
-
-    Equivalent to invertibility of the map X -> X A + A* X.  Comparisons use
-    a relative slack of eq_rel on |lam_i| + |lam_j|.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    vals = eigenvalue_list(spec)
-    for a in vals:
-        for b in vals:
-            if abs(a + b.conjugate()) <= tol.eq_rel * (abs(a) + abs(b)):
-                return False
-    return True
-
-
 def _rotation_block(z: complex) -> np.ndarray:
     """2x2 real representation of the complex number z."""
     a, b = z.real, z.imag
     return np.array([[a, b], [-b, a]], dtype=np.complex128)
 
 
-def _shift(n: int, power: int = 1) -> np.ndarray:
+def _shift(n: int, power: int) -> np.ndarray:
     """The n x n upper shift matrix raised to a power (ones on superdiagonal k)."""
     return np.eye(n, k=power, dtype=np.complex128)
-
-
-def build_JA(spec: JordanSpec) -> np.ndarray:
-    """Assemble the Jordan matrix J from the given Jordan data, in listed order."""
-    parts = []
-    for blk in inner_blocks(spec):
-        lam = spec.eigens[blk.eigen_index].eigenvalue
-        if blk.pair:
-            j = np.kron(np.eye(blk.size), _rotation_block(lam)) + np.kron(
-                _shift(blk.size), np.eye(2)
-            )
-        else:
-            j = lam * np.eye(blk.size, dtype=np.complex128) + _shift(blk.size)
-        parts.append(j)
-    return block_diag(*parts)
 
 
 def _from_jordan_basis(spec: JordanSpec, m: np.ndarray) -> np.ndarray:
@@ -197,6 +162,12 @@ def _from_jordan_basis(spec: JordanSpec, m: np.ndarray) -> np.ndarray:
     if p is None:
         return m
     return np.linalg.solve(p.T, (p @ m).T).T
+
+
+def build_JA(spec: JordanSpec) -> np.ndarray:
+    """The Jordan matrix J: the bicommutant element with coefficients (lam, 1, 0, ...)."""
+    coeffs = tuple(((e.eigenvalue, 1.0) + (0.0,) * e.sizes[0])[: e.sizes[0]] for e in spec.eigens)
+    return build_bicomm_jordan(spec, BicommElement(coeffs))
 
 
 def build_A(spec: JordanSpec) -> np.ndarray:

@@ -30,6 +30,7 @@ __all__ = [
     "block_diag",
     "canonical_shuffle",
     "frob",
+    "gaussian",
     "rank_tol",
     "psd_report",
     "is_psd",
@@ -113,6 +114,14 @@ def canonical_shuffle(m: int, n: int) -> np.ndarray:
     j = np.tile(np.arange(n), m)
     s[j * m + i, i * n + j] = 1.0
     return s
+
+
+def gaussian(rng: np.random.Generator, shape, field: str) -> np.ndarray:
+    """Standard Gaussian complex128 array; the complex field draws the real parts first."""
+    g = rng.standard_normal(shape)
+    if field == "complex":
+        g = g + 1j * rng.standard_normal(shape)
+    return g.astype(np.complex128)
 
 
 def frob(m) -> float:

@@ -21,8 +21,8 @@ All validation errors carry the JSON path of the offending value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .jordan import (
     JordanSpec,
     check_bicomm_membership,
 )
-from .linalg import DEFAULT_TOLERANCES, Tolerances
+from .linalg import DEFAULT_TOLERANCES
 from .starmaps import StarLinearMap
 
 __all__ = ["ProblemFileError", "LoadedProblem", "load_problem_file", "parse_problem"]
@@ -85,8 +85,13 @@ def _positive_int(node, where: str) -> int:
     return node
 
 
-def parse_problem(doc: dict, tol_override: Tolerances | None = None) -> LoadedProblem:
-    """Build a LyapunovProblem (plus options) from a decoded JSON document."""
+def parse_problem(doc: dict, tol_override: Mapping[str, float] | None = None) -> LoadedProblem:
+    """Build a LyapunovProblem (plus options) from a decoded JSON document.
+
+    Tolerances start from the defaults, then take the fields of the file's
+    "tolerances" object, then each field given in tol_override (a mapping
+    such as {"eq_rel": 1e-12}).
+    """
     if not isinstance(doc, dict):
         raise ProblemFileError("top level: expected a JSON object")
     known = {"field", "eigenvalues", "P", "B", "map", "tolerances", "seed"}
@@ -128,22 +133,20 @@ def parse_problem(doc: dict, tol_override: Tolerances | None = None) -> LoadedPr
     except ValueError as exc:
         raise ProblemFileError(f"jordan data: {exc}") from exc
 
-    tol = tol_override or DEFAULT_TOLERANCES
-    if "tolerances" in doc and tol_override is None:
-        tnode = doc["tolerances"]
-        if not isinstance(tnode, dict):
-            raise _fail("tolerances", "expected an object")
-        extra = set(tnode) - {"rank_rel", "psd_rel", "eq_rel"}
-        if extra:
-            raise _fail("tolerances", f"unknown keys {sorted(extra)}")
-        values = {}
-        for name in ("rank_rel", "psd_rel", "eq_rel"):
-            if name in tnode:
-                v = tnode[name]
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-                    raise _fail(f"tolerances.{name}", "expected a positive number")
-                values[name] = float(v)
-        tol = Tolerances(**{**DEFAULT_TOLERANCES.__dict__, **values})
+    tnode = doc.get("tolerances", {})
+    if not isinstance(tnode, dict):
+        raise _fail("tolerances", "expected an object")
+    extra = set(tnode) - {"rank_rel", "psd_rel", "eq_rel"}
+    if extra:
+        raise _fail("tolerances", f"unknown keys {sorted(extra)}")
+    values = {}
+    for name in ("rank_rel", "psd_rel", "eq_rel"):
+        if name in tnode:
+            v = tnode[name]
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
+                raise _fail(f"tolerances.{name}", "expected a positive number")
+            values[name] = float(v)
+    tol = replace(DEFAULT_TOLERANCES, **{**values, **(tol_override or {})})
 
     b_node = doc.get("B")
     if not isinstance(b_node, dict) or set(b_node) not in ({"coeffs"}, {"matrix"}):
@@ -196,8 +199,8 @@ def parse_problem(doc: dict, tol_override: Tolerances | None = None) -> LoadedPr
     return LoadedProblem(problem, seed, b_from_matrix, raw_map)
 
 
-def load_problem_file(path, tol_override: Tolerances | None = None) -> LoadedProblem:
-    """Read and validate a problem file from disk."""
+def load_problem_file(path, tol_override: Mapping[str, float] | None = None) -> LoadedProblem:
+    """Read and validate a problem file from disk; see :func:`parse_problem`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

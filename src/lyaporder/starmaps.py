@@ -29,6 +29,7 @@ from .linalg import (
     Tolerances,
     as_matrix,
     frob,
+    gaussian,
     kron,
     psd_report,
     unvec,
@@ -73,12 +74,6 @@ class StarLinearMap:
             if drift > 1e-12 * (1.0 + frob(self.matrix)):
                 raise ValueError("real field: matricization has non-real entries")
             self.matrix = self.matrix.real.astype(np.complex128)
-
-    def apply(self, v) -> np.ndarray:
-        return apply_map(self, v)
-
-    def choi(self) -> np.ndarray:
-        return choi_matrix(self)
 
 
 def identity_map(n: int, field: str = "complex") -> StarLinearMap:
@@ -148,12 +143,6 @@ def is_completely_positive(m: StarLinearMap, tol: Tolerances | None = None) -> s
     return psd_report(choi_matrix(m), tol)[0]
 
 
-def _random_vector(rng: np.random.Generator, dim: int, field: str) -> np.ndarray:
-    if field == "real":
-        return rng.standard_normal(dim).astype(np.complex128)
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-
-
 def positivity_sample_test(
     m: StarLinearMap,
     trials: int = 1000,
@@ -178,8 +167,8 @@ def positivity_sample_test(
     floor = -tol.psd_rel * (1.0 + spectral)
     rng = np.random.default_rng(seed)
     for _ in range(int(trials)):
-        z = _random_vector(rng, m.in_dim, m.field)
-        x = _random_vector(rng, m.out_dim, m.field)
+        z = gaussian(rng, m.in_dim, m.field)
+        x = gaussian(rng, m.out_dim, m.field)
         v = np.kron(z, x)
         value = float((v.conj() @ c @ v).real)
         if value < floor:

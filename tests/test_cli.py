@@ -193,6 +193,22 @@ class TestHillCommand:
         )
         assert run(["hill", path, "--map", "stein"]) == 0
 
+    def test_stein_map_on_lyapunov_singular_a(self, tmp_path, capsys):
+        # A nilpotent A is Stein regular: only the Lyapunov routes refuse it.
+        path = write(
+            tmp_path,
+            json.dumps(
+                {
+                    "field": "complex",
+                    "eigenvalues": [{"lambda": [0.0, 0.0], "sizes": [2]}],
+                    "B": {"coeffs": [[0.5, 0.0]]},
+                }
+            ),
+        )
+        assert run(["hill", path, "--map", "stein"]) == 0
+        assert run(["hill", path]) == 64
+        assert "not Lyapunov regular" in capsys.readouterr().err
+
     def test_zero_stein_map_prints(self, capsys):
         # B = I makes the Stein composite zero: an empty (r = 0) representation.
         assert run(["hill", problem("jordan_block_dominator.json"), "--map", "stein"]) == 0
@@ -290,6 +306,20 @@ class TestProblemFileParsing:
         loaded = parse_problem(doc)
         assert loaded.problem.tol.psd_rel == 1e-6
         assert loaded.problem.tol.rank_rel == 1e-9
+
+    def test_tolerance_flag_overrides_one_field(self, tmp_path):
+        with open(problem("pick_not_dominated.json")) as fh:
+            doc = json.load(fh)
+        doc["tolerances"] = {"psd_rel": 1.0}
+        tol = parse_problem(doc, {"eq_rel": 1e-12}).problem.tol
+        assert (tol.rank_rel, tol.psd_rel, tol.eq_rel) == (1e-9, 1.0, 1e-12)
+        path = write(tmp_path, json.dumps(doc))
+        assert run(["check", path]) == 2
+        assert run(["check", path, "--tol-eq", "1e-9"]) == 2  # the default value
+        assert run(["check", path, "--tol-psd", "1e-9"]) == 1
+        doc["tolerances"]["psd"] = 1.0
+        with pytest.raises(ProblemFileError, match="unknown keys"):
+            parse_problem(doc, {"eq_rel": 1e-12})
 
     def test_real_field_complex_coeff_rejected(self):
         doc = {

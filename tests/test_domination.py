@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -313,9 +315,30 @@ class TestCheckDomination:
         assert report.oracle_status == "consistent"
 
     def test_regularity_enforced(self):
-        spec = JordanSpec("complex", (EigenBlock(1.0, (1,)), EigenBlock(-1.0, (1,))))
-        with pytest.raises(ValueError, match="Lyapunov regular"):
-            LyapunovProblem(spec, BicommElement(((1.0,), (1.0,))))
+        # The problem can be built; each route that inverts lyap_A refuses it.
+        prob = diag_problem([1.0, -1.0], [1.0, 1.0])
+        message = re.escape(
+            "not Lyapunov regular: some pair of eigenvalues satisfies lam_i + conj(lam_j) == 0"
+        )
+        routes = (
+            check_domination,
+            hill_pick_matrix,
+            domination_oracle,
+            lyapunov_order_map,
+            closed_form_matricization,
+        )
+        for route in routes:
+            with pytest.raises(ValueError, match=message):
+                route(prob)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trial_count_below_one_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            domination_oracle(PICK_NOT_DOMINATED, trials=trials)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            check_domination(PICK_NOT_DOMINATED, oracle_trials=trials)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            stein_domination(STEIN_FLIP, oracle_trials=trials)
 
 
 class TestSampling:
@@ -414,6 +437,19 @@ class TestStein:
     def test_scalar_b_equals_a(self):
         report = stein_domination(diag_problem([0.5], [0.5]), oracle_trials=100, seed=0)
         assert report.verdict == "dominates"
+
+    def test_lyapunov_singular_a_is_decided(self):
+        # Both A are Stein regular, but lam_i + conj(lam_j) == 0 for some pair.
+        nilpotent = LyapunovProblem(
+            JordanSpec("complex", (EigenBlock(0.0, (2,)),)), BicommElement(((1.0, 0.0),))
+        )
+        report = stein_domination(nilpotent, oracle_trials=200, seed=0)
+        assert report.verdict == "marginal"  # B = I: the Stein composite is zero
+        assert report.choi_min_eig == 0.0
+        assert report.oracle_status == "consistent"
+        report = stein_domination(diag_problem([0.5, -0.5], [2.0, 0.25]), oracle_trials=1000)
+        assert report.verdict == "not_dominates"
+        assert report.oracle_status == "violation"
 
     def test_square_dominates(self):
         spec = stein_jordan_spec(np.random.default_rng(12))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lyaporder import (
+    LYAPUNOV,
+    STEIN,
     BicommElement,
     EigenBlock,
     JordanSpec,
@@ -11,7 +13,6 @@ from lyaporder import (
     check_bicomm_membership,
     extract_bicomm_coeffs,
     is_lyapunov_regular,
-    lyapunov_matricization,
     rank_tol,
 )
 from helpers import a_element, random_element, random_invertible, random_jordan_spec
@@ -102,13 +103,19 @@ class TestRegularity:
         assert not is_lyapunov_regular(JordanSpec("real", (EigenBlock(1j, (1,)),)))
 
     def test_matches_matricization_invertibility(self):
-        regular = JordanSpec("complex", (EigenBlock(1 + 1j, (2,)), EigenBlock(0.5, (1,))))
-        irregular = JordanSpec("complex", (EigenBlock(1.0, (1,)), EigenBlock(-1.0, (2,))))
-        for spec, expect in ((regular, True), (irregular, False)):
+        cases = (
+            (LYAPUNOV, (EigenBlock(1 + 1j, (2,)), EigenBlock(0.5, (1,))), True),
+            (LYAPUNOV, (EigenBlock(1.0, (1,)), EigenBlock(-1.0, (2,))), False),
+            # Lyapunov singular (0 + conj 0 == 0, 0.5j + conj 0.5j == 0) but Stein regular.
+            (STEIN, (EigenBlock(0.0, (2,)), EigenBlock(0.5j, (1,))), True),
+            (STEIN, (EigenBlock(2.0, (1,)), EigenBlock(0.5, (2,))), False),
+        )
+        for order, eigens, expect in cases:
+            spec = JordanSpec("complex", eigens)
             n = spec.dim
-            la = lyapunov_matricization(build_A(spec)).matrix
+            la = order.matricization(build_A(spec)).matrix
             assert (rank_tol(la) == n * n) is expect
-            assert is_lyapunov_regular(spec) is expect
+            assert order.regular(spec) is expect
 
 
 class TestBicommBuild:
