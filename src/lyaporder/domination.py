@@ -27,7 +27,6 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .hill import hill_at_selection, matricization_blocks
 from .jordan import (
     BicommElement,
     JordanSpec,
@@ -44,13 +43,10 @@ from .linalg import (
     Tolerances,
     as_matrix,
     block_diag,
-    gaussian,
     kron,
     psd_report,
-    unvec,
-    vec,
 )
-from .starmaps import StarLinearMap, choi_matrix
+from .starmaps import BlockSeparableMap, StarLinearMap, choi_matrix
 
 __all__ = [
     "Order",
@@ -76,6 +72,8 @@ __all__ = [
 ]
 
 _VERDICT = {"yes": "dominates", "no": "not_dominates", "marginal": "marginal"}
+# Most oracle trials solved at once: a batch holds this many n x n targets.
+_MAX_BATCH = 64
 
 
 @dataclass(eq=False)
@@ -120,6 +118,9 @@ class DominationReport:
     verdict is derived from the Hill-Pick minimum eigenvalue (Choi for the
     Stein order, where no closed-form Hill-Pick matrix is built); marginal
     means that eigenvalue sits inside the psd_rel band around zero.
+    choi_min_eig is that of the Jordan-basis Choi matrix on its support
+    (BlockSeparableMap): it has the inertia of the Choi matrix in A's own
+    basis, not its eigenvalues.
     """
 
     verdict: str
@@ -133,43 +134,37 @@ class DominationReport:
     seed: int
 
 
-def lyapunov_matricization(a, field: str = "complex") -> StarLinearMap:
-    """Matricization A.T (x) I + I (x) A* of the map X -> X A + A* X."""
-    am = as_matrix(a)
-    n = am.shape[0]
-    if am.shape != (n, n):
-        raise ValueError("A must be square")
-    eye = np.eye(n, dtype=np.complex128)
-    return StarLinearMap(kron(am.T, eye) + kron(eye, am.conj().T), n, n, field)
-
-
-def stein_matricization(a, field: str = "complex") -> StarLinearMap:
-    """Matricization I - conj(A) (x) A of the map X -> X - A X A*."""
-    am = as_matrix(a)
-    n = am.shape[0]
-    if am.shape != (n, n):
-        raise ValueError("A must be square")
-    return StarLinearMap(np.eye(n * n, dtype=np.complex128) - kron(am.conj(), am), n, n, field)
-
-
 @dataclass(frozen=True, eq=False)
 class Order:
     """A cone order: H lies in the cone of M when cone(H, M) is PSD.
 
     B dominates A in the order when every Hermitian H in the cone of A also
-    lies in the cone of B.  matricization(M, field) is the matricization of
-    X -> cone(X, M).  Its eigenvalues for M = A are, up to sign, the values
+    lies in the cone of B.  For block diagonal M, X -> cone(X, M) sends each
+    block X_IJ into the same block; two_sided(M_I, M_J) is its matricization
+    there (on stacks of blocks too), and two_sided(M, M) that of the whole
+    map.  Its eigenvalues for M = A are, up to sign, the values
     pair(lam_i, lam_j) over all eigenvalue pairs of A, so the map is
     invertible exactly when none of them vanishes; slack(lam_i, lam_j) is the
     scale that eq_rel is relative to.  singular names the vanishing condition.
+    For A = P J inv(P), cone(S Y S*, A) = S cone(Y, J) S* with the S of
+    congruence(P, inv(P)) = (S, inv(S)): P^{-*} for Lyapunov, P for Stein.
     """
 
     name: str
-    matricization: Callable[..., StarLinearMap]
+    two_sided: Callable[[np.ndarray, np.ndarray], np.ndarray]
     pair: Callable[[np.ndarray, np.ndarray], np.ndarray]
     slack: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cone: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    congruence: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     singular: str
+
+    def matricization(self, a, field: str = "complex") -> StarLinearMap:
+        """Matricization of the map X -> cone(X, A)."""
+        am = as_matrix(a)
+        n = am.shape[0]
+        if am.shape != (n, n):
+            raise ValueError("A must be square")
+        return StarLinearMap(self.two_sided(am, am), n, n, field)
 
     def regular(self, spec: JordanSpec, tol: Tolerances | None = None) -> bool:
         """True when no eigenvalue pair of A makes the order's map singular.
@@ -190,31 +185,65 @@ class Order:
 
 
 LYAPUNOV = Order(
-    "Lyapunov",
-    lyapunov_matricization,
+    "Lyapunov",  # kron(R.T, I) + kron(I, L*) is the matricization of X -> X R + L* X
+    lambda l, r: (kron(r.swapaxes(-1, -2), np.eye(l.shape[-1]))
+                  + kron(np.eye(r.shape[-1]), l.conj().swapaxes(-1, -2))),
     lambda a, b: a + b.conj(),
     lambda a, b: np.abs(a) + np.abs(b),
     lambda h, m: h @ m + m.conj().T @ h,
+    lambda p, p_inv: (p_inv.conj().T, p.conj().T),
     "lam_i + conj(lam_j) == 0",
 )
 STEIN = Order(
-    "Stein",
-    stein_matricization,
+    "Stein",  # I - kron(conj R, L) is the matricization of X -> X - L X R*
+    lambda l, r: np.eye(l.shape[-1] * r.shape[-1]) - kron(r.conj(), l),
     lambda a, b: a * b.conj() - 1.0,
     lambda a, b: 1.0 + np.abs(a) * np.abs(b),
     lambda h, m: h - m @ h @ m.conj().T,
+    lambda p, p_inv: (p, p_inv),
     "lam_i * conj(lam_j) == 1",
 )
+lyapunov_matricization = LYAPUNOV.matricization
+stein_matricization = STEIN.matricization
 is_lyapunov_regular = LYAPUNOV.regular
 is_stein_regular = STEIN.regular
 
 
-def _composite(order: Order, a: np.ndarray, b: np.ndarray, field: str) -> StarLinearMap:
-    """The map cone_B o cone_A^{-1}, as L_B @ inv(L_A); L_A must be invertible."""
-    la = order.matricization(a, field).matrix
-    lb = order.matricization(b, field).matrix
-    n = a.shape[0]
-    return StarLinearMap(np.linalg.solve(la.T, lb.T).T, n, n, field)
+def _pair_maps(order: Order, a_blocks, b_blocks=None) -> list:
+    """The BlockSeparableMap pairs of cone_A, or of cone_B o cone_A^{-1} given B's blocks.
+
+    cone(X, A) maps each block X_IJ of X into itself by order.two_sided(A_I,
+    A_J); the pairs group blocks by size, so that one batched call covers all
+    pairs of each pair of sizes.  A dense A is the one-block case.
+    """
+    sizes = [len(blk) for blk in a_blocks]
+    groups = [np.flatnonzero(np.equal(sizes, d)) for d in dict.fromkeys(sizes)]
+    out = []
+    for rows in groups:
+        for cols in groups:
+            def two_sided(blocks):
+                return order.two_sided(np.stack([blocks[k] for k in rows])[:, None],
+                                       np.stack([blocks[k] for k in cols])[None, :])
+            maps = two_sided(a_blocks)
+            if b_blocks is not None:  # L_B inv(L_A), by L_A^T X^T = L_B^T
+                lb = two_sided(b_blocks).swapaxes(-1, -2)
+                maps = np.linalg.solve(maps.swapaxes(-1, -2), lb).swapaxes(-1, -2)
+            out.append((rows, cols, maps))
+    return out
+
+
+def _jordan_blocks(spec: JordanSpec, m: np.ndarray) -> list[np.ndarray]:
+    """The diagonal blocks of a matrix with A's Jordan layout."""
+    return [m[b.offset : b.offset + b.dim, b.offset : b.offset + b.dim] for b in inner_blocks(spec)]
+
+
+def _jordan_map(prob: LyapunovProblem, order: Order) -> BlockSeparableMap:
+    """cone_B o cone_A^{-1} in A's Jordan basis: congruent to the order map (same Choi inertia)."""
+    spec = prob.spec
+    order.require_regular(spec, prob.tol)
+    ja = _jordan_blocks(spec, build_JA(spec))
+    bt = _jordan_blocks(spec, build_bicomm_jordan(spec, prob.element))
+    return BlockSeparableMap(tuple(len(b) for b in ja), _pair_maps(order, ja, bt))
 
 
 def _order_map(prob: LyapunovProblem, order: Order) -> StarLinearMap:
@@ -222,7 +251,8 @@ def _order_map(prob: LyapunovProblem, order: Order) -> StarLinearMap:
     order.require_regular(spec, prob.tol)
     a = build_A(spec)
     b = build_bicomm_element(spec, prob.element)
-    return _composite(order, a, b, spec.field)
+    ((_, _, maps),) = _pair_maps(order, [a], [b])
+    return StarLinearMap(maps[0, 0], spec.dim, spec.dim, spec.field)
 
 
 def lyapunov_order_map(prob: LyapunovProblem) -> StarLinearMap:
@@ -243,7 +273,7 @@ def hill_pick_coeff(
     This is the scalar weight of the shift_c-th subdiagonal of the blocks of
     eigenvalue eigen_a inside the shift_i-th coefficient matrix of eigenvalue
     eigen_j; the Hill-Pick matrix is assembled from these numbers.  Complex
-    field only.
+    field only; the pair (lam_j, lam_a) must be Lyapunov regular.
     """
     if prob.spec.field != "complex":
         raise ValueError("closed-form coefficients are available for the complex field only")
@@ -257,6 +287,8 @@ def hill_pick_coeff(
     if not 0 <= shift_c < eigens[eigen_a].sizes[0]:
         raise ValueError(f"shift_c out of range for eigenvalue {eigen_a}")
     denom = lam_j + lam_a.conjugate()
+    if abs(denom) <= prob.tol.eq_rel * (abs(lam_j) + abs(lam_a)):
+        LYAPUNOV.require_regular(prob.spec, prob.tol)  # raises: this pair is singular
     total = 0.0 + 0.0j
     for d in range(shift_c + 1):
         total += (
@@ -333,15 +365,18 @@ def upsilon_selection(spec: JordanSpec) -> tuple[tuple[int, int], ...]:
     return tuple((b.offset + a, b.offset) for b in leads.values() for a in range(b.dim))
 
 
-def hill_pick_matrix(prob: LyapunovProblem) -> HillPickMatrix:
+def hill_pick_matrix(prob: LyapunovProblem, support_choi=None) -> HillPickMatrix:
     """The Hill-Pick matrix: the composite map's Hill matrix at upsilon_selection.
 
     Over the complex field it is assembled from closed-form coefficients:
     block (i, j) has entries f[j, b | i, a] = hill_pick_coeff(j, b, i, a) for
     a, b ranging over the leading block sizes.  Over the real field it is
-    read off the composite matricization in the Jordan basis.  Either way,
-    positive semidefiniteness of the result is equivalent to B Lyapunov
-    dominating A.  A must be Lyapunov regular.
+    the principal submatrix of the Jordan-basis support Choi matrix at the
+    selection, whose entry (row, col) sits at Choi index (col, row); a caller
+    that holds that matrix (choi_matrix of the Lyapunov Jordan-basis map)
+    passes it as support_choi.  Either way, positive semidefiniteness of the
+    result is equivalent to B Lyapunov dominating A.  A must be Lyapunov
+    regular.
     """
     spec = prob.spec
     LYAPUNOV.require_regular(spec, prob.tol)
@@ -357,42 +392,54 @@ def hill_pick_matrix(prob: LyapunovProblem) -> HillPickMatrix:
                     for b in range(lj):
                         h[offsets[i] + a, offsets[j] + b] = hill_pick_coeff(prob, j, b, i, a)
     else:
-        bt = build_bicomm_jordan(spec, prob.element)
-        jordan_map = _composite(LYAPUNOV, build_JA(spec), bt, "real")
-        # The Hill-Pick matrix is the transpose of the Hill matrix pinned at upsilon.
-        h = hill_at_selection(matricization_blocks(jordan_map), sel).T.real.astype(np.complex128)
+        layout = inner_blocks(spec)
+        start = dict(zip((b.offset for b in layout), np.cumsum([0] + [b.dim**2 for b in layout])))
+        pos = [start[col] + row - col for row, col in sel]
+        choi = _jordan_map(prob, LYAPUNOV).support_choi() if support_choi is None else support_choi
+        h = choi[np.ix_(pos, pos)].real.astype(np.complex128)
     return HillPickMatrix(h, sel, offsets, spec.field)
 
 
-def _random_psd(rng: np.random.Generator, n: int, field: str) -> np.ndarray:
-    g = gaussian(rng, (n, n), field)
-    return g @ g.conj().T
-
-
 def _cone_solutions(
-    a, order: Order, field: str, count: int, seed: int
+    order: Order, blocks, field: str, count: int, seed: int, congruence=None
 ) -> Iterator[np.ndarray]:
     """Yield count Hermitian H with cone(H, A) = W for random PSD targets W = G G*.
 
-    The targets are drawn one trial at a time from a single default_rng(seed)
-    stream, so trial k sees the same W however the solves are grouped.  They
-    are solved in batches of 1, 2, 4, ... with one solve per batch: a caller
-    that stops at the first trial pays for one solve, and one that runs all
-    trials for about log2(count) of them.  L_A must be invertible.
+    With (S, inv(S)) = congruence (S = I when None), cone(S Y S*, A) =
+    S cone(Y, diag(blocks)) S*: each W becomes inv(S) W inv(S)*, is solved
+    block pair by block pair (each pair's map is inverted once), and maps
+    back as H = S Y S*.  The targets come in batches of 1, 2, 4, ..., at
+    most _MAX_BATCH: a caller that stops at the first trial pays for one
+    small batch, and the cap bounds a batch's memory.  Each batch is one
+    draw from a single default_rng(seed) stream, in the order of per-trial
+    gaussian(rng, (n, n), field) draws, so trial k sees the same G however
+    the trials are grouped.
     """
-    am = as_matrix(a)
-    n = am.shape[0]
-    la = order.matricization(am, field).matrix
+    dims = [len(b) for b in blocks]
+    offset = np.cumsum([0] + dims)
+    solvers = []  # per pair of block sizes: the block indices and the inverted maps
+    for rows, cols, maps in _pair_maps(order, blocks):
+        r = offset[rows][:, None, None, None] + np.arange(dims[rows[0]])[:, None]
+        c = offset[cols][None, :, None, None] + np.arange(dims[cols[0]])
+        solvers.append((r, c, np.linalg.solve(maps, np.eye(maps.shape[-1]))))
+    s, s_inv = congruence or (None, None)
     rng = np.random.default_rng(seed)
     done, batch = 0, 1
     while done < count:
         size = min(batch, count - done)
-        targets = np.stack([vec(_random_psd(rng, n, field)) for _ in range(size)], axis=1)
-        for x in np.linalg.solve(la, targets).T:
-            h = unvec(x, n, n)
-            yield (h + h.conj().T) / 2.0
+        z = rng.standard_normal((size, 2 if field == "complex" else 1, offset[-1], offset[-1]))
+        g = z[:, 0] + 1j * z[:, 1] if field == "complex" else z[:, 0].astype(np.complex128)
+        g = g if s_inv is None else s_inv @ g
+        w = g @ g.conj().swapaxes(-1, -2)
+        y = np.empty_like(w)
+        for r, c, inverse in solvers:
+            t = w[:, r, c].swapaxes(-1, -2)  # t[i, k, l].ravel(): vec of block (k, l) of W_i
+            sol = inverse @ t.reshape(*t.shape[:3], -1).transpose(1, 2, 3, 0)
+            y[:, r, c] = sol.transpose(3, 0, 1, 2).reshape(t.shape).swapaxes(-1, -2)
+        y = y if s is None else s @ y @ s.conj().T
+        yield from (y + y.conj().swapaxes(-1, -2)) / 2.0
         done += size
-        batch *= 2
+        batch = min(2 * batch, _MAX_BATCH)
 
 
 def sample_lyapunov_solutions(
@@ -404,7 +451,12 @@ def sample_lyapunov_solutions(
     H A + A* H = W; every returned H is symmetrized.  A must be Lyapunov
     regular (the map is inverted directly).
     """
-    return list(_cone_solutions(a, LYAPUNOV, field, int(count), seed))
+    return list(_cone_solutions(LYAPUNOV, [as_matrix(a)], field, int(count), seed))
+
+
+def _require_trials(trials: int) -> None:
+    if int(trials) < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
 
 def domination_oracle(
@@ -419,13 +471,14 @@ def domination_oracle(
     consistency is evidence, not proof.  A must be regular for the order,
     and trials at least 1.
     """
-    if int(trials) < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _require_trials(trials)
     spec = prob.spec
     order.require_regular(spec, prob.tol)
-    a = build_A(spec)
     b = build_bicomm_element(spec, prob.element)
-    for h in _cone_solutions(a, order, spec.field, int(trials), seed):
+    p = spec.similarity
+    congruence = None if p is None else order.congruence(p, np.linalg.solve(p, np.eye(len(p))))
+    blocks = _jordan_blocks(spec, build_JA(spec))
+    for h in _cone_solutions(order, blocks, spec.field, int(trials), seed, congruence):
         verdict, _ = psd_report(order.cone(h, b), prob.tol)
         if verdict == "no":
             return "violation", h
@@ -438,15 +491,17 @@ def check_domination(
     """Run all three routes and report the verdict with agreement data.
 
     The verdict comes from the Hill-Pick matrix; the Choi PSD test of the
-    composite map is recorded alongside, and the two agree on every
-    non-marginal problem (a disagreement indicates a bug, not a borderline
-    instance).  The sampling oracle provides an independent witness when
-    domination fails.
+    composite map, in A's Jordan basis on its support, is recorded
+    alongside, and the two agree on every non-marginal problem (a
+    disagreement indicates a bug, not a borderline instance).  The sampling
+    oracle provides an independent witness when domination fails.
     """
+    _require_trials(oracle_trials)
     tol = prob.tol
-    hp = hill_pick_matrix(prob)
+    choi = choi_matrix(_jordan_map(prob, LYAPUNOV))
+    hp = hill_pick_matrix(prob, choi)
     hp_verdict, hp_eig = psd_report(hp.matrix, tol)
-    choi_verdict, choi_eig = psd_report(choi_matrix(lyapunov_order_map(prob)), tol)
+    choi_verdict, choi_eig = psd_report(choi, tol)
     status, witness = domination_oracle(prob, oracle_trials, seed)
     agree = hp_verdict == choi_verdict or "marginal" in (hp_verdict, choi_verdict)
     return DominationReport(
@@ -471,7 +526,8 @@ def stein_domination(
     closed-form Hill-Pick matrix is assembled for this order); the sampling
     oracle draws H with H - A H A* PSD and tests H - B H B*.
     """
-    choi_verdict, choi_eig = psd_report(choi_matrix(stein_order_map(prob)), prob.tol)
+    _require_trials(oracle_trials)
+    choi_verdict, choi_eig = psd_report(choi_matrix(_jordan_map(prob, STEIN)), prob.tol)
     status, witness = domination_oracle(prob, oracle_trials, seed, STEIN)
     agree = status == "consistent" or choi_verdict != "yes"
     return DominationReport(

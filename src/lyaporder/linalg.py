@@ -84,8 +84,12 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product [a_ij * B]."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product [a_ij * B] of two matrices, or of two broadcast stacks of them."""
+    x, y = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    if x.ndim < 2 or y.ndim < 2:
+        raise ValueError(f"expected matrices, got arrays of shapes {x.shape} and {y.shape}")
+    out = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (x.shape[-2] * y.shape[-2], x.shape[-1] * y.shape[-1]))
 
 
 def block_diag(*blocks) -> np.ndarray:

@@ -38,6 +38,7 @@ from .linalg import (
 
 __all__ = [
     "StarLinearMap",
+    "BlockSeparableMap",
     "identity_map",
     "kraus_map",
     "apply_map",
@@ -76,6 +77,32 @@ class StarLinearMap:
             self.matrix = self.matrix.real.astype(np.complex128)
 
 
+@dataclass(eq=False)
+class BlockSeparableMap:
+    """A map sending each d_I x d_J block X_IJ of its input into the same block.
+
+    dims are the diagonal block sizes.  pairs holds a (rows, cols, maps) triple
+    per pair of block sizes, maps[k, l] being the matricization on the block
+    (rows[k], cols[l]).  The Choi matrix vanishes outside the indices (u, a)
+    with u and a in one block; support_choi is it on there, of size sum(d_I^2).
+    """
+
+    dims: tuple[int, ...]
+    pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def support_choi(self) -> np.ndarray:
+        sq = np.array(self.dims) ** 2
+        start, out = np.cumsum(sq) - sq, np.zeros((sq.sum(), sq.sum()), dtype=np.complex128)
+        for rows, cols, maps in self.pairs:
+            di, dj = self.dims[rows[0]], self.dims[cols[0]]
+            # Block (I, J): Choi[(u, a), (v, b)] = maps[b*di + a, v*di + u].
+            c = maps.reshape(len(rows), len(cols), dj, di, dj, di).transpose(0, 1, 5, 3, 4, 2)
+            r = start[rows][:, None, None, None] + np.arange(di * di)[:, None]
+            s = start[cols][None, :, None, None] + np.arange(dj * dj)
+            out[r, s] = c.reshape(len(rows), len(cols), di * di, dj * dj)
+        return out
+
+
 def identity_map(n: int, field: str = "complex") -> StarLinearMap:
     return StarLinearMap(np.eye(n * n, dtype=np.complex128), n, n, field)
 
@@ -100,8 +127,11 @@ def apply_map(m: StarLinearMap, v) -> np.ndarray:
     return unvec(m.matrix @ vec(w), m.out_dim, m.out_dim)
 
 
-def choi_matrix(m: StarLinearMap) -> np.ndarray:
-    """Choi matrix of the map; a pure index permutation of the matricization."""
+def choi_matrix(m: StarLinearMap | BlockSeparableMap) -> np.ndarray:
+    """Choi matrix of the map: an index permutation of the matricization, taken
+    on its support for a :class:`BlockSeparableMap`."""
+    if isinstance(m, BlockSeparableMap):
+        return m.support_choi()
     n, q = m.out_dim, m.in_dim
     # Entry bookkeeping: Choi[u*n+a, v*n+b] = matrix[b*n+a, v*q+u].
     l4 = m.matrix.reshape(n, n, q, q)

@@ -1,9 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lyaporder import (
+    DEFAULT_TOLERANCES,
     LYAPUNOV,
     STEIN,
     BicommElement,
@@ -33,8 +35,10 @@ from lyaporder import (
     vec,
     unvec,
 )
+from lyaporder import domination
+from lyaporder.domination import _jordan_map
 from lyaporder.hill import hill_at_selection, matricization_blocks
-from lyaporder.jordan import build_bicomm_jordan, build_JA
+from lyaporder.jordan import build_bicomm_jordan, build_JA, inner_blocks
 from lyaporder.starmaps import StarLinearMap
 from helpers import (
     a_element,
@@ -56,23 +60,61 @@ PICK_MIN_EIG = 1.25 - np.sqrt(265.0) / 12.0  # eigenvalue of [[1, 4/3], [4/3, 3/
 STEIN_FLIP = diag_problem([0.5, 1.0 / 3.0], [0.5, -1.0 / 3.0])
 
 
-def per_trial_witness(prob, matricization, cone, trials, seed):
-    """Reference oracle: one target, one solve and one PSD test per trial."""
+def per_trial_solutions(prob, order, trials, seed):
+    """Reference sampler: one target and one n^2 x n^2 solve in A's own basis per trial."""
     spec = prob.spec
-    a = build_A(spec)
-    b = build_bicomm_element(spec, prob.element)
     n = spec.dim
-    la = matricization(a, spec.field).matrix
+    la = order.matricization(build_A(spec), spec.field).matrix
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         g = rng.standard_normal((n, n))
         if spec.field == "complex":
             g = g + 1j * rng.standard_normal((n, n))
         h = unvec(np.linalg.solve(la, vec(g @ g.conj().T)), n, n)
-        h = (h + h.conj().T) / 2.0
-        if psd_report(cone(h, b), prob.tol)[0] == "no":
+        yield (h + h.conj().T) / 2.0
+
+
+def per_trial_witness(prob, order, trials, seed):
+    """Reference oracle: one target, one solve and one PSD test per trial."""
+    b = build_bicomm_element(prob.spec, prob.element)
+    for h in per_trial_solutions(prob, order, trials, seed):
+        if psd_report(order.cone(h, b), prob.tol)[0] == "no":
             return h
     return None
+
+
+def with_similarity(rng, prob, order=LYAPUNOV):
+    """The problem under P = I + 0.3 G / sqrt(n), a well-conditioned similarity.
+
+    For the Stein order the eigenvalues are divided by 3 first, which puts
+    the positive-stable test spectra inside the unit disk.
+    """
+    spec = prob.spec
+    n = spec.dim
+    g = rng.standard_normal((n, n))
+    if spec.field == "complex":
+        g = g + 1j * rng.standard_normal((n, n))
+    scale = 3.0 if order is STEIN else 1.0
+    eigens = tuple(EigenBlock(e.eigenvalue / scale, e.sizes) for e in spec.eigens)
+    p = np.eye(n) + 0.3 * g / np.sqrt(n)
+    return LyapunovProblem(JordanSpec(spec.field, eigens, p), prob.element)
+
+
+def support_indices(spec):
+    """Full Choi indices u*n + a with u and a in one Jordan block, in increasing order."""
+    n = spec.dim
+    return np.array([(b.offset + u) * n + b.offset + a
+                     for b in inner_blocks(spec) for u in range(b.dim) for a in range(b.dim)])
+
+
+def inertia(m, tol=DEFAULT_TOLERANCES):
+    """(n-, n+): eigenvalues below and above the psd_rel band around zero."""
+    eigs = np.linalg.eigvalsh(m)
+    band = tol.psd_rel * (1.0 + np.abs(eigs).max())
+    return int(np.sum(eigs < -band)), int(np.sum(eigs > band))
+
+
+ORDER_MAPS = {"Lyapunov": lyapunov_order_map, "Stein": stein_order_map}
 
 
 class TestMatricization:
@@ -183,6 +225,12 @@ class TestHillPickCoeff:
         prob = diag_problem([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             hill_pick_coeff(prob, 0, 1, 0, 0)
+
+    def test_singular_pair_raises_regularity_error(self):
+        prob = diag_problem([1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="not Lyapunov regular"):
+            hill_pick_coeff(prob, 0, 0, 1, 0)
+        assert hill_pick_coeff(prob, 0, 0, 0, 0) == pytest.approx(1.0)  # a regular pair
 
 
 class TestHillPickMatrix:
@@ -340,6 +388,28 @@ class TestCheckDomination:
         with pytest.raises(ValueError, match="trials must be at least 1"):
             stein_domination(STEIN_FLIP, oracle_trials=trials)
 
+    @pytest.mark.parametrize("decide", [check_domination, stein_domination])
+    def test_trial_count_checked_before_any_route(self, monkeypatch, decide):
+        called = []
+        for name in ("hill_pick_matrix", "_jordan_map", "choi_matrix", "psd_report",
+                     "domination_oracle", "build_JA", "build_bicomm_jordan"):
+            monkeypatch.setattr(domination, name, lambda *a, _name=name, **k: called.append(_name))
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            decide(STEIN_FLIP, oracle_trials=0)
+        assert called == []
+
+    def test_decisions_build_no_p_basis_map(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a P-basis order map was built")
+
+        for name in ("lyapunov_order_map", "stein_order_map", "_order_map"):
+            monkeypatch.setattr(domination, name, refuse)
+        rng = np.random.default_rng(32)
+        spec = random_jordan_spec(rng, max_dim=5)
+        prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)))
+        check_domination(prob, oracle_trials=20)
+        stein_domination(with_similarity(rng, prob, STEIN), oracle_trials=20)
+
 
 class TestSampling:
     def test_scalar_halves(self):
@@ -387,14 +457,36 @@ class TestOracle:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_witness_matches_per_trial_loop(self, seed):
-        def lyap(h, b):
-            return h @ b + b.conj().T @ h
-
         for prob in (PICK_NOT_DOMINATED, STEIN_FLIP):
             status, h = domination_oracle(prob, trials=1000, seed=seed)
-            expect = per_trial_witness(prob, lyapunov_matricization, lyap, 1000, seed)
+            expect = per_trial_witness(prob, LYAPUNOV, 1000, seed)
             assert status == "violation"
             np.testing.assert_allclose(h, expect, rtol=0, atol=1e-12)
+        rng = np.random.default_rng(30 + seed)
+        for prob, order in ((PICK_NOT_DOMINATED, LYAPUNOV), (STEIN_FLIP, STEIN)):
+            prob = with_similarity(rng, prob)
+            status, h = domination_oracle(prob, trials=200, seed=seed, order=order)
+            expect = per_trial_witness(prob, order, 200, seed)
+            assert status == "violation"
+            np.testing.assert_allclose(h, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    @pytest.mark.parametrize("order", [LYAPUNOV, STEIN], ids=["lyapunov", "stein"])
+    def test_every_trial_matches_per_trial_loop(self, monkeypatch, order, field):
+        # With every PSD test passing, all 200 trials run: batches of
+        # 1, 2, ..., 64, then 64 and 9, so the batch cap is crossed.
+        rng = np.random.default_rng(31)
+        spec = random_jordan_spec(rng, field=field, max_dim=6)
+        prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
+        tested = []
+        monkeypatch.setattr(domination, "psd_report",
+                            lambda m, tol: tested.append(m) or ("yes", 1.0))
+        assert domination_oracle(prob, trials=200, seed=6, order=order) == ("consistent", None)
+        b = build_bicomm_element(prob.spec, prob.element)
+        expect = np.array([order.cone(h, b) for h in per_trial_solutions(prob, order, 200, 6)])
+        assert len(tested) == 200
+        np.testing.assert_allclose(np.array(tested), expect, rtol=0,
+                                   atol=1e-12 * np.abs(expect).max())
 
     def test_positive_scaling_consistent(self):
         rng = np.random.default_rng(10)
@@ -465,11 +557,8 @@ class TestStein:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_witness_matches_per_trial_loop(self, seed):
-        def stein(h, b):
-            return h - b @ h @ b.conj().T
-
         report = stein_domination(STEIN_FLIP, oracle_trials=1000, seed=seed)
-        expect = per_trial_witness(STEIN_FLIP, stein_matricization, stein, 1000, seed)
+        expect = per_trial_witness(STEIN_FLIP, STEIN, 1000, seed)
         assert report.oracle_status == "violation"
         np.testing.assert_allclose(report.oracle_witness, expect, rtol=0, atol=1e-12)
 
@@ -500,3 +589,83 @@ class TestSimilarityInvariance:
             c2 = is_psd(choi_matrix(lyapunov_order_map(prob2)))
             if "marginal" not in (c1, c2):
                 assert c1 == c2
+
+
+# Jordan data regular for both orders: right half-plane, inside the unit disk.
+JORDAN_CASES = [
+    ("complex", ((0.5 + 0.3j, (2, 1)), (0.3 - 0.2j, (1,)), (0.7, (3,)))),
+    ("real", ((0.4 + 0.3j, (2,)), (0.6, (1,)), (0.2 + 0.5j, (1,)))),
+    ("real", ((0.3, (2, 2)), (0.5 + 0.1j, (1,)))),
+]
+
+
+class TestJordanBasis:
+    @pytest.mark.parametrize("field,eigens", JORDAN_CASES)
+    @pytest.mark.parametrize("order", [LYAPUNOV, STEIN], ids=["lyapunov", "stein"])
+    def test_support_choi_is_the_full_choi_on_its_support(self, order, field, eigens):
+        spec = JordanSpec(field, tuple(EigenBlock(lam, sizes) for lam, sizes in eigens))
+        prob = LyapunovProblem(spec, random_element(np.random.default_rng(33), spec))
+        full = choi_matrix(ORDER_MAPS[order.name](prob))  # no P: the Jordan basis
+        support = choi_matrix(_jordan_map(prob, order))
+        idx = support_indices(spec)
+        assert support.shape == (sum(b.dim**2 for b in inner_blocks(spec)),) * 2
+        np.testing.assert_allclose(support, full[np.ix_(idx, idx)], rtol=0,
+                                   atol=1e-12 * np.abs(full).max())
+        off = np.ones(len(full), dtype=bool)
+        off[idx] = False
+        assert not full[off].any() and not full[:, off].any()
+
+    def test_inertia_matches_p_basis_choi(self):
+        # Sylvester: the P-basis Choi matrix is congruent to the Jordan-basis
+        # one, which is the support Choi matrix padded with zeros.
+        rng = np.random.default_rng(34)
+        compared = 0
+        for k in range(80):
+            order = (LYAPUNOV, STEIN)[k % 2]
+            spec = random_jordan_spec(rng, field=("complex", "real")[k // 2 % 2], max_dim=6)
+            prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
+            full = choi_matrix(ORDER_MAPS[order.name](prob))
+            assert inertia(choi_matrix(_jordan_map(prob, order))) == inertia(full)
+            compared += 1
+        assert compared == 80
+
+    def test_real_hill_pick_matches_full_solve(self):
+        rng = np.random.default_rng(35)
+        for k in range(20):
+            spec = random_jordan_spec(rng, field="real", max_dim=8, similarity=k % 2 == 1)
+            prob = LyapunovProblem(spec, random_element(rng, spec))
+            # The n^2 x n^2 Jordan-basis composite, read at upsilon.
+            la = lyapunov_matricization(build_JA(spec), "real").matrix
+            lb = lyapunov_matricization(build_bicomm_jordan(spec, prob.element), "real").matrix
+            jordan_map = StarLinearMap(np.linalg.solve(la.T, lb.T).T, spec.dim, spec.dim, "real")
+            expect = hill_at_selection(matricization_blocks(jordan_map), upsilon_selection(spec)).T
+            for hp in (hill_pick_matrix(prob), check_domination(prob, oracle_trials=1).hill_pick):
+                np.testing.assert_allclose(hp.matrix, expect.real, rtol=0,
+                                           atol=1e-12 * np.abs(expect).max())
+
+    def test_choi_route_decides_diagonal_dominators(self):
+        # For diagonal A the support Choi matrix is the n x n Pick matrix, so a
+        # strict dominator reads "dominates" on the Choi route too.
+        report = check_domination(diag_problem([1.0, 2.0 + 1j, 3.0], [2.0, 3.0 + 1j, 4.0]),
+                                  oracle_trials=50)
+        assert report.verdict == "dominates" and report.methods_agree
+        assert report.choi_min_eig == pytest.approx(report.hill_pick_min_eig, rel=1e-9)
+
+    @pytest.mark.parametrize("decide", [check_domination, stein_domination])
+    def test_memory_stays_below_n4(self, decide):
+        # One n^2 x n^2 complex matrix at n = 48 alone takes 81 MiB.
+        n = 48
+        # Dominators (B = 2A; B = A^2 for Stein), so that all 100 trials run.
+        if decide is check_domination:
+            lams = [complex(0.5 + 0.03 * k, 0.02 * k) for k in range(n)]
+            prob = diag_problem(lams, [2.0 * lam for lam in lams])
+        else:
+            lams = [0.7 * (0.5 + 0.5 * k / n) * np.exp(2j * np.pi * k / n) for k in range(n)]
+            prob = diag_problem(lams, [lam * lam for lam in lams])
+        tracemalloc.start()
+        try:
+            assert decide(prob, oracle_trials=100, seed=0).oracle_status == "consistent"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
