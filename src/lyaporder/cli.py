@@ -7,8 +7,10 @@ Subcommands:
   verify     sampling oracle only
 
 Exit codes: 0 dominates, 1 does not dominate, 2 marginal (the deciding
-eigenvalue sits inside the tolerance band), 64 input error.  Reports go to
-stdout (plain text, or one JSON object with --json); diagnostics to stderr.
+eigenvalue sits inside the tolerance band), 64 input error, 70 numerical
+error (a failed factorization, or a matrix that should be Hermitian and is
+not).  Reports go to stdout (plain text, or one JSON object with --json);
+diagnostics to stderr.
 All randomness is seeded, so identical inputs and flags give byte-identical
 output.
 """
@@ -31,7 +33,7 @@ from .domination import (
     stein_order_map,
 )
 from .hill import minimal_hill_from_blocks, nonminimal_hill
-from .linalg import rank_tol
+from .linalg import NotHermitianError, rank_tol
 from .problemfile import LoadedProblem, ProblemFileError, load_problem_file
 from .starmaps import choi_matrix
 
@@ -41,6 +43,7 @@ EXIT_DOMINATES = 0
 EXIT_NOT_DOMINATES = 1
 EXIT_MARGINAL = 2
 EXIT_INPUT_ERROR = 64
+EXIT_NUMERICAL_ERROR = 70
 
 _VERDICT_EXIT = {
     "dominates": EXIT_DOMINATES,
@@ -325,6 +328,9 @@ def run(argv=None) -> int:
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (np.linalg.LinAlgError, NotHermitianError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -332,3 +338,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

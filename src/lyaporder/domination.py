@@ -22,6 +22,7 @@ B directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from math import comb
 from typing import Callable, Iterator, Optional
 
@@ -30,12 +31,14 @@ import numpy as np
 from .jordan import (
     BicommElement,
     JordanSpec,
+    bicomm_blocks,
     build_A,
     build_bicomm_element,
-    build_bicomm_jordan,
-    build_JA,
     eigenvalue_list,
+    from_jordan_basis,
     inner_blocks,
+    jordan_blocks,
+    leading_blocks,
     validate_bicomm_element,
 )
 from .linalg import (
@@ -209,41 +212,49 @@ is_lyapunov_regular = LYAPUNOV.regular
 is_stein_regular = STEIN.regular
 
 
-def _pair_maps(order: Order, a_blocks, b_blocks=None) -> list:
-    """The BlockSeparableMap pairs of cone_A, or of cone_B o cone_A^{-1} given B's blocks.
+class _PairMaps:
+    """cone(X, A) for A = diag(a_blocks) on each block X_IJ: L_A = order.two_sided(A_I, A_J).
 
-    cone(X, A) maps each block X_IJ of X into itself by order.two_sided(A_I,
-    A_J); the pairs group blocks by size, so that one batched call covers all
-    pairs of each pair of sizes.  A dense A is the one-block case.
+    pairs holds one (rows, cols, L_A) per pair of block sizes, L_A[k, l]
+    acting on block (rows[k], cols[l]).  composite is cone_B o cone_A^{-1}
+    for B = diag(b_blocks), for the Choi route; inverses serve the oracle.
     """
-    sizes = [len(blk) for blk in a_blocks]
-    groups = [np.flatnonzero(np.equal(sizes, d)) for d in dict.fromkeys(sizes)]
-    out = []
-    for rows in groups:
-        for cols in groups:
-            def two_sided(blocks):
-                return order.two_sided(np.stack([blocks[k] for k in rows])[:, None],
-                                       np.stack([blocks[k] for k in cols])[None, :])
-            maps = two_sided(a_blocks)
-            if b_blocks is not None:  # L_B inv(L_A), by L_A^T X^T = L_B^T
-                lb = two_sided(b_blocks).swapaxes(-1, -2)
-                maps = np.linalg.solve(maps.swapaxes(-1, -2), lb).swapaxes(-1, -2)
-            out.append((rows, cols, maps))
-    return out
+
+    def __init__(self, order: Order, a_blocks, b_blocks=None):
+        sizes = [len(blk) for blk in a_blocks]
+        groups = [np.flatnonzero(np.equal(sizes, d)) for d in dict.fromkeys(sizes)]
+        self.order, self.dims, self.b_blocks = order, tuple(sizes), b_blocks
+        self.pairs = [(rows, cols, self._two_sided(a_blocks, rows, cols))
+                      for rows in groups for cols in groups]
+
+    def _two_sided(self, blocks, rows, cols) -> np.ndarray:
+        return self.order.two_sided(np.stack([blocks[k] for k in rows])[:, None],
+                                    np.stack([blocks[k] for k in cols])[None, :])
+
+    @cached_property
+    def composite(self) -> BlockSeparableMap:
+        out = []
+        for rows, cols, la in self.pairs:  # L_B inv(L_A), by L_A^T X^T = L_B^T
+            lb = self._two_sided(self.b_blocks, rows, cols).swapaxes(-1, -2)
+            out.append((rows, cols, np.linalg.solve(la.swapaxes(-1, -2), lb).swapaxes(-1, -2)))
+        return BlockSeparableMap(self.dims, out)
+
+    @cached_property
+    def inverses(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        offset = np.cumsum((0,) + self.dims)
+        out = []
+        for rows, cols, la in self.pairs:
+            r = offset[rows][:, None, None, None] + np.arange(self.dims[rows[0]])[:, None]
+            c = offset[cols][None, :, None, None] + np.arange(self.dims[cols[0]])
+            out.append((r, c, np.linalg.solve(la, np.eye(la.shape[-1]))))
+        return out
 
 
-def _jordan_blocks(spec: JordanSpec, m: np.ndarray) -> list[np.ndarray]:
-    """The diagonal blocks of a matrix with A's Jordan layout."""
-    return [m[b.offset : b.offset + b.dim, b.offset : b.offset + b.dim] for b in inner_blocks(spec)]
-
-
-def _jordan_map(prob: LyapunovProblem, order: Order) -> BlockSeparableMap:
-    """cone_B o cone_A^{-1} in A's Jordan basis: congruent to the order map (same Choi inertia)."""
+def _jordan_setup(prob: LyapunovProblem, order: Order) -> _PairMaps:
+    """One decision's Jordan-basis data, shared by its routes; A must be regular for the order."""
     spec = prob.spec
     order.require_regular(spec, prob.tol)
-    ja = _jordan_blocks(spec, build_JA(spec))
-    bt = _jordan_blocks(spec, build_bicomm_jordan(spec, prob.element))
-    return BlockSeparableMap(tuple(len(b) for b in ja), _pair_maps(order, ja, bt))
+    return _PairMaps(order, jordan_blocks(spec), bicomm_blocks(spec, prob.element))
 
 
 def _order_map(prob: LyapunovProblem, order: Order) -> StarLinearMap:
@@ -251,7 +262,7 @@ def _order_map(prob: LyapunovProblem, order: Order) -> StarLinearMap:
     order.require_regular(spec, prob.tol)
     a = build_A(spec)
     b = build_bicomm_element(spec, prob.element)
-    ((_, _, maps),) = _pair_maps(order, [a], [b])
+    ((_, _, maps),) = _PairMaps(order, [a], [b]).composite.pairs
     return StarLinearMap(maps[0, 0], spec.dim, spec.dim, spec.field)
 
 
@@ -359,10 +370,7 @@ def upsilon_selection(spec: JordanSpec) -> tuple[tuple[int, int], ...]:
     coefficient slot: the leading Jordan block size, doubled for the 2x2-pair
     eigenvalues of the real field.
     """
-    leads = {}
-    for blk in inner_blocks(spec):
-        leads.setdefault(blk.eigen_index, blk)  # the largest block comes first
-    return tuple((b.offset + a, b.offset) for b in leads.values() for a in range(b.dim))
+    return tuple((b.offset + a, b.offset) for b in leading_blocks(spec) for a in range(b.dim))
 
 
 def hill_pick_matrix(prob: LyapunovProblem, support_choi=None) -> HillPickMatrix:
@@ -373,71 +381,77 @@ def hill_pick_matrix(prob: LyapunovProblem, support_choi=None) -> HillPickMatrix
     a, b ranging over the leading block sizes.  Over the real field it is
     the principal submatrix of the Jordan-basis support Choi matrix at the
     selection, whose entry (row, col) sits at Choi index (col, row); a caller
-    that holds that matrix (choi_matrix of the Lyapunov Jordan-basis map)
-    passes it as support_choi.  Either way, positive semidefiniteness of the
-    result is equivalent to B Lyapunov dominating A.  A must be Lyapunov
-    regular.
+    that holds that matrix (choi_matrix of the Lyapunov setup's composite,
+    whose construction checked regularity) passes it as support_choi.
+    Either way, positive semidefiniteness of the result is equivalent to B
+    Lyapunov dominating A.  A must be Lyapunov regular.
     """
     spec = prob.spec
-    LYAPUNOV.require_regular(spec, prob.tol)
+    if support_choi is None:
+        LYAPUNOV.require_regular(spec, prob.tol)
     sel = upsilon_selection(spec)
     # Each eigenvalue's slice starts at its diagonal block position.
     offsets = tuple(k for k, (row, col) in enumerate(sel) if row == col)
-    if spec.field == "complex":
-        leads = [e.sizes[0] for e in spec.eigens]
-        h = np.zeros((len(sel), len(sel)), dtype=np.complex128)
-        for i, li in enumerate(leads):
-            for j, lj in enumerate(leads):
-                for a in range(li):
-                    for b in range(lj):
-                        h[offsets[i] + a, offsets[j] + b] = hill_pick_coeff(prob, j, b, i, a)
+    if spec.field == "complex":  # entry ((i, a), (j, b)) is hill_pick_coeff(j, b, i, a)
+        sizes = [blk.size for blk in leading_blocks(spec)]
+        top, eig = max(sizes), np.repeat(np.arange(len(sizes)), sizes)
+        t = np.array([row + (0,) * (top - len(row)) for row in prob.element.coeffs])
+        lam = np.array([e.eigenvalue for e in spec.eigens])[eig]
+        denom = lam + lam.conj()[:, None]  # lam_j + conj(lam_i)
+        binom = np.array([[(-1) ** m * comb(m, k) for k in range(2 * top)] for m in range(2 * top)])
+        shift = np.concatenate([np.arange(k) for k in sizes])
+        a, b = shift[:, None], shift
+        h = np.zeros(denom.shape, dtype=np.complex128)
+        for d in range(top):  # the two sums of hill_pick_coeff, masked past each shift
+            h += np.where(d <= a, binom[d + b, d] * t[eig, shift - d].conj()[:, None]
+                          / denom ** (d + b + 1), 0.0)
+        for l in range(top):
+            h += np.where(l <= b, binom[a + b - l, a] * t[eig, l]
+                          / denom ** (a + b - l + 1), 0.0)
     else:
         layout = inner_blocks(spec)
         start = dict(zip((b.offset for b in layout), np.cumsum([0] + [b.dim**2 for b in layout])))
         pos = [start[col] + row - col for row, col in sel]
-        choi = _jordan_map(prob, LYAPUNOV).support_choi() if support_choi is None else support_choi
-        h = choi[np.ix_(pos, pos)].real.astype(np.complex128)
+        if support_choi is None:
+            support_choi = _jordan_setup(prob, LYAPUNOV).composite.support_choi()
+        h = support_choi[np.ix_(pos, pos)].real.astype(np.complex128)
     return HillPickMatrix(h, sel, offsets, spec.field)
 
 
 def _cone_solutions(
-    order: Order, blocks, field: str, count: int, seed: int, congruence=None
+    maps: _PairMaps, field: str, count: int, seed: int, congruence=None
 ) -> Iterator[np.ndarray]:
-    """Yield count Hermitian H with cone(H, A) = W for random PSD targets W = G G*.
+    """Yield batches of Hermitian H with cone(H, A) = W for random PSD targets W = G G*.
 
     With (S, inv(S)) = congruence (S = I when None), cone(S Y S*, A) =
     S cone(Y, diag(blocks)) S*: each W becomes inv(S) W inv(S)*, is solved
-    block pair by block pair (each pair's map is inverted once), and maps
-    back as H = S Y S*.  The targets come in batches of 1, 2, 4, ..., at
-    most _MAX_BATCH: a caller that stops at the first trial pays for one
-    small batch, and the cap bounds a batch's memory.  Each batch is one
-    draw from a single default_rng(seed) stream, in the order of per-trial
-    gaussian(rng, (n, n), field) draws, so trial k sees the same G however
-    the trials are grouped.
+    block pair by block pair (maps.inverses), and maps back as H = S Y S*.
+    Batches hold 1, 2, 4, ..., at most _MAX_BATCH trials: a caller that
+    stops at the first trial pays for one small batch, and the cap bounds a
+    batch's memory (its intermediates are freed before it is yielded).  Each
+    batch is one draw from a single default_rng(seed) stream, in the order
+    of per-trial gaussian(rng, (n, n), field) draws, so trial k sees the
+    same G however the trials are grouped.
     """
-    dims = [len(b) for b in blocks]
-    offset = np.cumsum([0] + dims)
-    solvers = []  # per pair of block sizes: the block indices and the inverted maps
-    for rows, cols, maps in _pair_maps(order, blocks):
-        r = offset[rows][:, None, None, None] + np.arange(dims[rows[0]])[:, None]
-        c = offset[cols][None, :, None, None] + np.arange(dims[cols[0]])
-        solvers.append((r, c, np.linalg.solve(maps, np.eye(maps.shape[-1]))))
+    n = sum(maps.dims)
     s, s_inv = congruence or (None, None)
     rng = np.random.default_rng(seed)
     done, batch = 0, 1
     while done < count:
         size = min(batch, count - done)
-        z = rng.standard_normal((size, 2 if field == "complex" else 1, offset[-1], offset[-1]))
+        z = rng.standard_normal((size, 2 if field == "complex" else 1, n, n))
         g = z[:, 0] + 1j * z[:, 1] if field == "complex" else z[:, 0].astype(np.complex128)
         g = g if s_inv is None else s_inv @ g
         w = g @ g.conj().swapaxes(-1, -2)
         y = np.empty_like(w)
-        for r, c, inverse in solvers:
+        for r, c, inverse in maps.inverses:
             t = w[:, r, c].swapaxes(-1, -2)  # t[i, k, l].ravel(): vec of block (k, l) of W_i
             sol = inverse @ t.reshape(*t.shape[:3], -1).transpose(1, 2, 3, 0)
             y[:, r, c] = sol.transpose(3, 0, 1, 2).reshape(t.shape).swapaxes(-1, -2)
+        del z, g, w, t, sol
         y = y if s is None else s @ y @ s.conj().T
-        yield from (y + y.conj().swapaxes(-1, -2)) / 2.0
+        y = (y + y.conj().swapaxes(-1, -2)) / 2.0
+        yield y
         done += size
         batch = min(2 * batch, _MAX_BATCH)
 
@@ -451,7 +465,8 @@ def sample_lyapunov_solutions(
     H A + A* H = W; every returned H is symmetrized.  A must be Lyapunov
     regular (the map is inverted directly).
     """
-    return list(_cone_solutions(LYAPUNOV, [as_matrix(a)], field, int(count), seed))
+    maps = _PairMaps(LYAPUNOV, [as_matrix(a)])
+    return [h for hs in _cone_solutions(maps, field, int(count), seed) for h in hs]
 
 
 def _require_trials(trials: int) -> None:
@@ -460,7 +475,8 @@ def _require_trials(trials: int) -> None:
 
 
 def domination_oracle(
-    prob: LyapunovProblem, trials: int = 1000, seed: int = 0, order: Order = LYAPUNOV
+    prob: LyapunovProblem, trials: int = 1000, seed: int = 0, order: Order = LYAPUNOV,
+    setup: Optional[_PairMaps] = None,
 ) -> tuple[str, Optional[np.ndarray]]:
     """Brute-force check of the order on sampled cone elements of A.
 
@@ -468,20 +484,21 @@ def domination_oracle(
     the Lyapunov order, H - A H A* for Stein) and tests whether cone(H, B)
     fails the PSD test outright ("no", beyond the tolerance band).  Returns
     ("violation", H) at the first failure, otherwise ("consistent", None);
-    consistency is evidence, not proof.  A must be regular for the order,
-    and trials at least 1.
+    consistency is evidence, not proof.  cone(H, B) is computed a batch at a
+    time, then PSD-tested per trial.  setup is this order's _jordan_setup,
+    built when not given.  A must be regular for the order, trials >= 1.
     """
     _require_trials(trials)
     spec = prob.spec
-    order.require_regular(spec, prob.tol)
-    b = build_bicomm_element(spec, prob.element)
+    setup = _jordan_setup(prob, order) if setup is None else setup
+    b = from_jordan_basis(spec, block_diag(*setup.b_blocks))
     p = spec.similarity
     congruence = None if p is None else order.congruence(p, np.linalg.solve(p, np.eye(len(p))))
-    blocks = _jordan_blocks(spec, build_JA(spec))
-    for h in _cone_solutions(order, blocks, spec.field, int(trials), seed, congruence):
-        verdict, _ = psd_report(order.cone(h, b), prob.tol)
-        if verdict == "no":
-            return "violation", h
+    for hs in _cone_solutions(setup, spec.field, int(trials), seed, congruence):
+        for h, cone in zip(hs, order.cone(hs, b)):
+            verdict, _ = psd_report(cone, prob.tol)
+            if verdict == "no":
+                return "violation", h
     return "consistent", None
 
 
@@ -498,11 +515,12 @@ def check_domination(
     """
     _require_trials(oracle_trials)
     tol = prob.tol
-    choi = choi_matrix(_jordan_map(prob, LYAPUNOV))
+    setup = _jordan_setup(prob, LYAPUNOV)
+    choi = choi_matrix(setup.composite)
     hp = hill_pick_matrix(prob, choi)
     hp_verdict, hp_eig = psd_report(hp.matrix, tol)
     choi_verdict, choi_eig = psd_report(choi, tol)
-    status, witness = domination_oracle(prob, oracle_trials, seed)
+    status, witness = domination_oracle(prob, oracle_trials, seed, setup=setup)
     agree = hp_verdict == choi_verdict or "marginal" in (hp_verdict, choi_verdict)
     return DominationReport(
         verdict=_VERDICT[hp_verdict],
@@ -527,8 +545,9 @@ def stein_domination(
     oracle draws H with H - A H A* PSD and tests H - B H B*.
     """
     _require_trials(oracle_trials)
-    choi_verdict, choi_eig = psd_report(choi_matrix(_jordan_map(prob, STEIN)), prob.tol)
-    status, witness = domination_oracle(prob, oracle_trials, seed, STEIN)
+    setup = _jordan_setup(prob, STEIN)
+    choi_verdict, choi_eig = psd_report(choi_matrix(setup.composite), prob.tol)
+    status, witness = domination_oracle(prob, oracle_trials, seed, STEIN, setup)
     agree = status == "consistent" or choi_verdict != "yes"
     return DominationReport(
         verdict=_VERDICT[choi_verdict],

@@ -34,7 +34,11 @@ __all__ = [
     "MembershipResult",
     "MAX_BLOCK_SIZE",
     "inner_blocks",
+    "leading_blocks",
     "eigenvalue_list",
+    "bicomm_blocks",
+    "jordan_blocks",
+    "from_jordan_basis",
     "build_JA",
     "build_A",
     "validate_bicomm_element",
@@ -135,6 +139,14 @@ def inner_blocks(spec: JordanSpec) -> list[InnerBlock]:
     return out
 
 
+def leading_blocks(spec: JordanSpec) -> list[InnerBlock]:
+    """Each eigenvalue's leading (largest) Jordan block, in eigenvalue order."""
+    leads = {}
+    for blk in inner_blocks(spec):
+        leads.setdefault(blk.eigen_index, blk)  # the largest block comes first
+    return list(leads.values())
+
+
 def eigenvalue_list(spec: JordanSpec) -> list[complex]:
     """All eigenvalues of A, with implicit conjugates included (no multiplicity)."""
     vals = []
@@ -145,18 +157,7 @@ def eigenvalue_list(spec: JordanSpec) -> list[complex]:
     return vals
 
 
-def _rotation_block(z: complex) -> np.ndarray:
-    """2x2 real representation of the complex number z."""
-    a, b = z.real, z.imag
-    return np.array([[a, b], [-b, a]], dtype=np.complex128)
-
-
-def _shift(n: int, power: int) -> np.ndarray:
-    """The n x n upper shift matrix raised to a power (ones on superdiagonal k)."""
-    return np.eye(n, k=power, dtype=np.complex128)
-
-
-def _from_jordan_basis(spec: JordanSpec, m: np.ndarray) -> np.ndarray:
+def from_jordan_basis(spec: JordanSpec, m: np.ndarray) -> np.ndarray:
     """P @ M @ inv(P), by a solve rather than an explicit inverse; M without P."""
     p = spec.similarity
     if p is None:
@@ -164,15 +165,20 @@ def _from_jordan_basis(spec: JordanSpec, m: np.ndarray) -> np.ndarray:
     return np.linalg.solve(p.T, (p @ m).T).T
 
 
-def build_JA(spec: JordanSpec) -> np.ndarray:
-    """The Jordan matrix J: the bicommutant element with coefficients (lam, 1, 0, ...)."""
+def jordan_blocks(spec: JordanSpec) -> list[np.ndarray]:
+    """The diagonal blocks of J: the bicommutant element with coefficients (lam, 1, 0, ...)."""
     coeffs = tuple(((e.eigenvalue, 1.0) + (0.0,) * e.sizes[0])[: e.sizes[0]] for e in spec.eigens)
-    return build_bicomm_jordan(spec, BicommElement(coeffs))
+    return bicomm_blocks(spec, BicommElement(coeffs))
+
+
+def build_JA(spec: JordanSpec) -> np.ndarray:
+    """The Jordan matrix J."""
+    return block_diag(*jordan_blocks(spec))
 
 
 def build_A(spec: JordanSpec) -> np.ndarray:
     """A = P @ J @ inv(P); just J when no similarity is given."""
-    return _from_jordan_basis(spec, build_JA(spec))
+    return from_jordan_basis(spec, build_JA(spec))
 
 
 @dataclass(frozen=True)
@@ -208,26 +214,32 @@ def validate_bicomm_element(spec: JordanSpec, elem: BicommElement) -> None:
                 raise ValueError(f"eigenvalue {j}: real eigenvalue needs real coefficients")
 
 
+def bicomm_blocks(spec: JordanSpec, elem: BicommElement) -> list[np.ndarray]:
+    """The element's diagonal Toeplitz blocks in the Jordan basis, one per Jordan block.
+
+    All are views into one gather at the largest leading size (2x2 blocks
+    [[a, b], [-b, a]] for a + ib at pairs); adding 0.0 turns -0.0 into +0.0,
+    as a sum of shift matrices does.
+    """
+    validate_bicomm_element(spec, elem)
+    top = max(e.sizes[0] for e in spec.eigens)
+    k = np.arange(top)
+    c = np.array([(0,) * (top - 1) + row + (0,) * (top - len(row)) for row in elem.coeffs])
+    t = c[:, top - 1 + k - k[:, None]] + 0.0
+    if spec.field == "real":  # pairs take their 2x2 blocks from here
+        rot = np.array([[t.real, t.imag], [-t.imag, t.real]]) + 0.0
+        pair = rot.transpose(2, 3, 0, 4, 1).reshape(len(c), 2 * top, 2 * top).astype(complex)
+    return [(pair if b.pair else t)[b.eigen_index, : b.dim, : b.dim] for b in inner_blocks(spec)]
+
+
 def build_bicomm_jordan(spec: JordanSpec, elem: BicommElement) -> np.ndarray:
     """The bicommutant element in the Jordan basis (block diagonal Toeplitz)."""
-    validate_bicomm_element(spec, elem)
-    parts = []
-    for blk in inner_blocks(spec):
-        row = elem.coeffs[blk.eigen_index]
-        if blk.pair:
-            t = sum(
-                np.kron(_shift(blk.size, v), _rotation_block(row[v]))
-                for v in range(blk.size)
-            )
-        else:
-            t = sum(row[v] * _shift(blk.size, v) for v in range(blk.size))
-        parts.append(np.atleast_2d(t))
-    return block_diag(*parts)
+    return block_diag(*bicomm_blocks(spec, elem))
 
 
 def build_bicomm_element(spec: JordanSpec, elem: BicommElement) -> np.ndarray:
     """B = P @ Btilde @ inv(P) for the Toeplitz pattern Btilde."""
-    return _from_jordan_basis(spec, build_bicomm_jordan(spec, elem))
+    return from_jordan_basis(spec, build_bicomm_jordan(spec, elem))
 
 
 class MembershipResult(NamedTuple):
@@ -238,10 +250,8 @@ class MembershipResult(NamedTuple):
 
 def _read_coeffs(spec: JordanSpec, bt: np.ndarray) -> BicommElement:
     """Read Toeplitz coefficients off the first row of each eigenvalue's largest block."""
-    layout = inner_blocks(spec)
     rows: list[tuple[complex, ...]] = []
-    for j, e in enumerate(spec.eigens):
-        blk = next(b for b in layout if b.eigen_index == j)  # largest block comes first
+    for blk in leading_blocks(spec):
         off = blk.offset
         if blk.pair:
             row = tuple(

@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
+    "NotHermitianError",
     "as_matrix",
     "vec",
     "unvec",
@@ -34,7 +35,6 @@ __all__ = [
     "rank_tol",
     "psd_report",
     "is_psd",
-    "hermitian_part",
 ]
 
 
@@ -60,6 +60,10 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+class NotHermitianError(ValueError):
+    """A matrix that should be Hermitian is not, within tolerance: a numerical failure."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -145,19 +149,14 @@ def rank_tol(m, tol: Tolerances | None = None) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
 
 
-def hermitian_part(m) -> np.ndarray:
-    """(M + M*) / 2."""
-    a = as_matrix(m)
-    return (a + a.conj().T) / 2.0
-
-
 def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
     """Classify a Hermitian matrix as PSD and report its minimum eigenvalue.
 
     Returns (verdict, lambda_min) with verdict "yes" when lambda_min clears
     the psd_rel band above zero, "no" when it falls below the band, and
-    "marginal" inside the band.  Raises ValueError when the input deviates
-    from Hermitian by more than eq_rel in Frobenius norm.
+    "marginal" inside the band, of half-width psd_rel * (1 + max |eigenvalue|).
+    Raises NotHermitianError (a ValueError) when the input deviates from
+    Hermitian by more than eq_rel in Frobenius norm.
     """
     tol = tol or DEFAULT_TOLERANCES
     a = as_matrix(m)
@@ -165,12 +164,13 @@ def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
         raise ValueError(f"PSD test needs a square matrix, got {a.shape}")
     if a.size == 0:
         return "yes", 0.0
-    skew = np.linalg.norm(a - a.conj().T)
+    a_star = a.conj().T
+    skew = np.linalg.norm(a - a_star)
     if skew > tol.eq_rel * (1.0 + np.linalg.norm(a)):
-        raise ValueError(f"matrix is not Hermitian within tolerance (deviation {skew:.3e})")
-    eigs = np.linalg.eigvalsh(hermitian_part(a))
+        raise NotHermitianError(f"matrix is not Hermitian within tolerance (deviation {skew:.3e})")
+    eigs = np.linalg.eigvalsh((a + a_star) / 2.0)
     lam_min = float(eigs[0])
-    band = tol.psd_rel * (1.0 + float(np.abs(eigs).max()))
+    band = tol.psd_rel * (1.0 + max(abs(lam_min), abs(float(eigs[-1]))))
     if lam_min < -band:
         return "no", lam_min
     if lam_min <= band:

@@ -7,7 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
+from lyaporder import cli
 from lyaporder.cli import run
+from lyaporder.linalg import NotHermitianError
 from lyaporder.problemfile import ProblemFileError, load_problem_file, parse_problem
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -71,6 +73,20 @@ class TestExitCodes:
         )
         assert run(["check", path]) == 64
         assert "Lyapunov regular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error",
+        [np.linalg.LinAlgError("Singular matrix"), NotHermitianError("matrix is not Hermitian")],
+    )
+    def test_numerical_failure_exits_70(self, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "check_domination", fail)
+        assert run(["check", problem("pick_not_dominated.json")]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical error: {error}\n"
 
     def test_malformed_json(self, tmp_path, capsys):
         path = write(tmp_path, '{"field": "complex",')
@@ -233,17 +249,30 @@ class TestVerifyCommand:
         assert run(["verify", problem("scalar_b_equals_a.json"), "--trials", "100"]) == 0
 
 
-def test_cli_import_loads_no_scipy():
+def run_python(*args):
+    """Run the interpreter on the repository's src/, in a fresh process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(REPO, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    code = "import sys, lyaporder.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, lyaporder.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_module_runs_as_the_cli(capsys):
+    path = problem("pick_not_dominated.json")
+    assert run(["check", path]) == 1
+    proc = run_python("-m", "lyaporder.cli", "check", path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
 
 
 class TestProblemFileParsing:

@@ -35,10 +35,11 @@ from lyaporder import (
     vec,
     unvec,
 )
-from lyaporder import domination
-from lyaporder.domination import _jordan_map
+from lyaporder import domination, jordan
+from lyaporder.domination import _jordan_setup
 from lyaporder.hill import hill_at_selection, matricization_blocks
 from lyaporder.jordan import build_bicomm_jordan, build_JA, inner_blocks
+from lyaporder.linalg import block_diag
 from lyaporder.starmaps import StarLinearMap
 from helpers import (
     a_element,
@@ -286,6 +287,36 @@ class TestHillPickMatrix:
             extracted = hill_at_selection(matricization_blocks(big), upsilon_selection(spec)).T
             assert np.allclose(hill_pick_matrix(prob).matrix, extracted, atol=1e-9)
 
+    def test_matches_scalar_coefficients(self):
+        def scalar_loop(prob):
+            """One hill_pick_coeff call per entry, as the matrix was assembled before."""
+            leads = [e.sizes[0] for e in prob.spec.eigens]
+            off = np.cumsum([0] + leads)
+            h = np.zeros((off[-1], off[-1]), dtype=np.complex128)
+            for i, li in enumerate(leads):
+                for j, lj in enumerate(leads):
+                    for a in range(li):
+                        for b in range(lj):
+                            h[off[i] + a, off[j] + b] = hill_pick_coeff(prob, j, b, i, a)
+            return h
+
+        rng = np.random.default_rng(41)
+        for k in range(60):
+            lams = [complex(0.4 + 0.6 * m + 0.3 * rng.random(), rng.uniform(-1.5, 1.5))
+                    for m in range(int(rng.integers(1, 4)))]
+            sizes = [tuple(sorted(rng.integers(1, 5, size=int(rng.integers(1, 4))), reverse=True))
+                     for _ in lams]
+            sizes[0] = (int(rng.integers(2, 5)), 1)  # an eigenvalue with several blocks
+            spec = JordanSpec("complex", tuple(EigenBlock(l, s) for l, s in zip(lams, sizes)))
+            prob = LyapunovProblem(spec, random_element(rng, spec))
+            expect = scalar_loop(prob)
+            np.testing.assert_allclose(hill_pick_matrix(prob).matrix, expect, rtol=0,
+                                       atol=1e-12 * np.abs(expect).max())
+        spec = JordanSpec("complex", (EigenBlock(1.0, (3, 1)), EigenBlock(-1.0, (2,))))
+        singular = LyapunovProblem(spec, BicommElement(((1.0, 0.5, 0.2), (1.0, 0.3))))
+        with pytest.raises(ValueError, match="not Lyapunov regular"):
+            hill_pick_matrix(singular)
+
     def test_matches_pinned_hill_transpose(self):
         from lyaporder import nonminimal_hill
 
@@ -391,8 +422,8 @@ class TestCheckDomination:
     @pytest.mark.parametrize("decide", [check_domination, stein_domination])
     def test_trial_count_checked_before_any_route(self, monkeypatch, decide):
         called = []
-        for name in ("hill_pick_matrix", "_jordan_map", "choi_matrix", "psd_report",
-                     "domination_oracle", "build_JA", "build_bicomm_jordan"):
+        for name in ("hill_pick_matrix", "_jordan_setup", "choi_matrix", "psd_report",
+                     "domination_oracle", "jordan_blocks", "bicomm_blocks"):
             monkeypatch.setattr(domination, name, lambda *a, _name=name, **k: called.append(_name))
         with pytest.raises(ValueError, match="trials must be at least 1"):
             decide(STEIN_FLIP, oracle_trials=0)
@@ -409,6 +440,45 @@ class TestCheckDomination:
         prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)))
         check_domination(prob, oracle_trials=20)
         stein_domination(with_similarity(rng, prob, STEIN), oracle_trials=20)
+
+    def test_decisions_build_pair_maps_once(self, monkeypatch):
+        # One setup per decision: A's pair maps are built once, B's once (for
+        # the composite), and the only dense matrix built from the Jordan
+        # blocks is B in the P basis, for the oracle's cone test.
+        built, two_sided, dense = [], [], []
+
+        class CountingPairMaps(domination._PairMaps):
+            def __init__(self, *args):
+                built.append(args[0].name)
+                super().__init__(*args)
+
+            def _two_sided(self, *args):
+                two_sided.append(args[0] is self.b_blocks)
+                return super()._two_sided(*args)
+
+        def refuse(*args):
+            raise AssertionError("a dense Jordan matrix was built")
+
+        monkeypatch.setattr(domination, "_PairMaps", CountingPairMaps)
+        monkeypatch.setattr(domination, "block_diag",
+                            lambda *blocks: dense.append(len(blocks)) or block_diag(*blocks))
+        for module, name in ((domination, "build_A"), (domination, "build_bicomm_element"),
+                             (jordan, "build_JA"), (jordan, "build_bicomm_jordan"),
+                             (jordan, "build_A"), (jordan, "build_bicomm_element")):
+            monkeypatch.setattr(module, name, refuse)
+        rng = np.random.default_rng(42)
+        for k in range(8):
+            field, order = ("complex", "real")[k % 2], (LYAPUNOV, STEIN)[k // 2 % 2]
+            spec = random_jordan_spec(rng, field=field, max_dim=6)
+            prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
+            for log in (built, two_sided, dense):
+                log.clear()
+            decide = check_domination if order is LYAPUNOV else stein_domination
+            decide(prob, oracle_trials=20)
+            groups = len({b.dim for b in inner_blocks(prob.spec)}) ** 2
+            assert built == [order.name]
+            assert two_sided == [False] * groups + [True] * groups
+            assert dense == [len(inner_blocks(prob.spec))]
 
 
 class TestSampling:
@@ -606,7 +676,7 @@ class TestJordanBasis:
         spec = JordanSpec(field, tuple(EigenBlock(lam, sizes) for lam, sizes in eigens))
         prob = LyapunovProblem(spec, random_element(np.random.default_rng(33), spec))
         full = choi_matrix(ORDER_MAPS[order.name](prob))  # no P: the Jordan basis
-        support = choi_matrix(_jordan_map(prob, order))
+        support = choi_matrix(_jordan_setup(prob, order).composite)
         idx = support_indices(spec)
         assert support.shape == (sum(b.dim**2 for b in inner_blocks(spec)),) * 2
         np.testing.assert_allclose(support, full[np.ix_(idx, idx)], rtol=0,
@@ -625,7 +695,7 @@ class TestJordanBasis:
             spec = random_jordan_spec(rng, field=("complex", "real")[k // 2 % 2], max_dim=6)
             prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
             full = choi_matrix(ORDER_MAPS[order.name](prob))
-            assert inertia(choi_matrix(_jordan_map(prob, order))) == inertia(full)
+            assert inertia(choi_matrix(_jordan_setup(prob, order).composite)) == inertia(full)
             compared += 1
         assert compared == 80
 

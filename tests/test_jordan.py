@@ -15,6 +15,8 @@ from lyaporder import (
     is_lyapunov_regular,
     rank_tol,
 )
+from lyaporder.jordan import bicomm_blocks, build_bicomm_jordan, inner_blocks
+from lyaporder.linalg import block_diag
 from helpers import a_element, random_element, random_invertible, random_jordan_spec
 
 
@@ -37,6 +39,39 @@ class TestBuildJordan:
         c = np.array([[1, 2], [-2, 1]])
         expect = np.block([[c, np.eye(2)], [np.zeros((2, 2)), c]])
         assert np.array_equal(j, expect)
+
+    def test_blocks_bitwise_equal_to_sum_of_shifts(self):
+        def reference(spec, elem):
+            """The blocks as a sum of row[v] times the v-th shift (kron with 2x2 for pairs)."""
+            parts = []
+            for blk in inner_blocks(spec):
+                row = elem.coeffs[blk.eigen_index]
+                shifts = [np.eye(blk.size, k=v, dtype=np.complex128) for v in range(blk.size)]
+                if blk.pair:
+                    rot = [np.array([[c.real, c.imag], [-c.imag, c.real]], dtype=np.complex128)
+                           for c in row]
+                    t = sum(np.kron(shifts[v], rot[v]) for v in range(blk.size))
+                else:
+                    t = sum(row[v] * shifts[v] for v in range(blk.size))
+                parts.append(np.atleast_2d(t))
+            return parts
+
+        rng = np.random.default_rng(40)
+        with_pairs = 0
+        for k in range(400):
+            spec = random_jordan_spec(rng, field=("complex", "real")[k % 2], max_dim=10)
+            # Signed zeros too, which the sum of shifts turns into +0.0.
+            zero = lambda c: (complex(-0.0, c.imag), complex(c.real, -0.0), c)[int(rng.integers(3))]
+            elem = BicommElement(tuple(tuple(zero(c) for c in row)
+                                       for row in random_element(rng, spec).coeffs))
+            jordan = BicommElement(tuple(((e.eigenvalue, 1.0) + (0.0,) * e.sizes[0])[: e.sizes[0]]
+                                         for e in spec.eigens))
+            want = reference(spec, elem)
+            assert [b.tobytes() for b in bicomm_blocks(spec, elem)] == [b.tobytes() for b in want]
+            assert build_bicomm_jordan(spec, elem).tobytes() == block_diag(*want).tobytes()
+            assert build_JA(spec).tobytes() == block_diag(*reference(spec, jordan)).tobytes()
+            with_pairs += any(b.pair and b.size > 1 for b in inner_blocks(spec))
+        assert with_pairs >= 20
 
     def test_build_A_without_similarity(self):
         spec = JordanSpec("complex", (EigenBlock(1.0, (1,)), EigenBlock(2.0, (1,))))

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from lyaporder.linalg import (
     DEFAULT_TOLERANCES,
+    NotHermitianError,
     Tolerances,
     canonical_shuffle,
     is_psd,
@@ -142,6 +143,31 @@ class TestPsd:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotHermitianError):
+            is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_matches_reference_bitwise(self):
+        def reference(a, tol=DEFAULT_TOLERANCES):
+            """Two conjugate transposes and max |eigenvalue| over the whole spectrum."""
+            if np.linalg.norm(a - a.conj().T) > tol.eq_rel * (1.0 + np.linalg.norm(a)):
+                raise ValueError("not Hermitian")
+            eigs = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+            lam_min = float(eigs[0])
+            band = tol.psd_rel * (1.0 + float(np.abs(eigs).max()))
+            return ("no" if lam_min < -band else "marginal" if lam_min <= band else "yes"), lam_min
+
+        rng = np.random.default_rng(43)
+        verdicts = set()
+        for k in range(400):
+            n = int(rng.integers(1, 7))
+            g = cmat(rng, n, n) * 10.0 ** int(rng.integers(-9, 4))
+            m = (g @ g.conj().T, (g + g.conj().T) / 2, -(g @ g.conj().T),
+                 np.outer(g[0], g[0].conj()))[k % 4]
+            m = m + 1e-13 * np.abs(m).max() * cmat(rng, n, n)  # skew inside eq_rel
+            got, want = psd_report(m), reference(m)
+            assert got[0] == want[0] and np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+            verdicts.add(got[0])
+        assert verdicts == {"yes", "no", "marginal"}
 
     def test_min_eig_reported(self):
         verdict, lam = psd_report(np.diag([2.0, -0.5]))
