@@ -48,6 +48,7 @@ from .linalg import (
     block_diag,
     kron,
     psd_report,
+    psd_screen,
 )
 from .starmaps import BlockSeparableMap, StarLinearMap, choi_matrix
 
@@ -485,8 +486,12 @@ def domination_oracle(
     fails the PSD test outright ("no", beyond the tolerance band).  Returns
     ("violation", H) at the first failure, otherwise ("consistent", None);
     consistency is evidence, not proof.  cone(H, B) is computed a batch at a
-    time, then PSD-tested per trial.  setup is this order's _jordan_setup,
-    built when not given.  A must be regular for the order, trials >= 1.
+    time.  A batch of two or more that passes one batched Cholesky screen
+    (linalg.psd_screen) holds no "no" trial and is skipped; every other batch
+    is PSD-tested per trial, in order, so the first violation, its witness
+    and any NotHermitianError are those of a per-trial loop.  setup is this
+    order's _jordan_setup, built when not given.  A must be regular for the
+    order, trials >= 1.
     """
     _require_trials(trials)
     spec = prob.spec
@@ -495,7 +500,10 @@ def domination_oracle(
     p = spec.similarity
     congruence = None if p is None else order.congruence(p, np.linalg.solve(p, np.eye(len(p))))
     for hs in _cone_solutions(setup, spec.field, int(trials), seed, congruence):
-        for h, cone in zip(hs, order.cone(hs, b)):
+        cones = order.cone(hs, b)
+        if len(cones) > 1 and psd_screen(cones, prob.tol):
+            continue
+        for h, cone in zip(hs, cones):
             verdict, _ = psd_report(cone, prob.tol)
             if verdict == "no":
                 return "violation", h

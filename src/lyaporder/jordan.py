@@ -20,6 +20,7 @@ against the pattern and their coefficients extracted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -110,7 +111,19 @@ class JordanSpec:
     @property
     def dim(self) -> int:
         """Total matrix size, counting implicit conjugate blocks twice."""
-        return sum(blk.dim for blk in inner_blocks(self))
+        return sum(blk.dim for blk in self._layout)
+
+    @cached_property
+    def _layout(self) -> tuple[InnerBlock, ...]:
+        """inner_blocks, walked once: the spec is frozen."""
+        out, off = [], 0
+        for j, e in enumerate(self.eigens):
+            pair = self._is_pair(e)
+            for s in e.sizes:
+                d = 2 * s if pair else s
+                out.append(InnerBlock(j, s, d, off, pair))
+                off += d
+        return tuple(out)
 
     def _is_pair(self, e: EigenBlock) -> bool:
         return self.field == "real" and e.eigenvalue.imag > 0
@@ -126,17 +139,9 @@ class InnerBlock(NamedTuple):
     pair: bool     # True for the 2x2-represented complex pairs (real field)
 
 
-def inner_blocks(spec: JordanSpec) -> list[InnerBlock]:
+def inner_blocks(spec: JordanSpec) -> tuple[InnerBlock, ...]:
     """Flat layout of all Jordan blocks of J in order."""
-    out = []
-    off = 0
-    for j, e in enumerate(spec.eigens):
-        pair = spec._is_pair(e)
-        for s in e.sizes:
-            d = 2 * s if pair else s
-            out.append(InnerBlock(j, s, d, off, pair))
-            off += d
-    return out
+    return spec._layout
 
 
 def leading_blocks(spec: JordanSpec) -> list[InnerBlock]:

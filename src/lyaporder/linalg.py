@@ -34,6 +34,7 @@ __all__ = [
     "gaussian",
     "rank_tol",
     "psd_report",
+    "psd_screen",
     "is_psd",
 ]
 
@@ -176,6 +177,34 @@ def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
     if lam_min <= band:
         return "marginal", lam_min
     return "yes", lam_min
+
+
+def psd_screen(stack, tol: Tolerances | None = None) -> bool:
+    """True only if psd_report would neither call a matrix of the stack "no" nor raise.
+
+    A batched Cholesky of each Hermitian part H plus c I, with c = psd_rel *
+    (1 + ||H||_F / sqrt(n)) / 2 at most half of psd_report's band, proves
+    lambda_min(H) > -band up to a backward error of about n (n + 1) u ||H||
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3).  So it
+    declines when psd_rel < 8 n (n + 1) eps, on non-finite entries, and on a
+    Hermitian deviation above half of psd_report's limit.  False proves nothing.
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    a = np.asarray(stack, dtype=np.complex128)
+    n = a.shape[-1]
+    if tol.psd_rel < 8 * n * (n + 1) * np.finfo(np.float64).eps or not np.isfinite(a).all():
+        return False
+    a_star = a.conj().swapaxes(-1, -2)
+    h = (a + a_star) / 2.0
+    size = np.linalg.norm(h, axis=(-2, -1))
+    if np.any(np.linalg.norm(a - a_star, axis=(-2, -1)) > tol.eq_rel * (1.0 + size) / 2.0):
+        return False
+    try:
+        np.linalg.cholesky(h + (tol.psd_rel * (1.0 + size / np.sqrt(n)) / 2.0)[..., None, None]
+                           * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def is_psd(m, tol: Tolerances | None = None) -> str:

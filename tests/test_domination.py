@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -12,6 +13,7 @@ from lyaporder import (
     EigenBlock,
     JordanSpec,
     LyapunovProblem,
+    Tolerances,
     apply_map,
     build_A,
     build_bicomm_element,
@@ -39,7 +41,7 @@ from lyaporder import domination, jordan
 from lyaporder.domination import _jordan_setup
 from lyaporder.hill import hill_at_selection, matricization_blocks
 from lyaporder.jordan import build_bicomm_jordan, build_JA, inner_blocks
-from lyaporder.linalg import block_diag
+from lyaporder.linalg import NotHermitianError, block_diag
 from lyaporder.starmaps import StarLinearMap
 from helpers import (
     a_element,
@@ -58,6 +60,7 @@ def diag_problem(lams, ts):
 
 PICK_NOT_DOMINATED = diag_problem([1.0, 2.0], [1.0, 3.0])
 PICK_MIN_EIG = 1.25 - np.sqrt(265.0) / 12.0  # eigenvalue of [[1, 4/3], [4/3, 3/2]]
+B_IS_IDENTITY = diag_problem([1.0, 2.0], [1.0, 1.0])  # strictly dominates
 STEIN_FLIP = diag_problem([0.5, 1.0 / 3.0], [0.5, -1.0 / 3.0])
 
 
@@ -544,11 +547,13 @@ class TestOracle:
     @pytest.mark.parametrize("order", [LYAPUNOV, STEIN], ids=["lyapunov", "stein"])
     def test_every_trial_matches_per_trial_loop(self, monkeypatch, order, field):
         # With every PSD test passing, all 200 trials run: batches of
-        # 1, 2, ..., 64, then 64 and 9, so the batch cap is crossed.
+        # 1, 2, ..., 64, then 64 and 9, so the batch cap is crossed.  The
+        # batch screen is made to fail, so every cone reaches psd_report.
         rng = np.random.default_rng(31)
         spec = random_jordan_spec(rng, field=field, max_dim=6)
         prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
         tested = []
+        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol: False)
         monkeypatch.setattr(domination, "psd_report",
                             lambda m, tol: tested.append(m) or ("yes", 1.0))
         assert domination_oracle(prob, trials=200, seed=6, order=order) == ("consistent", None)
@@ -556,6 +561,93 @@ class TestOracle:
         expect = np.array([order.cone(h, b) for h in per_trial_solutions(prob, order, 200, 6)])
         assert len(tested) == 200
         np.testing.assert_allclose(np.array(tested), expect, rtol=0,
+                                   atol=1e-12 * np.abs(expect).max())
+
+    def test_screened_batches_keep_the_hermitian_check(self):
+        # The last cone of each batch of two or more is skewed beyond eq_rel
+        # while its Hermitian part stays positive definite, so only the
+        # screen's own Hermitian check sends it on to psd_report.
+        def skewed(h, m):
+            cone = LYAPUNOV.cone(h, m)
+            if len(cone) > 1:
+                cone[-1] += 1e-6 * np.triu(cone[-1], 1)
+            return cone
+
+        order = dataclasses.replace(LYAPUNOV, cone=skewed)
+        with pytest.raises(NotHermitianError):
+            domination_oracle(B_IS_IDENTITY, trials=10, seed=0, order=order)
+
+    def test_nan_cone_is_tested_as_per_trial(self, monkeypatch):
+        def with_nan(h, m):
+            cone = LYAPUNOV.cone(h, m)
+            if len(cone) > 1:
+                cone[-1, 1, 0] = np.nan
+            return cone
+
+        order = dataclasses.replace(LYAPUNOV, cone=with_nan)
+        seen = []
+        real = domination.psd_report
+        monkeypatch.setattr(domination, "psd_report", lambda m, tol: seen.append(m) or real(m, tol))
+
+        def outcome():
+            try:
+                status, h = domination_oracle(B_IS_IDENTITY, trials=10, seed=0, order=order)
+            except ValueError as exc:  # LinAlgError and NotHermitianError included
+                return type(exc), str(exc)
+            return status, None if h is None else h.tobytes()
+
+        screened = outcome()
+        assert any(np.isnan(m).any() for m in seen)
+        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol: False)
+        assert outcome() == screened
+
+    def test_screen_is_off_below_its_precision(self, monkeypatch):
+        # psd_rel = 1e-15 is below 8 n (n + 1) eps for every n, so every
+        # trial of a consistent run is tested by psd_report.
+        tol = Tolerances(psd_rel=1e-15)
+        calls = []
+        real = domination.psd_report
+        monkeypatch.setattr(domination, "psd_report", lambda m, t: calls.append(1) or real(m, t))
+        for base in (B_IS_IDENTITY, PICK_NOT_DOMINATED):
+            prob = LyapunovProblem(base.spec, base.element, tol)
+            calls.clear()
+            status, h = domination_oracle(prob, trials=200, seed=3)
+            expect = per_trial_witness(prob, LYAPUNOV, 200, 3)
+            if expect is None:
+                assert (status, h, len(calls)) == ("consistent", None, 200)
+            else:
+                assert status == "violation"
+                np.testing.assert_allclose(h, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+    def test_screen_leaves_three_psd_reports_on_a_dominator(self, monkeypatch):
+        # Hill-Pick, Choi and the single-trial first batch; every later batch
+        # of a strict dominator passes the screen.  A non-dominator refuted
+        # past the first batch still takes its witness from psd_report.
+        spec = JordanSpec("complex", (EigenBlock(1 + 0.5j, (3, 2)), EigenBlock(2 - 0.3j, (2, 1))))
+        verdicts = []
+        real = domination.psd_report
+
+        def counting(m, tol):
+            result = real(m, tol)
+            verdicts.append(result[0])
+            return result
+
+        monkeypatch.setattr(domination, "psd_report", counting)
+        rng = np.random.default_rng(0)
+        prob = with_similarity(rng, LyapunovProblem(spec, rational_dominator(rng, spec)))
+        report = check_domination(prob, oracle_trials=1000, seed=0)
+        assert (report.verdict, report.oracle_status) == ("dominates", "consistent")
+        assert len(verdicts) == 3
+        rng = np.random.default_rng(108)
+        near = zip(rational_dominator(rng, spec).coeffs, random_element(rng, spec).coeffs)
+        prob = LyapunovProblem(spec, BicommElement(tuple(
+            tuple(a + 0.3 * b for a, b in zip(row, bump)) for row, bump in near)))
+        verdicts.clear()
+        report = check_domination(prob, oracle_trials=1000, seed=0)
+        assert report.oracle_status == "violation" and verdicts[-1] == "no"
+        assert len(verdicts) > 3
+        expect = per_trial_witness(prob, LYAPUNOV, 1000, 0)
+        np.testing.assert_allclose(report.oracle_witness, expect, rtol=0,
                                    atol=1e-12 * np.abs(expect).max())
 
     def test_positive_scaling_consistent(self):

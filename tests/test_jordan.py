@@ -15,7 +15,8 @@ from lyaporder import (
     is_lyapunov_regular,
     rank_tol,
 )
-from lyaporder.jordan import bicomm_blocks, build_bicomm_jordan, inner_blocks
+from lyaporder.domination import upsilon_selection
+from lyaporder.jordan import InnerBlock, bicomm_blocks, build_bicomm_jordan, inner_blocks
 from lyaporder.linalg import block_diag
 from helpers import a_element, random_element, random_invertible, random_jordan_spec
 
@@ -119,6 +120,39 @@ class TestSpecValidation:
     def test_dim_counts_pairs_twice(self):
         spec = JordanSpec("real", (EigenBlock(1 + 1j, (2, 1)), EigenBlock(2.0, (1,))))
         assert spec.dim == 7
+
+
+class TestLayout:
+    def test_cached_layout_matches_a_fresh_walk(self):
+        def walk(spec):
+            """The layout walked block by block, as it was on every call before."""
+            out, off = [], 0
+            for j, e in enumerate(spec.eigens):
+                pair = spec.field == "real" and e.eigenvalue.imag > 0
+                for s in e.sizes:
+                    d = 2 * s if pair else s
+                    out.append(InnerBlock(j, s, d, off, pair))
+                    off += d
+            return tuple(out)
+
+        rng = np.random.default_rng(46)
+        for k in range(200):
+            spec = random_jordan_spec(rng, field=("complex", "real")[k % 2], max_dim=10,
+                                      similarity=k % 4 < 2)
+            want = walk(spec)
+            assert inner_blocks(spec) == want and inner_blocks(spec) is inner_blocks(spec)
+            n = sum(b.dim for b in want)
+            assert spec.dim == n
+            leads = {b.eigen_index: b for b in reversed(want)}.values()
+            assert upsilon_selection(spec) == tuple(
+                (b.offset + a, b.offset) for b in sorted(leads) for a in range(b.dim))
+            j = np.zeros((n, n), dtype=np.complex128)
+            for b in want:
+                lam = spec.eigens[b.eigen_index].eigenvalue
+                c = [[lam.real, lam.imag], [-lam.imag, lam.real]] if b.pair else [[lam]]
+                j[b.offset : b.offset + b.dim, b.offset : b.offset + b.dim] = (
+                    np.kron(np.eye(b.size), c) + np.eye(b.dim, k=len(c)))
+            assert build_JA(spec).tobytes() == j.tobytes()
 
 
 class TestRegularity:

@@ -12,6 +12,7 @@ from lyaporder.linalg import (
     is_psd,
     kron,
     psd_report,
+    psd_screen,
     rank_tol,
     unvec,
     vec,
@@ -200,6 +201,61 @@ class TestPsd:
             else:
                 witness = vecs[:, 0]
                 assert float((witness.conj() @ m @ witness).real) < -band
+
+
+class TestPsdScreen:
+    @pytest.mark.parametrize("psd_rel", [1e-9, 1e-6, 1e-12])
+    def test_rejects_every_stack_psd_report_calls_no(self, psd_rel):
+        # Spectra with their top at `scale`, lambda_min in [-2 band, 0] and
+        # up to n - 2 more eigenvalues in [lambda_min, 0], so that they
+        # straddle psd_report's "no" threshold at -band; Q is complex for odd n.
+        tol = Tolerances(psd_rel=psd_rel)
+        rng = np.random.default_rng(int(-np.log10(psd_rel)))
+        verdicts = {"no": 0, "marginal": 0, "passed": 0}
+        for n in range(2, 41):
+            count = 77
+            scale = 10.0 ** rng.uniform(-6, 6, count)
+            lam_min = -2.0 * psd_rel * (1.0 + scale) * rng.uniform(0, 1, count)
+            eigs = scale[:, None] * rng.uniform(0, 1, (count, n))
+            low = np.arange(n) < rng.integers(1, n, count)[:, None]
+            eigs = np.where(low, lam_min[:, None] * rng.uniform(0, 1, (count, n)), eigs)
+            eigs[:, 0], eigs[:, -1] = lam_min, scale
+            g = rng.standard_normal((count, n, n))
+            g = g + 1j * rng.standard_normal((count, n, n)) * (n % 2)
+            q = np.linalg.qr(g)[0]
+            stack = (q * eigs[:, None, :]) @ q.conj().swapaxes(-1, -2)
+            any_no = False
+            for m in stack:
+                verdict = psd_report(m, tol)[0]
+                passed = psd_screen(m[None], tol)
+                assert not (verdict == "no" and passed)
+                any_no |= verdict == "no"
+                verdicts[verdict] += 1
+                verdicts["passed"] += passed
+            assert not (any_no and psd_screen(stack, tol))
+        assert min(verdicts.values()) > 100
+
+    def test_passes_psd_stacks_and_declines_outside_its_range(self):
+        rng = np.random.default_rng(44)
+        g = rng.standard_normal((16, 8, 8)) + 1j * rng.standard_normal((16, 8, 8))
+        w = g @ g.conj().swapaxes(-1, -2)
+        edge = 8 * 8 * 9 * np.finfo(np.float64).eps
+        assert psd_screen(w) and psd_screen(w, Tolerances(psd_rel=edge))
+        assert not psd_screen(w, Tolerances(psd_rel=edge / 2))
+        for bad in (np.nan, np.inf):
+            broken = w.copy()
+            broken[3, 1, 0] = bad
+            assert not psd_screen(broken)
+        flipped = w.copy()
+        flipped[7] *= -1.0
+        assert not psd_screen(flipped)
+        # A Hermitian deviation of 3/4 of psd_report's limit: psd_report
+        # accepts it, the screen leaves it to psd_report.
+        skewed = w.copy()
+        limit = DEFAULT_TOLERANCES.eq_rel * (1.0 + np.linalg.norm(w[5]))
+        skewed[5, 0, 1] += 0.75 * limit / np.sqrt(2.0)
+        assert psd_report(skewed[5])[0] == "yes"
+        assert not psd_screen(skewed)
 
 
 class TestTolerances:
