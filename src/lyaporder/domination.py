@@ -218,13 +218,15 @@ class _PairMaps:
 
     pairs holds one (rows, cols, L_A) per pair of block sizes, L_A[k, l]
     acting on block (rows[k], cols[l]).  composite is cone_B o cone_A^{-1}
-    for B = diag(b_blocks), for the Choi route; inverses serve the oracle.
+    for B = diag(b_blocks), for the Choi route; inverses serve the oracle
+    and are float64 (dtype) for the real field, whose blocks are real.
     """
 
-    def __init__(self, order: Order, a_blocks, b_blocks=None):
+    def __init__(self, order: Order, a_blocks, b_blocks=None, field: str = "complex"):
         sizes = [len(blk) for blk in a_blocks]
         groups = [np.flatnonzero(np.equal(sizes, d)) for d in dict.fromkeys(sizes)]
         self.order, self.dims, self.b_blocks = order, tuple(sizes), b_blocks
+        self.dtype = np.dtype(np.float64 if field == "real" else np.complex128)
         self.pairs = [(rows, cols, self._two_sided(a_blocks, rows, cols))
                       for rows in groups for cols in groups]
 
@@ -247,6 +249,7 @@ class _PairMaps:
         for rows, cols, la in self.pairs:
             r = offset[rows][:, None, None, None] + np.arange(self.dims[rows[0]])[:, None]
             c = offset[cols][None, :, None, None] + np.arange(self.dims[cols[0]])
+            la = la.real if self.dtype == np.float64 else la
             out.append((r, c, np.linalg.solve(la, np.eye(la.shape[-1]))))
         return out
 
@@ -255,7 +258,7 @@ def _jordan_setup(prob: LyapunovProblem, order: Order) -> _PairMaps:
     """One decision's Jordan-basis data, shared by its routes; A must be regular for the order."""
     spec = prob.spec
     order.require_regular(spec, prob.tol)
-    return _PairMaps(order, jordan_blocks(spec), bicomm_blocks(spec, prob.element))
+    return _PairMaps(order, jordan_blocks(spec), bicomm_blocks(spec, prob.element), spec.field)
 
 
 def _order_map(prob: LyapunovProblem, order: Order) -> StarLinearMap:
@@ -424,9 +427,10 @@ def _cone_solutions(
 ) -> Iterator[np.ndarray]:
     """Yield batches of Hermitian H with cone(H, A) = W for random PSD targets W = G G*.
 
-    With (S, inv(S)) = congruence (S = I when None), cone(S Y S*, A) =
+    With (S, inv(S), S*) = congruence (S = I when None), cone(S Y S*, A) =
     S cone(Y, diag(blocks)) S*: each W becomes inv(S) W inv(S)*, is solved
     block pair by block pair (maps.inverses), and maps back as H = S Y S*.
+    Everything is of maps.dtype: float64 for the real field, whose G is real.
     Batches hold 1, 2, 4, ..., at most _MAX_BATCH trials: a caller that
     stops at the first trial pays for one small batch, and the cap bounds a
     batch's memory (its intermediates are freed before it is yielded).  Each
@@ -435,13 +439,17 @@ def _cone_solutions(
     same G however the trials are grouped.
     """
     n = sum(maps.dims)
-    s, s_inv = congruence or (None, None)
+    s, s_inv, s_star = congruence or (None, None, None)
     rng = np.random.default_rng(seed)
     done, batch = 0, 1
     while done < count:
         size = min(batch, count - done)
         z = rng.standard_normal((size, 2 if field == "complex" else 1, n, n))
-        g = z[:, 0] + 1j * z[:, 1] if field == "complex" else z[:, 0].astype(np.complex128)
+        if field == "complex":
+            g = np.empty((size, n, n), dtype=np.complex128)
+            g.real, g.imag = z[:, 0], z[:, 1]
+        else:
+            g = z[:, 0].astype(maps.dtype, copy=False)
         g = g if s_inv is None else s_inv @ g
         w = g @ g.conj().swapaxes(-1, -2)
         y = np.empty_like(w)
@@ -450,8 +458,9 @@ def _cone_solutions(
             sol = inverse @ t.reshape(*t.shape[:3], -1).transpose(1, 2, 3, 0)
             y[:, r, c] = sol.transpose(3, 0, 1, 2).reshape(t.shape).swapaxes(-1, -2)
         del z, g, w, t, sol
-        y = y if s is None else s @ y @ s.conj().T
-        y = (y + y.conj().swapaxes(-1, -2)) / 2.0
+        y = y if s is None else s @ y @ s_star
+        y += y.conj().swapaxes(-1, -2)
+        y *= 0.5
         yield y
         done += size
         batch = min(2 * batch, _MAX_BATCH)
@@ -489,16 +498,22 @@ def domination_oracle(
     time.  A batch of two or more that passes one batched Cholesky screen
     (linalg.psd_screen) holds no "no" trial and is skipped; every other batch
     is PSD-tested per trial, in order, so the first violation, its witness
-    and any NotHermitianError are those of a per-trial loop.  setup is this
-    order's _jordan_setup, built when not given.  A must be regular for the
-    order, trials >= 1.
+    and any NotHermitianError are those of a per-trial loop.  Real-field
+    trials run in float64 (setup.dtype); the witness is complex128 either
+    way.  setup is this order's _jordan_setup, built when not given.  A must
+    be regular for the order, trials >= 1.
     """
     _require_trials(trials)
     spec = prob.spec
     setup = _jordan_setup(prob, order) if setup is None else setup
+    real = setup.dtype == np.float64  # B, S and inv(S) are real: keep float64 copies
     b = from_jordan_basis(spec, block_diag(*setup.b_blocks))
-    p = spec.similarity
-    congruence = None if p is None else order.congruence(p, np.linalg.solve(p, np.eye(len(p))))
+    b = b.real.copy() if real else b
+    p, congruence = spec.similarity, None
+    if p is not None:
+        s, s_inv = order.congruence(p, np.linalg.solve(p, np.eye(len(p))))
+        s, s_inv = (s.real.copy(), s_inv.real.copy()) if real else (s, s_inv)
+        congruence = s, s_inv, s.conj().T
     for hs in _cone_solutions(setup, spec.field, int(trials), seed, congruence):
         cones = order.cone(hs, b)
         if len(cones) > 1 and psd_screen(cones, prob.tol):
@@ -506,7 +521,7 @@ def domination_oracle(
         for h, cone in zip(hs, cones):
             verdict, _ = psd_report(cone, prob.tol)
             if verdict == "no":
-                return "violation", h
+                return "violation", h.astype(np.complex128, copy=False)
     return "consistent", None
 
 

@@ -1,9 +1,10 @@
 """Dense linear algebra helpers shared by the whole package.
 
-Everything operates on plain numpy arrays with complex128 entries; vectors
-are 1-D arrays.  The vectorization convention is column stacking throughout,
-so ``vec`` of an m-by-n unit matrix with its 1 in position (l, k) is the
-standard basis vector of index (k-1)*m + l (1-based), and
+Everything operates on plain numpy arrays with complex128 entries, except
+that psd_screen keeps float64 stacks as they are; vectors are 1-D arrays.
+The vectorization convention is column stacking throughout, so ``vec`` of
+an m-by-n unit matrix with its 1 in position (l, k) is the standard basis
+vector of index (k-1)*m + l (1-based), and
 
     vec(A @ X @ B.T) == kron(B, A) @ vec(X).
 
@@ -16,6 +17,7 @@ either way; "marginal" means the minimum eigenvalue lies inside the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +152,23 @@ def rank_tol(m, tol: Tolerances | None = None) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
 
 
+def _hermitian_parts(a: np.ndarray):
+    """a + a* and the Frobenius norms of a + a* and a - a*, per matrix of a stack.
+
+    Each norm is one sum of squares over a float view.  A non-finite entry
+    of a makes both norms non-finite, and so does overflow of the squares;
+    neither raises a RuntimeWarning.
+    """
+    a_star = a.conj().swapaxes(-1, -2)
+    norms = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        h = a + a_star
+        for x in (h, a - a_star):
+            row = x.reshape(*x.shape[:-2], 1, -1).view(np.float64)  # (re, im) pairs
+            norms.append(np.sqrt((row @ row.swapaxes(-1, -2))[..., 0, 0]))
+    return h, norms[0], norms[1]
+
+
 def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
     """Classify a Hermitian matrix as PSD and report its minimum eigenvalue.
 
@@ -157,7 +176,8 @@ def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
     the psd_rel band above zero, "no" when it falls below the band, and
     "marginal" inside the band, of half-width psd_rel * (1 + max |eigenvalue|).
     Raises NotHermitianError (a ValueError) when the input deviates from
-    Hermitian by more than eq_rel in Frobenius norm.
+    Hermitian by more than eq_rel in Frobenius norm, and numpy's LinAlgError
+    on non-finite entries, or on finite ones whose a + a* overflows.
     """
     tol = tol or DEFAULT_TOLERANCES
     a = as_matrix(m)
@@ -165,11 +185,13 @@ def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
         raise ValueError(f"PSD test needs a square matrix, got {a.shape}")
     if a.size == 0:
         return "yes", 0.0
-    a_star = a.conj().T
-    skew = np.linalg.norm(a - a_star)
-    if skew > tol.eq_rel * (1.0 + np.linalg.norm(a)):
+    h, h_norm, skew = _hermitian_parts(a)
+    if not math.isfinite(h_norm + skew) and not np.isfinite(h).all():
+        raise np.linalg.LinAlgError("PSD test: non-finite entries in the matrix or a + a*")
+    # ||a||^2 = (||a + a*||^2 + ||a - a*||^2) / 4, by the parallelogram law
+    if skew > tol.eq_rel * (1.0 + math.hypot(h_norm, skew) / 2.0):
         raise NotHermitianError(f"matrix is not Hermitian within tolerance (deviation {skew:.3e})")
-    eigs = np.linalg.eigvalsh((a + a_star) / 2.0)
+    eigs = np.linalg.eigvalsh(h / 2.0)
     lam_min = float(eigs[0])
     band = tol.psd_rel * (1.0 + max(abs(lam_min), abs(float(eigs[-1]))))
     if lam_min < -band:
@@ -182,26 +204,32 @@ def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
 def psd_screen(stack, tol: Tolerances | None = None) -> bool:
     """True only if psd_report would neither call a matrix of the stack "no" nor raise.
 
-    A batched Cholesky of each Hermitian part H plus c I, with c = psd_rel *
-    (1 + ||H||_F / sqrt(n)) / 2 at most half of psd_report's band, proves
-    lambda_min(H) > -band up to a backward error of about n (n + 1) u ||H||
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3).  So it
-    declines when psd_rel < 8 n (n + 1) eps, on non-finite entries, and on a
-    Hermitian deviation above half of psd_report's limit.  False proves nothing.
+    A batched Cholesky of each 2H + 2c I, H = (a + a*) / 2 the Hermitian part
+    and c = psd_rel * (1 + ||H||_F / sqrt(n)) / 2 at most half of
+    psd_report's band, proves lambda_min(H) > -band up to a backward error of
+    about n (n + 1) u ||H|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3).  So it declines when psd_rel < 8 n (n + 1) eps,
+    on a Hermitian deviation above half of psd_report's limit, and when a
+    norm is not finite (a non-finite entry, or squares that overflow).
+    False proves nothing.  Real stacks stay float64.  The passes: a + a*
+    and a - a* once each, one sum of squares for each of their norms over a
+    float view, c added to the diagonal in place, and the Cholesky.
     """
     tol = tol or DEFAULT_TOLERANCES
-    a = np.asarray(stack, dtype=np.complex128)
+    a = np.asarray(stack)
+    a = a if a.dtype == np.float64 else a.astype(np.complex128, copy=False)
     n = a.shape[-1]
-    if tol.psd_rel < 8 * n * (n + 1) * np.finfo(np.float64).eps or not np.isfinite(a).all():
+    if tol.psd_rel < 8 * n * (n + 1) * np.finfo(np.float64).eps:
         return False
-    a_star = a.conj().swapaxes(-1, -2)
-    h = (a + a_star) / 2.0
-    size = np.linalg.norm(h, axis=(-2, -1))
-    if np.any(np.linalg.norm(a - a_star, axis=(-2, -1)) > tol.eq_rel * (1.0 + size) / 2.0):
+    h, h_norm, skew = _hermitian_parts(a)  # h = 2H
+    if not np.isfinite(h_norm + skew).all():
         return False
+    if np.any(skew > tol.eq_rel * (1.0 + h_norm / 2.0) / 2.0):
+        return False
+    shift = tol.psd_rel * (1.0 + h_norm / (2.0 * np.sqrt(n)))  # 2c
+    h.reshape(-1, n * n)[:, :: n + 1] += shift.reshape(-1, 1)
     try:
-        np.linalg.cholesky(h + (tol.psd_rel * (1.0 + size / np.sqrt(n)) / 2.0)[..., None, None]
-                           * np.eye(n))
+        np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -87,6 +88,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"numerical error: {error}\n"
+
+    def test_overflowing_problem_exits_70(self, tmp_path, capsys):
+        # Pick entries (t_i + t_j) / (lam_i + lam_j) overflow to inf; the PSD
+        # test used to give a verdict on them.
+        doc = {
+            "field": "complex",
+            "eigenvalues": [{"lambda": [1.0, 0.0], "sizes": [1]},
+                            {"lambda": [2.0, 0.0], "sizes": [1]}],
+            "B": {"coeffs": [[1e308], [1.5e308]]},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the map itself overflows
+            assert run(["check", write(tmp_path, json.dumps(doc))]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: PSD test: non-finite entries")
 
     def test_malformed_json(self, tmp_path, capsys):
         path = write(tmp_path, '{"field": "complex",')

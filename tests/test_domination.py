@@ -45,6 +45,7 @@ from lyaporder.linalg import NotHermitianError, block_diag
 from lyaporder.starmaps import StarLinearMap
 from helpers import (
     a_element,
+    identity_element,
     random_element,
     random_jordan_spec,
     rational_dominator,
@@ -596,10 +597,47 @@ class TestOracle:
                 return type(exc), str(exc)
             return status, None if h is None else h.tobytes()
 
-        screened = outcome()
+        error = (np.linalg.LinAlgError, "PSD test: non-finite entries in the matrix or a + a*")
+        assert outcome() == error
         assert any(np.isnan(m).any() for m in seen)
         monkeypatch.setattr(domination, "psd_screen", lambda stack, tol: False)
-        assert outcome() == screened
+        assert outcome() == error
+
+    @pytest.mark.parametrize("similar", [False, True], ids=["jordan", "similar"])
+    @pytest.mark.parametrize("order", [LYAPUNOV, STEIN], ids=["lyapunov", "stein"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_trials_run_in_the_problem_field(self, monkeypatch, field, order, similar):
+        # The screen sees float64 stacks on real-field problems and complex128
+        # ones otherwise; witnesses are complex128 and match the per-trial
+        # reference, which works in complex128 throughout.
+        rng = np.random.default_rng(32)
+        spec = random_jordan_spec(rng, field=field, max_dim=6)
+        if order is STEIN:  # the Stein tests keep the spectrum inside the unit disk
+            spec = JordanSpec(field, tuple(EigenBlock(e.eigenvalue / 3.0, e.sizes)
+                                           for e in spec.eigens))
+        dtypes = []
+        real = domination.psd_screen
+        monkeypatch.setattr(domination, "psd_screen",
+                            lambda stack, tol: dtypes.append(stack.dtype) or real(stack, tol))
+        refuted = 0
+        for seed in range(4):
+            element = identity_element(spec) if seed == 0 else random_element(rng, spec)
+            prob = LyapunovProblem(spec, element)
+            if similar:
+                prob = with_similarity(rng, prob)
+            status, h = domination_oracle(prob, trials=200, seed=seed, order=order)
+            expect = per_trial_witness(prob, order, 200, seed)
+            if expect is None:
+                assert (status, h) == ("consistent", None)
+                continue
+            refuted += 1
+            assert status == "violation" and h.dtype == np.complex128
+            np.testing.assert_allclose(h, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+        assert refuted > 0
+        assert set(dtypes) == {np.dtype(np.float64 if field == "real" else np.complex128)}
+        a = build_A(spec)
+        for h in sample_lyapunov_solutions(a, count=3, seed=0, field=field):
+            assert h.dtype == np.complex128
 
     def test_screen_is_off_below_its_precision(self, monkeypatch):
         # psd_rel = 1e-15 is below 8 n (n + 1) eps for every n, so every

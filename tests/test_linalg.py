@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,22 @@ class TestPsd:
             verdicts.add(got[0])
         assert verdicts == {"yes", "no", "marginal"}
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        # NaN used to pass as ("yes", nan) on [[1, 0], [nan, 1]] and as
+        # ("no", -1.0) on -I with a NaN on the diagonal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, (i, j) in ((np.eye(2), (1, 0)), (-np.eye(3), (1, 1)), (np.eye(3), (0, 2))):
+                m = m.astype(complex)
+                m[i, j] = bad
+                with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                    psd_report(m)
+            # Entries whose squares overflow are finite: still a verdict.
+            assert psd_report(1e155 * np.eye(2)) == ("yes", 1e155)
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                psd_report(np.diag([1.5e308, 1.0]))  # a + a* overflows
+
     def test_min_eig_reported(self):
         verdict, lam = psd_report(np.diag([2.0, -0.5]))
         assert verdict == "no" and lam == pytest.approx(-0.5)
@@ -204,11 +222,13 @@ class TestPsd:
 
 
 class TestPsdScreen:
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     @pytest.mark.parametrize("psd_rel", [1e-9, 1e-6, 1e-12])
-    def test_rejects_every_stack_psd_report_calls_no(self, psd_rel):
+    def test_rejects_every_stack_psd_report_calls_no(self, psd_rel, dtype):
         # Spectra with their top at `scale`, lambda_min in [-2 band, 0] and
         # up to n - 2 more eigenvalues in [lambda_min, 0], so that they
-        # straddle psd_report's "no" threshold at -band; Q is complex for odd n.
+        # straddle psd_report's "no" threshold at -band; Q is complex for odd
+        # n on complex128 stacks, real on float64 stacks.
         tol = Tolerances(psd_rel=psd_rel)
         rng = np.random.default_rng(int(-np.log10(psd_rel)))
         verdicts = {"no": 0, "marginal": 0, "passed": 0}
@@ -221,9 +241,11 @@ class TestPsdScreen:
             eigs = np.where(low, lam_min[:, None] * rng.uniform(0, 1, (count, n)), eigs)
             eigs[:, 0], eigs[:, -1] = lam_min, scale
             g = rng.standard_normal((count, n, n))
-            g = g + 1j * rng.standard_normal((count, n, n)) * (n % 2)
+            if dtype == np.complex128:
+                g = g + 1j * rng.standard_normal((count, n, n)) * (n % 2)
             q = np.linalg.qr(g)[0]
             stack = (q * eigs[:, None, :]) @ q.conj().swapaxes(-1, -2)
+            assert stack.dtype == dtype
             any_no = False
             for m in stack:
                 verdict = psd_report(m, tol)[0]
@@ -256,6 +278,26 @@ class TestPsdScreen:
         skewed[5, 0, 1] += 0.75 * limit / np.sqrt(2.0)
         assert psd_report(skewed[5])[0] == "yes"
         assert not psd_screen(skewed)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_declines_infinite_and_overflowing_entries(self, dtype):
+        rng = np.random.default_rng(45)
+        g = rng.standard_normal((16, 8, 8))
+        if dtype == np.complex128:
+            g = g + 1j * rng.standard_normal((16, 8, 8))
+        w = g @ g.conj().swapaxes(-1, -2)
+        assert w.dtype == dtype
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psd_screen(w)
+            for bad in (np.inf, -np.inf):
+                for where in ((3, 2, 2), (3, 1, 0)):  # diagonal, off the diagonal
+                    broken = w.copy()
+                    broken[where] = bad
+                    assert not psd_screen(broken)
+            # Entries near 1e155 are finite, but their squares overflow.
+            big = w * (1e155 / np.abs(w).max())
+            assert np.isfinite(big).all() and not psd_screen(big)
 
 
 class TestTolerances:
