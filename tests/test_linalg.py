@@ -222,9 +222,16 @@ class TestPsd:
 
 
 class TestPsdScreen:
-    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     @pytest.mark.parametrize("psd_rel", [1e-9, 1e-6, 1e-12])
-    def test_rejects_every_stack_psd_report_calls_no(self, psd_rel, dtype):
+    def test_rejects_every_stack_psd_report_calls_no(self, psd_rel):
+        self._check_rejects_every_stack_psd_report_calls_no(psd_rel, np.complex128)
+
+    @pytest.mark.parametrize("psd_rel", [1e-9, 1e-6, 1e-12])
+    def test_rejects_every_real_stack_psd_report_calls_no(self, psd_rel):
+        self._check_rejects_every_stack_psd_report_calls_no(psd_rel, np.float64)
+
+    @staticmethod
+    def _check_rejects_every_stack_psd_report_calls_no(psd_rel, dtype):
         # Spectra with their top at `scale`, lambda_min in [-2 band, 0] and
         # up to n - 2 more eigenvalues in [lambda_min, 0], so that they
         # straddle psd_report's "no" threshold at -band; Q is complex for odd
