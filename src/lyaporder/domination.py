@@ -21,6 +21,7 @@ B directly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from math import comb
@@ -218,8 +219,8 @@ class _PairMaps:
 
     pairs holds one (rows, cols, L_A) per pair of block sizes, L_A[k, l]
     acting on block (rows[k], cols[l]).  composite is cone_B o cone_A^{-1}
-    for B = diag(b_blocks), for the Choi route; inverses serve the oracle
-    and are float64 (dtype) for the real field, whose blocks are real.
+    for B = diag(b_blocks), for the Choi route; plan serves the oracle and
+    is float64 (dtype) for the real field, whose blocks are real.
     """
 
     def __init__(self, order: Order, a_blocks, b_blocks=None, field: str = "complex"):
@@ -243,15 +244,27 @@ class _PairMaps:
         return BlockSeparableMap(self.dims, out)
 
     @cached_property
-    def inverses(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        offset = np.cumsum((0,) + self.dims)
-        out = []
+    def plan(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, np.ndarray]]]:
+        """(perm, inverse perm, groups): the oracle's solve of cone(X, A) = W, W flat n x n.
+
+        W.ravel()[perm] holds each pair's blocks contiguously, as the
+        column-major vecs L_A acts on, in the order of its stack; group
+        (start, stop, inv(L_A)) owns [start, stop), shaped (R, C, d_r d_c).
+        For 1 x 1 blocks inv(L_A) is flat (R C,): the solve is a product.
+        """
+        n, offset = sum(self.dims), np.cumsum((0,) + self.dims)
+        perm, groups = [], []
         for rows, cols, la in self.pairs:
             r = offset[rows][:, None, None, None] + np.arange(self.dims[rows[0]])[:, None]
             c = offset[cols][None, :, None, None] + np.arange(self.dims[cols[0]])
+            start = sum(len(p) for p in perm)
+            perm.append((r * n + c).swapaxes(-1, -2).ravel())
             la = la.real if self.dtype == np.float64 else la
-            out.append((r, c, np.linalg.solve(la, np.eye(la.shape[-1]))))
-        return out
+            inverse = np.linalg.solve(la, np.eye(la.shape[-1]))
+            groups.append((start, start + len(perm[-1]),
+                           inverse.ravel() if inverse.shape[-1] == 1 else inverse))
+        perm = np.concatenate(perm)
+        return perm, np.argsort(perm), groups
 
 
 def _jordan_setup(prob: LyapunovProblem, order: Order) -> _PairMaps:
@@ -424,44 +437,61 @@ def hill_pick_matrix(prob: LyapunovProblem, support_choi=None) -> HillPickMatrix
 
 def _cone_solutions(
     maps: _PairMaps, field: str, count: int, seed: int, congruence=None
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
     """Yield batches of Hermitian H with cone(H, A) = W for random PSD targets W = G G*.
 
     With (S, inv(S), S*) = congruence (S = I when None), cone(S Y S*, A) =
     S cone(Y, diag(blocks)) S*: each W becomes inv(S) W inv(S)*, is solved
-    block pair by block pair (maps.inverses), and maps back as H = S Y S*.
+    block pair by block pair (maps.plan: one gather, a product or a stacked
+    matmul per size pair, one scatter), and maps back as H = S Y S*.
     Everything is of maps.dtype: float64 for the real field, whose G is real.
     Batches hold 1, 2, 4, ..., at most _MAX_BATCH trials: a caller that
-    stops at the first trial pays for one small batch, and the cap bounds a
-    batch's memory (its intermediates are freed before it is yielded).  Each
-    batch is one draw from a single default_rng(seed) stream, in the order
-    of per-trial gaussian(rng, (n, n), field) draws, so trial k sees the
-    same G however the trials are grouped.
+    stops at the first trial pays for one small batch, and the cap bounds
+    the workspace.  Each batch is one draw from a single default_rng(seed)
+    stream, in the order of per-trial gaussian(rng, (n, n), field) draws, so
+    trial k sees the same G however the trials are grouped.  Each stage
+    writes into the next of three (size, n, n) buffers, made anew only when
+    the batch size changes; a batch is yielded with the other two as scratch,
+    all valid only until the next iteration, so a caller that keeps an H
+    copies it.
     """
-    n = sum(maps.dims)
+    n, k = sum(maps.dims), 2 if field == "complex" else 1
+    perm, perm_inverse, groups = maps.plan
     s, s_inv, s_star = congruence or (None, None, None)
     rng = np.random.default_rng(seed)
-    done, batch = 0, 1
+    done, batch, bufs = 0, 1, []
     while done < count:
         size = min(batch, count - done)
-        z = rng.standard_normal((size, 2 if field == "complex" else 1, n, n))
-        if field == "complex":
-            g = np.empty((size, n, n), dtype=np.complex128)
-            g.real, g.imag = z[:, 0], z[:, 1]
-        else:
-            g = z[:, 0].astype(maps.dtype, copy=False)
-        g = g if s_inv is None else s_inv @ g
-        w = g @ g.conj().swapaxes(-1, -2)
-        y = np.empty_like(w)
-        for r, c, inverse in maps.inverses:
-            t = w[:, r, c].swapaxes(-1, -2)  # t[i, k, l].ravel(): vec of block (k, l) of W_i
-            sol = inverse @ t.reshape(*t.shape[:3], -1).transpose(1, 2, 3, 0)
-            y[:, r, c] = sol.transpose(3, 0, 1, 2).reshape(t.shape).swapaxes(-1, -2)
-        del z, g, w, t, sol
-        y = y if s is None else s @ y @ s_star
-        y += y.conj().swapaxes(-1, -2)
+        if not bufs or len(bufs[0]) != size:
+            bufs = [np.empty((size, n, n), dtype=maps.dtype) for _ in range(3)]
+        ring = itertools.cycle(bufs)
+        g = next(ring)
+        z = g.view(np.float64).reshape(-1)[: size * k * n * n].reshape(size, k, n, n)
+        rng.standard_normal(out=z)
+        if maps.dtype != np.float64:
+            g = next(ring)
+            g.real, g.imag = z[:, 0], z[:, 1] if k == 2 else 0.0
+        g = g if s_inv is None else np.matmul(s_inv, g, out=next(ring))
+        g_star = g if maps.dtype == np.float64 else np.conjugate(g, out=next(ring))
+        w = np.matmul(g, g_star.swapaxes(-1, -2), out=next(ring)).reshape(size, n * n)
+        v = np.take(w, perm, axis=1, out=next(ring).reshape(size, n * n), mode="clip")
+        y = next(ring).reshape(size, n * n)
+        for start, stop, inverse in groups:
+            if inverse.ndim == 1:
+                np.multiply(v[:, start:stop], inverse, out=y[:, start:stop])
+            else:  # L_A^-1 @ vec on (R, C, d_r d_c, size) views
+                shape = (size,) + inverse.shape[:-1]
+                np.matmul(inverse, v[:, start:stop].reshape(shape).transpose(1, 2, 3, 0),
+                          out=y[:, start:stop].reshape(shape).transpose(1, 2, 3, 0))
+        y = np.take(y, perm_inverse, axis=1, out=next(ring).reshape(size, n * n), mode="clip")
+        y = y.reshape(size, n, n)
+        if s is not None:
+            y = np.matmul(np.matmul(s, y, out=next(ring)), s_star, out=next(ring))
+        t = next(ring)
+        np.copyto(t, y.swapaxes(-1, -2))  # a copy, where a strided ufunc would take a buffer
+        y += np.conjugate(t, out=t)
         y *= 0.5
-        yield y
+        yield y, (t, next(ring))
         done += size
         batch = min(2 * batch, _MAX_BATCH)
 
@@ -472,11 +502,11 @@ def sample_lyapunov_solutions(
     """Draw Hermitian H with H A + A* H PSD, by pulling random PSD targets back.
 
     Samples W = G G* with Gaussian G and solves the Lyapunov equation
-    H A + A* H = W; every returned H is symmetrized.  A must be Lyapunov
-    regular (the map is inverted directly).
+    H A + A* H = W; every returned H is symmetrized and owns its data.  A
+    must be Lyapunov regular (the map is inverted directly).
     """
     maps = _PairMaps(LYAPUNOV, [as_matrix(a)])
-    return [h for hs in _cone_solutions(maps, field, int(count), seed) for h in hs]
+    return [h.copy() for hs, _ in _cone_solutions(maps, field, int(count), seed) for h in hs]
 
 
 def _require_trials(trials: int) -> None:
@@ -514,14 +544,14 @@ def domination_oracle(
         s, s_inv = order.congruence(p, np.linalg.solve(p, np.eye(len(p))))
         s, s_inv = (s.real.copy(), s_inv.real.copy()) if real else (s, s_inv)
         congruence = s, s_inv, s.conj().T
-    for hs in _cone_solutions(setup, spec.field, int(trials), seed, congruence):
+    for hs, scratch in _cone_solutions(setup, spec.field, int(trials), seed, congruence):
         cones = order.cone(hs, b)
-        if len(cones) > 1 and psd_screen(cones, prob.tol):
+        if len(cones) > 1 and psd_screen(cones, prob.tol, scratch):
             continue
         for h, cone in zip(hs, cones):
             verdict, _ = psd_report(cone, prob.tol)
-            if verdict == "no":
-                return "violation", h.astype(np.complex128, copy=False)
+            if verdict == "no":  # a copy: hs is the next batch's workspace
+                return "violation", h.astype(np.complex128)
     return "consistent", None
 
 

@@ -152,21 +152,26 @@ def rank_tol(m, tol: Tolerances | None = None) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
 
 
-def _hermitian_parts(a: np.ndarray):
+def _hermitian_parts(a: np.ndarray, out=None):
     """a + a* and the Frobenius norms of a + a* and a - a*, per matrix of a stack.
 
-    Each norm is one sum of squares over a float view.  A non-finite entry
+    The two parts go into out (two arrays like a) or fresh arrays.  Each
+    norm is one sum of squares over a float view: a flat dot for a single
+    matrix, a stacked 1 x m by m x 1 matmul for a stack.  A non-finite entry
     of a makes both norms non-finite, and so does overflow of the squares;
     neither raises a RuntimeWarning.
     """
-    a_star = a.conj().swapaxes(-1, -2)
-    norms = []
+    h, d = out if out is not None else (np.empty(a.shape, a.dtype), np.empty(a.shape, a.dtype))
     with np.errstate(invalid="ignore", over="ignore"):
-        h = a + a_star
-        for x in (h, a - a_star):
-            row = x.reshape(*x.shape[:-2], 1, -1).view(np.float64)  # (re, im) pairs
-            norms.append(np.sqrt((row @ row.swapaxes(-1, -2))[..., 0, 0]))
-    return h, norms[0], norms[1]
+        np.copyto(d, a.swapaxes(-1, -2))  # a copy, where a strided ufunc would take a buffer
+        np.conjugate(d, out=d)
+        np.add(a, d, out=h)
+        np.subtract(a, d, out=d)
+        if a.ndim == 2:
+            x, y = h.view(np.float64).ravel(), d.view(np.float64).ravel()  # (re, im) pairs
+            return h, math.sqrt(np.dot(x, x)), math.sqrt(np.dot(y, y))
+        rows = [x.reshape(*x.shape[:-2], 1, -1).view(np.float64) for x in (h, d)]
+        return h, *(np.sqrt((x @ x.swapaxes(-1, -2))[..., 0, 0]) for x in rows)
 
 
 def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
@@ -201,7 +206,7 @@ def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
     return "yes", lam_min
 
 
-def psd_screen(stack, tol: Tolerances | None = None) -> bool:
+def psd_screen(stack, tol: Tolerances | None = None, scratch=None) -> bool:
     """True only if psd_report would neither call a matrix of the stack "no" nor raise.
 
     A batched Cholesky of each 2H + 2c I, H = (a + a*) / 2 the Hermitian part
@@ -212,8 +217,9 @@ def psd_screen(stack, tol: Tolerances | None = None) -> bool:
     on a Hermitian deviation above half of psd_report's limit, and when a
     norm is not finite (a non-finite entry, or squares that overflow).
     False proves nothing.  Real stacks stay float64.  The passes: a + a*
-    and a - a* once each, one sum of squares for each of their norms over a
-    float view, c added to the diagonal in place, and the Cholesky.
+    and a - a* once each, into scratch (two arrays like the stack) when
+    given, one sum of squares for each of their norms over a float view, c
+    added to the diagonal in place, and the Cholesky.
     """
     tol = tol or DEFAULT_TOLERANCES
     a = np.asarray(stack)
@@ -221,7 +227,7 @@ def psd_screen(stack, tol: Tolerances | None = None) -> bool:
     n = a.shape[-1]
     if tol.psd_rel < 8 * n * (n + 1) * np.finfo(np.float64).eps:
         return False
-    h, h_norm, skew = _hermitian_parts(a)  # h = 2H
+    h, h_norm, skew = _hermitian_parts(a, scratch)  # h = 2H
     if not np.isfinite(h_norm + skew).all():
         return False
     if np.any(skew > tol.eq_rel * (1.0 + h_norm / 2.0) / 2.0):

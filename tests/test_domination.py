@@ -88,6 +88,51 @@ def per_trial_witness(prob, order, trials, seed):
     return None
 
 
+def block_pair_solutions(maps, field, count, seed, congruence=None):
+    """Reference for _cone_solutions: a fancy-index gather, solve and scatter per size pair.
+
+    Each block of W is gathered as W[:, r, c], solved as inv(L_A) @ vec and
+    scattered back, in fresh arrays per batch; the draw, batch sizes and
+    congruence are those of the oracle.
+    """
+    n = sum(maps.dims)
+    offset = np.cumsum((0,) + maps.dims)
+    inverses = []
+    for rows, cols, la in maps.pairs:
+        r = offset[rows][:, None, None, None] + np.arange(maps.dims[rows[0]])[:, None]
+        c = offset[cols][None, :, None, None] + np.arange(maps.dims[cols[0]])
+        la = la.real if maps.dtype == np.float64 else la
+        inverses.append((r, c, np.linalg.solve(la, np.eye(la.shape[-1]))))
+    s, s_inv, s_star = congruence or (None, None, None)
+    rng = np.random.default_rng(seed)
+    done, batch = 0, 1
+    while done < count:
+        size = min(batch, count - done)
+        z = rng.standard_normal((size, 2 if field == "complex" else 1, n, n))
+        g = (z[:, 0] + 1j * z[:, 1] if field == "complex" else z[:, 0]).astype(maps.dtype)
+        g = g if s_inv is None else s_inv @ g
+        w = g @ g.conj().swapaxes(-1, -2)
+        y = np.empty_like(w)
+        for r, c, inverse in inverses:
+            t = w[:, r, c].swapaxes(-1, -2)  # t[i, k, l].ravel(): vec of block (k, l) of W_i
+            sol = inverse @ t.reshape(*t.shape[:3], -1).transpose(1, 2, 3, 0)
+            y[:, r, c] = sol.transpose(3, 0, 1, 2).reshape(t.shape).swapaxes(-1, -2)
+        y = y if s is None else s @ y @ s_star
+        yield (y + y.conj().swapaxes(-1, -2)) / 2.0
+        done += size
+        batch = min(2 * batch, domination._MAX_BATCH)
+
+
+def oracle_congruence(prob, order, dtype):
+    """(S, inv(S), S*) as domination_oracle builds it, or None without P."""
+    p = prob.spec.similarity
+    if p is None:
+        return None
+    s, s_inv = order.congruence(p, np.linalg.solve(p, np.eye(len(p))))
+    s, s_inv = (s.real.copy(), s_inv.real.copy()) if dtype == np.float64 else (s, s_inv)
+    return s, s_inv, s.conj().T
+
+
 def with_similarity(rng, prob, order=LYAPUNOV):
     """The problem under P = I + 0.3 G / sqrt(n), a well-conditioned similarity.
 
@@ -519,6 +564,21 @@ class TestSampling:
         combo = 0.3 * h1 + 1.7 * h2
         assert is_psd(combo @ a + a.conj().T @ combo) in ("yes", "marginal")
 
+    @pytest.mark.parametrize("count", [20, 200])
+    def test_samples_own_their_memory(self, count):
+        # Each H is copied out of its batch's workspace, which the next batch
+        # of the same size overwrites (200 trials run two batches of 64).
+        rng = np.random.default_rng(12)
+        a = build_A(random_jordan_spec(rng, similarity=True, max_dim=5))
+        hs = sample_lyapunov_solutions(a, count=count, seed=7)
+        assert len(hs) == count
+        assert not any(np.shares_memory(x, y) for k, x in enumerate(hs) for y in hs[k + 1:])
+        maps = domination._PairMaps(LYAPUNOV, [a])
+        expect = [h for batch in block_pair_solutions(maps, "complex", count, 7) for h in batch]
+        for h, want in zip(hs, expect):
+            assert h.dtype == np.complex128
+            np.testing.assert_allclose(h, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
 
 class TestOracle:
     def test_consistent_for_dominator(self):
@@ -554,7 +614,7 @@ class TestOracle:
         spec = random_jordan_spec(rng, field=field, max_dim=6)
         prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
         tested = []
-        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol: False)
+        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None: False)
         monkeypatch.setattr(domination, "psd_report",
                             lambda m, tol: tested.append(m) or ("yes", 1.0))
         assert domination_oracle(prob, trials=200, seed=6, order=order) == ("consistent", None)
@@ -600,7 +660,7 @@ class TestOracle:
         error = (np.linalg.LinAlgError, "PSD test: non-finite entries in the matrix or a + a*")
         assert outcome() == error
         assert any(np.isnan(m).any() for m in seen)
-        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol: False)
+        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None: False)
         assert outcome() == error
 
     @pytest.mark.parametrize("similar", [False, True], ids=["jordan", "similar"])
@@ -618,7 +678,8 @@ class TestOracle:
         dtypes = []
         real = domination.psd_screen
         monkeypatch.setattr(domination, "psd_screen",
-                            lambda stack, tol: dtypes.append(stack.dtype) or real(stack, tol))
+                            lambda stack, tol, scratch=None:
+                            dtypes.append(stack.dtype) or real(stack, tol, scratch))
         refuted = 0
         for seed in range(4):
             element = identity_element(spec) if seed == 0 else random_element(rng, spec)
@@ -687,6 +748,80 @@ class TestOracle:
         expect = per_trial_witness(prob, LYAPUNOV, 1000, 0)
         np.testing.assert_allclose(report.oracle_witness, expect, rtol=0,
                                    atol=1e-12 * np.abs(expect).max())
+
+    def test_solve_plan_matches_block_pair_reference(self):
+        # 200 trials run batches of 1, 2, ..., 64, then 64 and 9; every spec
+        # mixes 1 x 1 blocks with larger ones, so both kinds of size pair
+        # (a product, a stacked matmul) meet in one plan.
+        rng = np.random.default_rng(33)
+        seen = set()
+        for k in range(208):
+            field, order, similar = ("complex", "real")[k % 2], (LYAPUNOV, STEIN)[k // 2 % 2], k // 4 % 2
+            while True:
+                spec = random_jordan_spec(rng, field=field, max_dim=7)
+                dims = [b.dim for b in inner_blocks(spec)]
+                if 1 in dims and max(dims) > 1:
+                    break
+            prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
+            if not similar:
+                prob = LyapunovProblem(JordanSpec(field, prob.spec.eigens), prob.element)
+            maps = _jordan_setup(prob, order)
+            congruence = oracle_congruence(prob, order, maps.dtype)
+            sizes = []
+            for (hs, _), want in zip(domination._cone_solutions(maps, field, 200, k, congruence),
+                                     block_pair_solutions(maps, field, 200, k, congruence),
+                                     strict=True):
+                assert hs.dtype == maps.dtype and hs.shape == want.shape
+                np.testing.assert_allclose(hs, want, rtol=0, atol=1e-12 * np.abs(want).max())
+                sizes.append(len(hs))
+            assert sizes == [1, 2, 4, 8, 16, 32, 64, 64, 9]
+            seen.add((field, order.name, similar))
+        assert len(seen) == 8
+
+    def test_witness_owns_its_data(self):
+        # The witness is copied out of the oracle's workspace: a second call
+        # on the same setup leaves it as it was.
+        for prob, order in ((PICK_NOT_DOMINATED, LYAPUNOV), (STEIN_FLIP, STEIN)):
+            setup = _jordan_setup(prob, order)
+            status, h = domination_oracle(prob, trials=1000, seed=1, order=order, setup=setup)
+            assert status == "violation" and h.base is None
+            kept = h.copy()
+            domination_oracle(prob, trials=1000, seed=2, order=order, setup=setup)
+            np.testing.assert_array_equal(h, kept)
+
+    @pytest.mark.parametrize("case", ["stein-complex-16", "lyapunov-real-32"])
+    def test_traced_peak_of_a_dominator(self, case):
+        # All 1000 trials run.  The bounds are the traced peaks (bytes) of
+        # the per-batch arrays this workspace replaced, on the same calls:
+        # the workspace holds no more than they had alive at once.
+        if case == "stein-complex-16":
+            field, order, bound, seed = "complex", STEIN, 1_735_163, 16
+            eigens = (EigenBlock(0.5 + 0.2j, (3, 2)), EigenBlock(-0.4 + 0.1j, (2, 1, 1)),
+                      EigenBlock(0.3 - 0.5j, (4,)), EigenBlock(0.6j, (1, 1, 1)))
+            coeffs = [(e.eigenvalue ** 2, 2 * e.eigenvalue, 1.0, 0.0) for e in eigens]  # B = A^2
+        else:
+            field, order, bound, seed = "real", LYAPUNOV, 3_753_739, 32
+            eigens = (EigenBlock(1.0 + 0.5j, (2, 2)), EigenBlock(0.7, (3, 2, 1)),
+                      EigenBlock(1.5 + 0.8j, (3, 1)), EigenBlock(2.0, (4,)),
+                      EigenBlock(0.9 + 1.2j, (1, 1, 1)))
+            coeffs = [(0.8 + 0.5 * e.eigenvalue, 0.5, 0.0, 0.0) for e in eigens]  # B = 0.8 + A/2
+        n = JordanSpec(field, eigens).dim
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n))
+        if field == "complex":
+            g = g + 1j * rng.standard_normal((n, n))
+        spec = JordanSpec(field, eigens, np.eye(n) + 0.3 * g / np.sqrt(n))
+        prob = LyapunovProblem(spec, BicommElement(tuple(
+            c[: e.sizes[0]] for c, e in zip(coeffs, eigens))))
+        assert n == (16 if field == "complex" else 32)
+        domination_oracle(prob, trials=20, seed=0, order=order)  # numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            assert domination_oracle(prob, trials=1000, seed=0, order=order)[0] == "consistent"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_positive_scaling_consistent(self):
         rng = np.random.default_rng(10)
