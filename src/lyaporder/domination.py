@@ -8,15 +8,15 @@ reduces to a single PSD test: the composite map
 
 is positive exactly when it is completely positive, i.e. when its Choi
 matrix is PSD.  The same verdict is carried by a much smaller matrix, the
-Hill-Pick matrix: the Hill coefficient matrix of the composite map for the
-canonical block selection that walks down the first block column of each
-eigenvalue's leading Jordan block.  For diagonal A it is the classical Pick
-matrix with entries (conj(t_i) + t_j) / (conj(lam_i) + lam_j).
+Hill-Pick matrix: the composite's Hill matrix for the Toeplitz shift
+factors (each lower shift on the Jordan blocks of one eigenvalue, at the
+selection down the first block column of its leading block).  For diagonal
+A it is the classical Pick matrix (conj(t_i) + t_j) / (conj(lam_i) + lam_j).
 
 Three independent routes are provided and cross-validated: the closed-form
-coefficient pipeline (complex field), the Choi PSD test, and a randomized
-sampling oracle that draws Lyapunov solutions of A and checks them against
-B directly.
+Hill-Pick matrix (complex field; closed_form_matricization reconstructs the
+composite from it), the Choi PSD test, and a randomized sampling oracle
+that draws Lyapunov solutions of A and checks them against B directly.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from .hill import HillRep, reconstruct_map
 from .jordan import (
     BicommElement,
     JordanSpec,
@@ -79,6 +80,13 @@ __all__ = [
 _VERDICT = {"yes": "dominates", "no": "not_dominates", "marginal": "marginal"}
 # Most oracle trials solved at once: a batch holds this many n x n targets.
 _MAX_BATCH = 64
+
+
+def _square(a) -> np.ndarray:
+    am = as_matrix(a)
+    if am.shape[0] != am.shape[1]:
+        raise ValueError("A must be square")
+    return am
 
 
 @dataclass(eq=False)
@@ -165,10 +173,8 @@ class Order:
 
     def matricization(self, a, field: str = "complex") -> StarLinearMap:
         """Matricization of the map X -> cone(X, A)."""
-        am = as_matrix(a)
+        am = _square(a)
         n = am.shape[0]
-        if am.shape != (n, n):
-            raise ValueError("A must be square")
         return StarLinearMap(self.two_sided(am, am), n, n, field)
 
     def regular(self, spec: JordanSpec, tol: Tolerances | None = None) -> bool:
@@ -306,14 +312,15 @@ def hill_pick_coeff(
     if prob.spec.field != "complex":
         raise ValueError("closed-form coefficients are available for the complex field only")
     eigens = prob.spec.eigens
+    for eigen, shift, name in ((eigen_j, shift_i, "shift_i"), (eigen_a, shift_c, "shift_c")):
+        if not 0 <= eigen < len(eigens):
+            raise ValueError(f"eigenvalue index {eigen} out of range for {len(eigens)} eigenvalues")
+        if not 0 <= shift < eigens[eigen].sizes[0]:
+            raise ValueError(f"{name} out of range for eigenvalue {eigen}")
     lam_j = eigens[eigen_j].eigenvalue
     lam_a = eigens[eigen_a].eigenvalue
     t_j = prob.element.coeffs[eigen_j]
     t_a = prob.element.coeffs[eigen_a]
-    if not 0 <= shift_i < eigens[eigen_j].sizes[0]:
-        raise ValueError(f"shift_i out of range for eigenvalue {eigen_j}")
-    if not 0 <= shift_c < eigens[eigen_a].sizes[0]:
-        raise ValueError(f"shift_c out of range for eigenvalue {eigen_a}")
     denom = lam_j + lam_a.conjugate()
     if abs(denom) <= prob.tol.eq_rel * (abs(lam_j) + abs(lam_a)):
         LYAPUNOV.require_regular(prob.spec, prob.tol)  # raises: this pair is singular
@@ -335,48 +342,28 @@ def hill_pick_coeff(
     return total
 
 
-def _coefficient_block(prob: LyapunovProblem, eigen_j: int, shift_i: int) -> np.ndarray:
-    """Block-diagonal coefficient matrix multiplying the shift of eigen_j's blocks."""
-    parts = []
-    for a, e in enumerate(prob.spec.eigens):
-        for s in e.sizes:
-            t = np.zeros((s, s), dtype=np.complex128)
-            for c in range(s):
-                t += hill_pick_coeff(prob, eigen_j, shift_i, a, c) * np.eye(s, k=-c)
-            parts.append(t)
-    return block_diag(*parts)
-
-
 def closed_form_matricization(prob: LyapunovProblem) -> np.ndarray:
-    """Matricization of the composite map assembled from closed-form coefficients.
+    """Matricization of the composite map, reconstructed from the Hill-Pick matrix.
 
-    Built block by block from the Jordan structure (no matrix inversion) and
-    conjugated back through the similarity; must agree with
-    :func:`lyapunov_order_map` to working precision, which is the package's
-    central cross-validation.  Complex field only.
+    The Hill-Pick matrix is the composite's Hill matrix for the Toeplitz shift
+    factors X_(j,i), in upsilon_selection order: the i-th lower shift on every
+    Jordan block of eigenvalue j, moved into A's basis as S X inv(S) with
+    (S, inv(S)) = LYAPUNOV.congruence(P, inv(P)).  Must agree with
+    :func:`lyapunov_order_map` to working precision.  Complex field only.
     """
     spec = prob.spec
     if spec.field != "complex":
         raise ValueError("the closed-form pipeline covers the complex field only")
-    LYAPUNOV.require_regular(spec, prob.tol)
-    coeff_blocks = {
-        (j, i): _coefficient_block(prob, j, i)
-        for j, e in enumerate(spec.eigens)
-        for i in range(e.sizes[0])
-    }
-    parts = []
-    for j, e in enumerate(spec.eigens):
-        for s in e.sizes:
-            r = np.zeros((s * spec.dim, s * spec.dim), dtype=np.complex128)
-            for i in range(s):
-                r += np.kron(np.eye(s, k=-i), coeff_blocks[j, i])
-            parts.append(r)
-    jordan_side = block_diag(*parts)
+    hp = hill_pick_matrix(prob)
+    factors = [block_diag(*(np.eye(s, k=-i) * (a == j) for a, e in enumerate(spec.eigens)
+                            for s in e.sizes))
+               for j, lead in enumerate(spec.eigens) for i in range(lead.sizes[0])]
     p = spec.similarity
-    if p is None:
-        return jordan_side
-    q = kron(p.T, p.conj().T)
-    return np.linalg.solve(q, jordan_side @ q)
+    if p is not None:
+        s, s_inv = LYAPUNOV.congruence(p, np.linalg.solve(p, np.eye(len(p))))
+        factors = [s @ x @ s_inv for x in factors]
+    rep = HillRep(factors, hp.matrix.T, hp.upsilon, False, spec.dim, spec.dim, spec.field)
+    return reconstruct_map(rep).matrix
 
 
 def upsilon_selection(spec: JordanSpec) -> tuple[tuple[int, int], ...]:
@@ -505,7 +492,7 @@ def sample_lyapunov_solutions(
     H A + A* H = W; every returned H is symmetrized and owns its data.  A
     must be Lyapunov regular (the map is inverted directly).
     """
-    maps = _PairMaps(LYAPUNOV, [as_matrix(a)])
+    maps = _PairMaps(LYAPUNOV, [_square(a)])
     return [h.copy() for hs, _ in _cone_solutions(maps, field, int(count), seed) for h in hs]
 
 

@@ -15,7 +15,9 @@ A_k are then a basis of the span of the n x q blocks of the matricization
 and the map is completely positive iff H is positive definite.  Non-minimal
 representations built from a spanning block selection with pinned expansion
 coefficients keep "completely positive iff H PSD" and satisfy
-rank(H) == rank(choi) even when H is singular.
+rank(H) == rank(choi) even when H is singular.  The Hill-Pick matrix is the
+Lyapunov composite's Hill matrix for Toeplitz shift factors;
+domination.closed_form_matricization rebuilds the map from it by reconstruct_map.
 
 Positivity of a map upgrades to complete positivity whenever some vector z
 makes Ahat @ kron(z, I_n) have full row rank (or some x does the same for
@@ -284,14 +286,6 @@ def cp_via_hill(rep: HillRep, tol: Tolerances | None = None) -> str:
 # --------------------------------------------------------------------------
 
 
-def _witness_ok_c1(ahat, z, r, n, tol):
-    return rank_tol(ahat @ np.kron(z.reshape(-1, 1), np.eye(n)), tol) == r
-
-
-def _witness_ok_c2(ahat, x, r, q, tol):
-    return rank_tol(ahat @ np.kron(np.eye(q), x.reshape(-1, 1)), tol) == r
-
-
 def _indicator(spec: JordanSpec, last: bool) -> np.ndarray:
     """Indicator of the first (or last usable) position of every Jordan block.
 
@@ -323,6 +317,30 @@ def _structured_candidate(spec: JordanSpec, kind: str) -> np.ndarray:
     return x0 if p is None else p @ x0
 
 
+def _find_witness(rep: HillRep, kind: str, jordan, trials, seed, tol) -> Optional[np.ndarray]:
+    """Both witness finders: the kind sets the length of v (q or n), the rank
+    bound (n or q) and the evaluation (kron(v, I_n) or kron(I_q, v))."""
+    tol = tol or DEFAULT_TOLERANCES
+    r, n, q = rep.size, rep.out_dim, rep.in_dim
+    length, bound = (q, n) if kind == "c1" else (n, q)
+    if r == 0:
+        return np.zeros(length, dtype=np.complex128)
+    if r > bound:
+        return None
+    ahat = ahat_matrix(rep.factors, n, q)
+    if jordan is not None:
+        candidates = [_structured_candidate(jordan, kind)]
+    else:
+        rng = np.random.default_rng(seed)
+        candidates = (gaussian(rng, length, rep.field) for _ in range(trials))
+    for v in candidates:
+        col = v.reshape(-1, 1)
+        evaluation = np.kron(col, np.eye(n)) if kind == "c1" else np.kron(np.eye(q), col)
+        if rank_tol(ahat @ evaluation, tol) == r:
+            return v
+    return None
+
+
 def find_c1_witness(
     rep: HillRep,
     jordan: JordanSpec | None = None,
@@ -337,21 +355,7 @@ def find_c1_witness(
     otherwise Gaussian vectors are drawn.  Returns None when no candidate
     passes; no witness can exist when r exceeds the output dimension.
     """
-    tol = tol or DEFAULT_TOLERANCES
-    r, n, q = rep.size, rep.out_dim, rep.in_dim
-    if r == 0:
-        return np.zeros(q, dtype=np.complex128)
-    if r > n:
-        return None
-    ahat = ahat_matrix(rep.factors, n, q)
-    if jordan is not None:
-        z = _structured_candidate(jordan, "c1")
-        return z if _witness_ok_c1(ahat, z, r, n, tol) else None
-    rng = np.random.default_rng(seed)
-    for z in (gaussian(rng, q, rep.field) for _ in range(trials)):
-        if _witness_ok_c1(ahat, z, r, n, tol):
-            return z
-    return None
+    return _find_witness(rep, "c1", jordan, trials, seed, tol)
 
 
 def find_c2_witness(
@@ -362,21 +366,7 @@ def find_c2_witness(
     tol: Tolerances | None = None,
 ) -> Optional[np.ndarray]:
     """Mirror of :func:`find_c1_witness` for x with rank(Ahat @ kron(I_q, x)) == r."""
-    tol = tol or DEFAULT_TOLERANCES
-    r, n, q = rep.size, rep.out_dim, rep.in_dim
-    if r == 0:
-        return np.zeros(n, dtype=np.complex128)
-    if r > q:
-        return None
-    ahat = ahat_matrix(rep.factors, n, q)
-    if jordan is not None:
-        x = _structured_candidate(jordan, "c2")
-        return x if _witness_ok_c2(ahat, x, r, q, tol) else None
-    rng = np.random.default_rng(seed)
-    for x in (gaussian(rng, n, rep.field) for _ in range(trials)):
-        if _witness_ok_c2(ahat, x, r, q, tol):
-            return x
-    return None
+    return _find_witness(rep, "c2", jordan, trials, seed, tol)
 
 
 class Certificate(NamedTuple):
@@ -401,10 +391,8 @@ def positivity_equals_cp_certificate(
     """
     tol = tol or DEFAULT_TOLERANCES
     rep = minimal_hill_from_blocks(m, tol)
-    z = find_c1_witness(rep, trials=trials, seed=seed, tol=tol)
-    if z is not None:
-        return Certificate(True, "c1", z)
-    x = find_c2_witness(rep, trials=trials, seed=seed, tol=tol)
-    if x is not None:
-        return Certificate(True, "c2", x)
+    for kind in ("c1", "c2"):
+        v = _find_witness(rep, kind, None, trials, seed, tol)
+        if v is not None:
+            return Certificate(True, kind, v)
     return Certificate(False, None, None)

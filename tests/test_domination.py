@@ -275,6 +275,9 @@ class TestHillPickCoeff:
         prob = diag_problem([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             hill_pick_coeff(prob, 0, 1, 0, 0)
+        for args in ((-1, 0, 0, 0), (0, 0, -1, 0), (2, 0, 0, 0), (0, 0, 2, 0)):
+            with pytest.raises(ValueError, match="eigenvalue index"):
+                hill_pick_coeff(prob, *args)
 
     def test_singular_pair_raises_regularity_error(self):
         prob = diag_problem([1.0, -1.0], [1.0, 1.0])
@@ -332,7 +335,7 @@ class TestHillPickMatrix:
         for _ in range(5):
             spec = random_jordan_spec(rng)  # no similarity: jordan basis
             prob = LyapunovProblem(spec, random_element(rng, spec))
-            big = StarLinearMap(closed_form_matricization(prob), spec.dim, spec.dim)
+            big = lyapunov_order_map(prob)  # built by solves, not from the Hill-Pick matrix
             extracted = hill_at_selection(matricization_blocks(big), upsilon_selection(spec)).T
             assert np.allclose(hill_pick_matrix(prob).matrix, extracted, atol=1e-9)
 
@@ -557,6 +560,11 @@ class TestSampling:
             assert len(short) == k and len(long) == k + m
             for h_short, h_long in zip(short, long):
                 np.testing.assert_allclose(h_short, h_long, rtol=0, atol=1e-12)
+
+    def test_non_square_a_is_an_input_error(self):
+        with pytest.raises(ValueError, match="A must be square") as info:
+            sample_lyapunov_solutions(np.ones((2, 3)), count=1)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
 
     def test_cone_combinations(self):
         a = np.array([[1.0, 1.0], [0.0, 2.0]])

@@ -289,6 +289,17 @@ class TestWitnesses:
         rep = minimal_hill_from_blocks(tm)
         assert find_c1_witness(rep, trials=8, seed=0) is None
 
+    def test_c2_rank_bound_and_empty_witness_lengths(self):
+        # n = 3 outputs, q = 1 input: a c2 witness x has length n and needs r <= q.
+        factors = [np.array([[1.0], [0.0], [0.0]], dtype=complex),
+                   np.array([[0.0], [1.0], [0.0]], dtype=complex)]
+        rep = HillRep(factors, np.eye(2, dtype=complex), ((0, 0), (1, 0)), True, 3, 1)
+        assert find_c2_witness(rep, trials=8, seed=0) is None
+        empty = HillRep([], np.zeros((0, 0), dtype=complex), (), True, 3, 1)
+        for finder, length in ((find_c1_witness, 1), (find_c2_witness, 3)):
+            w = finder(empty)
+            assert w.shape == (length,) and not w.any()
+
 
 class TestCertificate:
     def test_composites_certified(self):
