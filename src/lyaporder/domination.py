@@ -37,7 +37,6 @@ from .jordan import (
     build_A,
     build_bicomm_element,
     eigenvalue_list,
-    from_jordan_basis,
     inner_blocks,
     jordan_blocks,
     leading_blocks,
@@ -161,6 +160,8 @@ class Order:
     scale that eq_rel is relative to.  singular names the vanishing condition.
     For A = P J inv(P), cone(S Y S*, A) = S cone(Y, J) S* with the S of
     congruence(P, inv(P)) = (S, inv(S)): P^{-*} for Lyapunov, P for Stein.
+    cone defines the order and is the tests' reference; the decisions never
+    call it, since the oracle applies the composite map to its targets.
     """
 
     name: str
@@ -225,8 +226,8 @@ class _PairMaps:
 
     pairs holds one (rows, cols, L_A) per pair of block sizes, L_A[k, l]
     acting on block (rows[k], cols[l]).  composite is cone_B o cone_A^{-1}
-    for B = diag(b_blocks), for the Choi route; plan serves the oracle and
-    is float64 (dtype) for the real field, whose blocks are real.
+    for B = diag(b_blocks), for the Choi route and the oracle; plan serves
+    the oracle and is float64 (dtype) for the real field, whose blocks are real.
     """
 
     def __init__(self, order: Order, a_blocks, b_blocks=None, field: str = "complex"):
@@ -240,6 +241,10 @@ class _PairMaps:
     def _two_sided(self, blocks, rows, cols) -> np.ndarray:
         return self.order.two_sided(np.stack([blocks[k] for k in rows])[:, None],
                                     np.stack([blocks[k] for k in cols])[None, :])
+
+    def _group(self, maps: np.ndarray) -> np.ndarray:  # of dtype, flat for 1 x 1 blocks
+        maps = (maps.real if self.dtype == np.float64 else maps).astype(self.dtype, copy=False)
+        return maps.ravel() if maps.shape[-1] == 1 else maps
 
     @cached_property
     def composite(self) -> BlockSeparableMap:
@@ -267,10 +272,15 @@ class _PairMaps:
             perm.append((r * n + c).swapaxes(-1, -2).ravel())
             la = la.real if self.dtype == np.float64 else la
             inverse = np.linalg.solve(la, np.eye(la.shape[-1]))
-            groups.append((start, start + len(perm[-1]),
-                           inverse.ravel() if inverse.shape[-1] == 1 else inverse))
+            groups.append((start, start + len(perm[-1]), self._group(inverse)))
         perm = np.concatenate(perm)
         return perm, np.argsort(perm), groups
+
+    @cached_property
+    def composite_groups(self) -> list[tuple[int, int, np.ndarray]]:
+        """plan's groups with the composite's L_B inv(L_A) in place of inv(L_A)."""
+        return [(start, stop, self._group(maps))
+                for (start, stop, _), (_, _, maps) in zip(self.plan[2], self.composite.pairs)]
 
 
 def _jordan_setup(prob: LyapunovProblem, order: Order) -> _PairMaps:
@@ -422,35 +432,51 @@ def hill_pick_matrix(prob: LyapunovProblem, support_choi=None) -> HillPickMatrix
     return HillPickMatrix(h, sel, offsets, spec.field)
 
 
+def _apply_groups(groups, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each group's matrices on its slice of the gathered vecs v (size, n^2), into out."""
+    for start, stop, maps in groups:
+        if maps.ndim == 1:
+            np.multiply(v[:, start:stop], maps, out=out[:, start:stop])
+        else:  # maps @ vec on (R, C, d_r d_c, size) views
+            shape = (len(v),) + maps.shape[:-1]
+            np.matmul(maps, v[:, start:stop].reshape(shape).transpose(1, 2, 3, 0),
+                      out=out[:, start:stop].reshape(shape).transpose(1, 2, 3, 0))
+    return out
+
+
 def _cone_solutions(
-    maps: _PairMaps, field: str, count: int, seed: int, congruence=None
-) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
+    maps: _PairMaps, field: str, count: int, seed: int, congruence=None, composite: bool = False
+) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]]:
     """Yield batches of Hermitian H with cone(H, A) = W for random PSD targets W = G G*.
 
     With (S, inv(S), S*) = congruence (S = I when None), cone(S Y S*, A) =
     S cone(Y, diag(blocks)) S*: each W becomes inv(S) W inv(S)*, is solved
     block pair by block pair (maps.plan: one gather, a product or a stacked
-    matmul per size pair, one scatter), and maps back as H = S Y S*.
+    matmul per size pair, one scatter), and maps back as H = S Y S*.  With
+    composite the pairs apply L_B inv(L_A) instead (composite_groups), and
+    the batch is cone(H, B) = Phi(W), not symmetrized; no H is formed.
     Everything is of maps.dtype: float64 for the real field, whose G is real.
     Batches hold 1, 2, 4, ..., at most _MAX_BATCH trials: a caller that
     stops at the first trial pays for one small batch, and the cap bounds
     the workspace.  Each batch is one draw from a single default_rng(seed)
     stream, in the order of per-trial gaussian(rng, (n, n), field) draws, so
-    trial k sees the same G however the trials are grouped.  Each stage
-    writes into the next of three (size, n, n) buffers, made anew only when
-    the batch size changes; a batch is yielded with the other two as scratch,
-    all valid only until the next iteration, so a caller that keeps an H
-    copies it.
+    trial k sees the same G however the trials are grouped.  The workspace,
+    made once per call, is four buffers of min(count, _MAX_BATCH) trials:
+    one keeps the gathered targets (size, n^2), for the witness, and each
+    stage writes into the next of the other three.  A batch is yielded with
+    two scratch buffers and its targets, all valid only until the next
+    iteration, so a caller that keeps an H copies it.
     """
     n, k = sum(maps.dims), 2 if field == "complex" else 1
     perm, perm_inverse, groups = maps.plan
+    groups = maps.composite_groups if composite else groups
     s, s_inv, s_star = congruence or (None, None, None)
     rng = np.random.default_rng(seed)
-    done, batch, bufs = 0, 1, []
+    work = np.empty((4, min(count, _MAX_BATCH), n, n), dtype=maps.dtype)
+    done, batch = 0, 1
     while done < count:
         size = min(batch, count - done)
-        if not bufs or len(bufs[0]) != size:
-            bufs = [np.empty((size, n, n), dtype=maps.dtype) for _ in range(3)]
+        targets, *bufs = work[:, :size]
         ring = itertools.cycle(bufs)
         g = next(ring)
         z = g.view(np.float64).reshape(-1)[: size * k * n * n].reshape(size, k, n, n)
@@ -461,24 +487,19 @@ def _cone_solutions(
         g = g if s_inv is None else np.matmul(s_inv, g, out=next(ring))
         g_star = g if maps.dtype == np.float64 else np.conjugate(g, out=next(ring))
         w = np.matmul(g, g_star.swapaxes(-1, -2), out=next(ring)).reshape(size, n * n)
-        v = np.take(w, perm, axis=1, out=next(ring).reshape(size, n * n), mode="clip")
-        y = next(ring).reshape(size, n * n)
-        for start, stop, inverse in groups:
-            if inverse.ndim == 1:
-                np.multiply(v[:, start:stop], inverse, out=y[:, start:stop])
-            else:  # L_A^-1 @ vec on (R, C, d_r d_c, size) views
-                shape = (size,) + inverse.shape[:-1]
-                np.matmul(inverse, v[:, start:stop].reshape(shape).transpose(1, 2, 3, 0),
-                          out=y[:, start:stop].reshape(shape).transpose(1, 2, 3, 0))
+        v = np.take(w, perm, axis=1, out=targets.reshape(size, n * n), mode="clip")
+        y = _apply_groups(groups, v, next(ring).reshape(size, n * n))
         y = np.take(y, perm_inverse, axis=1, out=next(ring).reshape(size, n * n), mode="clip")
         y = y.reshape(size, n, n)
         if s is not None:
             y = np.matmul(np.matmul(s, y, out=next(ring)), s_star, out=next(ring))
-        t = next(ring)
-        np.copyto(t, y.swapaxes(-1, -2))  # a copy, where a strided ufunc would take a buffer
-        y += np.conjugate(t, out=t)
-        y *= 0.5
-        yield y, (t, next(ring))
+        scratch = next(ring), next(ring)
+        if not composite:
+            t = scratch[0]
+            np.copyto(t, y.swapaxes(-1, -2))  # a copy, where a strided ufunc would take a buffer
+            y += np.conjugate(t, out=t)
+            y *= 0.5
+        yield y, scratch, v
         done += size
         batch = min(2 * batch, _MAX_BATCH)
 
@@ -493,7 +514,7 @@ def sample_lyapunov_solutions(
     must be Lyapunov regular (the map is inverted directly).
     """
     maps = _PairMaps(LYAPUNOV, [_square(a)])
-    return [h.copy() for hs, _ in _cone_solutions(maps, field, int(count), seed) for h in hs]
+    return [h.copy() for hs, *_ in _cone_solutions(maps, field, int(count), seed) for h in hs]
 
 
 def _require_trials(trials: int) -> None:
@@ -511,34 +532,38 @@ def domination_oracle(
     the Lyapunov order, H - A H A* for Stein) and tests whether cone(H, B)
     fails the PSD test outright ("no", beyond the tolerance band).  Returns
     ("violation", H) at the first failure, otherwise ("consistent", None);
-    consistency is evidence, not proof.  cone(H, B) is computed a batch at a
-    time.  A batch of two or more that passes one batched Cholesky screen
-    (linalg.psd_screen) holds no "no" trial and is skipped; every other batch
-    is PSD-tested per trial, in order, so the first violation, its witness
-    and any NotHermitianError are those of a per-trial loop.  Real-field
-    trials run in float64 (setup.dtype); the witness is complex128 either
-    way.  setup is this order's _jordan_setup, built when not given.  A must
-    be regular for the order, trials >= 1.
+    consistency is evidence, not proof.  cone(H, B) = Phi(W), Phi the
+    composite cone_B o cone_A^{-1}, is computed a batch at a time straight
+    from the targets W: no H and no dense B is formed.  A batch of two or
+    more that passes one batched Cholesky screen (linalg.psd_screen) holds
+    no "no" trial and is skipped; every other batch is PSD-tested per
+    trial, in order, so the first violation, its witness (pulled back from
+    that trial's target through inv(L_A)) and any NotHermitianError are
+    those of a per-trial loop.  Real-field trials run in float64 (setup.dtype);
+    the witness is complex128 either way.  setup is this order's
+    _jordan_setup, built when not given.  A must be regular for the order,
+    trials >= 1.
     """
     _require_trials(trials)
     spec = prob.spec
     setup = _jordan_setup(prob, order) if setup is None else setup
-    real = setup.dtype == np.float64  # B, S and inv(S) are real: keep float64 copies
-    b = from_jordan_basis(spec, block_diag(*setup.b_blocks))
-    b = b.real.copy() if real else b
     p, congruence = spec.similarity, None
-    if p is not None:
+    if p is not None:  # real S and inv(S) for the real field: float64 copies
         s, s_inv = order.congruence(p, np.linalg.solve(p, np.eye(len(p))))
-        s, s_inv = (s.real.copy(), s_inv.real.copy()) if real else (s, s_inv)
+        s, s_inv = (s.real.copy(), s_inv.real.copy()) if setup.dtype == np.float64 else (s, s_inv)
         congruence = s, s_inv, s.conj().T
-    for hs, scratch in _cone_solutions(setup, spec.field, int(trials), seed, congruence):
-        cones = order.cone(hs, b)
+    batches = _cone_solutions(setup, spec.field, int(trials), seed, congruence, composite=True)
+    for cones, scratch, targets in batches:
         if len(cones) > 1 and psd_screen(cones, prob.tol, scratch):
             continue
-        for h, cone in zip(hs, cones):
+        for cone, target in zip(cones, targets):
             verdict, _ = psd_report(cone, prob.tol)
-            if verdict == "no":  # a copy: hs is the next batch's workspace
-                return "violation", h.astype(np.complex128)
+            if verdict == "no":  # this trial's H, pulled back from its target
+                _, perm_inverse, inverses = setup.plan
+                h = _apply_groups(inverses, target[None], np.empty_like(target[None]))
+                h = h[0, perm_inverse].reshape(cone.shape)
+                h = h if congruence is None else congruence[0] @ h @ congruence[2]
+                return "violation", ((h + h.conj().T) * 0.5).astype(np.complex128)
     return "consistent", None
 
 

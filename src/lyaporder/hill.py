@@ -319,10 +319,14 @@ def _structured_candidate(spec: JordanSpec, kind: str) -> np.ndarray:
 
 def _find_witness(rep: HillRep, kind: str, jordan, trials, seed, tol) -> Optional[np.ndarray]:
     """Both witness finders: the kind sets the length of v (q or n), the rank
-    bound (n or q) and the evaluation (kron(v, I_n) or kron(I_q, v))."""
+    bound (n or q) and the evaluation (kron(v, I_n) or kron(I_q, v)).
+    Jordan data must have the witness's length as its dimension."""
     tol = tol or DEFAULT_TOLERANCES
     r, n, q = rep.size, rep.out_dim, rep.in_dim
     length, bound = (q, n) if kind == "c1" else (n, q)
+    if jordan is not None and jordan.dim != length:
+        raise ValueError(f"Jordan data of dimension {jordan.dim} do not match "
+                         f"the {kind} witness length {length}")
     if r == 0:
         return np.zeros(length, dtype=np.complex128)
     if r > bound:

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tracemalloc
 
@@ -79,13 +78,20 @@ def per_trial_solutions(prob, order, trials, seed):
         yield (h + h.conj().T) / 2.0
 
 
-def per_trial_witness(prob, order, trials, seed):
-    """Reference oracle: one target, one solve and one PSD test per trial."""
+def per_trial_violation(prob, order, trials, seed):
+    """Reference oracle: one target, one solve and one PSD test per trial.
+
+    Returns (trial index, H) of the first violation, or (None, None).
+    """
     b = build_bicomm_element(prob.spec, prob.element)
-    for h in per_trial_solutions(prob, order, trials, seed):
+    for k, h in enumerate(per_trial_solutions(prob, order, trials, seed)):
         if psd_report(order.cone(h, b), prob.tol)[0] == "no":
-            return h
-    return None
+            return k, h
+    return None, None
+
+
+def per_trial_witness(prob, order, trials, seed):
+    return per_trial_violation(prob, order, trials, seed)[1]
 
 
 def block_pair_solutions(maps, field, count, seed, congruence=None):
@@ -121,6 +127,39 @@ def block_pair_solutions(maps, field, count, seed, congruence=None):
         yield (y + y.conj().swapaxes(-1, -2)) / 2.0
         done += size
         batch = min(2 * batch, domination._MAX_BATCH)
+
+
+def faulty_cones(fault):
+    """_cone_solutions with fault applied in place to each cone stack of two or more."""
+    real = domination._cone_solutions
+
+    def cone_solutions(*args, **kwargs):
+        for cones, scratch, targets in real(*args, **kwargs):
+            if len(cones) > 1:
+                fault(cones)
+            yield cones, scratch, targets
+
+    return cone_solutions
+
+
+def mixed_block_problems():
+    """(k, field, order, similar, problem) for the 208 solve-plan specs.
+
+    Fields, orders and P alternate with k; every spec mixes 1 x 1 Jordan
+    blocks with larger ones.
+    """
+    rng = np.random.default_rng(33)
+    for k in range(208):
+        field, order, similar = ("complex", "real")[k % 2], (LYAPUNOV, STEIN)[k // 2 % 2], k // 4 % 2
+        while True:
+            spec = random_jordan_spec(rng, field=field, max_dim=7)
+            dims = [b.dim for b in inner_blocks(spec)]
+            if 1 in dims and max(dims) > 1:
+                break
+        prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
+        if not similar:
+            prob = LyapunovProblem(JordanSpec(field, prob.spec.eigens), prob.element)
+        yield k, field, order, similar, prob
 
 
 def oracle_congruence(prob, order, dtype):
@@ -495,8 +534,8 @@ class TestCheckDomination:
 
     def test_decisions_build_pair_maps_once(self, monkeypatch):
         # One setup per decision: A's pair maps are built once, B's once (for
-        # the composite), and the only dense matrix built from the Jordan
-        # blocks is B in the P basis, for the oracle's cone test.
+        # the composite, which the Choi route and the oracle share), and no
+        # dense matrix is built from the Jordan blocks.
         built, two_sided, dense = [], [], []
 
         class CountingPairMaps(domination._PairMaps):
@@ -530,7 +569,7 @@ class TestCheckDomination:
             groups = len({b.dim for b in inner_blocks(prob.spec)}) ** 2
             assert built == [order.name]
             assert two_sided == [False] * groups + [True] * groups
-            assert dense == [len(inner_blocks(prob.spec))]
+            assert dense == []
 
 
 class TestSampling:
@@ -624,7 +663,7 @@ class TestOracle:
         tested = []
         monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None: False)
         monkeypatch.setattr(domination, "psd_report",
-                            lambda m, tol: tested.append(m) or ("yes", 1.0))
+                            lambda m, tol: tested.append(m.copy()) or ("yes", 1.0))
         assert domination_oracle(prob, trials=200, seed=6, order=order) == ("consistent", None)
         b = build_bicomm_element(prob.spec, prob.element)
         expect = np.array([order.cone(h, b) for h in per_trial_solutions(prob, order, 200, 6)])
@@ -632,35 +671,29 @@ class TestOracle:
         np.testing.assert_allclose(np.array(tested), expect, rtol=0,
                                    atol=1e-12 * np.abs(expect).max())
 
-    def test_screened_batches_keep_the_hermitian_check(self):
+    def test_screened_batches_keep_the_hermitian_check(self, monkeypatch):
         # The last cone of each batch of two or more is skewed beyond eq_rel
         # while its Hermitian part stays positive definite, so only the
         # screen's own Hermitian check sends it on to psd_report.
-        def skewed(h, m):
-            cone = LYAPUNOV.cone(h, m)
-            if len(cone) > 1:
-                cone[-1] += 1e-6 * np.triu(cone[-1], 1)
-            return cone
+        def skew(cones):
+            cones[-1] += 1e-6 * np.triu(cones[-1], 1)
 
-        order = dataclasses.replace(LYAPUNOV, cone=skewed)
+        monkeypatch.setattr(domination, "_cone_solutions", faulty_cones(skew))
         with pytest.raises(NotHermitianError):
-            domination_oracle(B_IS_IDENTITY, trials=10, seed=0, order=order)
+            domination_oracle(B_IS_IDENTITY, trials=10, seed=0)
 
     def test_nan_cone_is_tested_as_per_trial(self, monkeypatch):
-        def with_nan(h, m):
-            cone = LYAPUNOV.cone(h, m)
-            if len(cone) > 1:
-                cone[-1, 1, 0] = np.nan
-            return cone
+        def with_nan(cones):
+            cones[-1, 1, 0] = np.nan
 
-        order = dataclasses.replace(LYAPUNOV, cone=with_nan)
+        monkeypatch.setattr(domination, "_cone_solutions", faulty_cones(with_nan))
         seen = []
         real = domination.psd_report
         monkeypatch.setattr(domination, "psd_report", lambda m, tol: seen.append(m) or real(m, tol))
 
         def outcome():
             try:
-                status, h = domination_oracle(B_IS_IDENTITY, trials=10, seed=0, order=order)
+                status, h = domination_oracle(B_IS_IDENTITY, trials=10, seed=0)
             except ValueError as exc:  # LinAlgError and NotHermitianError included
                 return type(exc), str(exc)
             return status, None if h is None else h.tobytes()
@@ -761,22 +794,12 @@ class TestOracle:
         # 200 trials run batches of 1, 2, ..., 64, then 64 and 9; every spec
         # mixes 1 x 1 blocks with larger ones, so both kinds of size pair
         # (a product, a stacked matmul) meet in one plan.
-        rng = np.random.default_rng(33)
         seen = set()
-        for k in range(208):
-            field, order, similar = ("complex", "real")[k % 2], (LYAPUNOV, STEIN)[k // 2 % 2], k // 4 % 2
-            while True:
-                spec = random_jordan_spec(rng, field=field, max_dim=7)
-                dims = [b.dim for b in inner_blocks(spec)]
-                if 1 in dims and max(dims) > 1:
-                    break
-            prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
-            if not similar:
-                prob = LyapunovProblem(JordanSpec(field, prob.spec.eigens), prob.element)
+        for k, field, order, similar, prob in mixed_block_problems():
             maps = _jordan_setup(prob, order)
             congruence = oracle_congruence(prob, order, maps.dtype)
             sizes = []
-            for (hs, _), want in zip(domination._cone_solutions(maps, field, 200, k, congruence),
+            for (hs, *_), want in zip(domination._cone_solutions(maps, field, 200, k, congruence),
                                      block_pair_solutions(maps, field, 200, k, congruence),
                                      strict=True):
                 assert hs.dtype == maps.dtype and hs.shape == want.shape
@@ -785,6 +808,34 @@ class TestOracle:
             assert sizes == [1, 2, 4, 8, 16, 32, 64, 64, 9]
             seen.add((field, order.name, similar))
         assert len(seen) == 8
+
+    def test_oracle_cones_match_block_pair_reference(self):
+        # The oracle's cone stacks are Phi(W), formed from the targets by the
+        # composite without any H: each must be cone(H, B) of the reference
+        # H, on every batch of 200 trials.  A violation past the first batch
+        # must still return the per-trial witness, pulled back from its own
+        # target.
+        seen, late = set(), 0
+        for k, field, order, similar, prob in mixed_block_problems():
+            maps = _jordan_setup(prob, order)
+            congruence = oracle_congruence(prob, order, maps.dtype)
+            b = build_bicomm_element(prob.spec, prob.element)
+            for (cones, _, targets), hs in zip(
+                    domination._cone_solutions(maps, field, 200, k, congruence, composite=True),
+                    block_pair_solutions(maps, field, 200, k, congruence), strict=True):
+                want = order.cone(hs, b)
+                assert cones.dtype == maps.dtype and cones.shape == want.shape
+                assert targets.shape == (len(hs), prob.spec.dim ** 2)
+                np.testing.assert_allclose(cones, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            index, expect = per_trial_violation(prob, order, 200, k)
+            if index is not None and index > 0:
+                status, h = domination_oracle(prob, trials=200, seed=k, order=order, setup=maps)
+                assert status == "violation"
+                np.testing.assert_allclose(h, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+                late += 1
+            seen.add((field, order.name, similar))
+        assert len(seen) == 8
+        assert late > 0
 
     def test_witness_owns_its_data(self):
         # The witness is copied out of the oracle's workspace: a second call

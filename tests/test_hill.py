@@ -300,6 +300,15 @@ class TestWitnesses:
             w = finder(empty)
             assert w.shape == (length,) and not w.any()
 
+    def test_jordan_dimension_mismatch_is_named(self):
+        # A 3 x 3 map with 2 x 2 Jordan data: both kinds name the mismatch
+        # instead of failing inside a matrix product.
+        rep = HillRep([np.eye(3, dtype=complex)], np.eye(1, dtype=complex), ((0, 0),), True, 3, 3)
+        spec = JordanSpec("complex", (EigenBlock(1.0, (2,)),))
+        for finder, kind in ((find_c1_witness, "c1"), (find_c2_witness, "c2")):
+            with pytest.raises(ValueError, match=f"dimension 2 do not match the {kind} witness length 3"):
+                finder(rep, jordan=spec)
+
 
 class TestCertificate:
     def test_composites_certified(self):
