@@ -2,21 +2,18 @@
 
 The package decides whether B Lyapunov dominates A (every Hermitian H with
 H A + A* H PSD also has H B + B* H PSD) for Lyapunov-regular A given by its
-Jordan data and B in the bicommutant of A, via Choi matrices, Hill
-representations and the Hill-Pick matrix, cross-validated by a sampling
-oracle.  The ``lyapctl`` command line wraps the same pipelines.
+Jordan data and B in the bicommutant of A, via the Hill-Pick matrix,
+cross-validated by the Choi matrix of the composite map and a sampling
+oracle.  The ``lyapctl`` command line wraps the same pipelines.  The
+package exports what those pipelines call; the submodules hold the rest.
 """
 
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    canonical_shuffle,
-    is_psd,
     kron,
     psd_report,
     rank_tol,
-    unvec,
-    vec,
 )
 from .jordan import (
     BicommElement,
@@ -27,32 +24,9 @@ from .jordan import (
     build_bicomm_jordan,
     build_JA,
     check_bicomm_membership,
-    extract_bicomm_coeffs,
 )
-from .starmaps import (
-    StarLinearMap,
-    apply_map,
-    choi_matrix,
-    compose,
-    identity_map,
-    is_completely_positive,
-    is_star_linear,
-    kraus_map,
-    map_from_choi,
-    positivity_sample_test,
-)
-from .hill import (
-    HillRep,
-    ahat_matrix,
-    cp_via_hill,
-    find_c1_witness,
-    find_c2_witness,
-    hill_from_choi,
-    minimal_hill_from_blocks,
-    nonminimal_hill,
-    positivity_equals_cp_certificate,
-    reconstruct_map,
-)
+from .starmaps import StarLinearMap, choi_matrix, is_star_linear
+from .hill import HillRep, minimal_hill_from_blocks, nonminimal_hill
 from .domination import (
     LYAPUNOV,
     STEIN,
@@ -61,19 +35,47 @@ from .domination import (
     LyapunovProblem,
     Order,
     check_domination,
-    closed_form_matricization,
     domination_oracle,
-    hill_pick_coeff,
     hill_pick_matrix,
-    is_lyapunov_regular,
-    is_stein_regular,
-    lyapunov_matricization,
     lyapunov_order_map,
-    sample_lyapunov_solutions,
     stein_domination,
-    stein_matricization,
     stein_order_map,
     upsilon_selection,
 )
 
-__version__ = "0.1.0"
+__all__ = [
+    "DEFAULT_TOLERANCES",
+    "Tolerances",
+    "kron",
+    "psd_report",
+    "rank_tol",
+    "BicommElement",
+    "EigenBlock",
+    "JordanSpec",
+    "build_A",
+    "build_bicomm_element",
+    "build_bicomm_jordan",
+    "build_JA",
+    "check_bicomm_membership",
+    "StarLinearMap",
+    "choi_matrix",
+    "is_star_linear",
+    "HillRep",
+    "minimal_hill_from_blocks",
+    "nonminimal_hill",
+    "LYAPUNOV",
+    "STEIN",
+    "DominationReport",
+    "HillPickMatrix",
+    "LyapunovProblem",
+    "Order",
+    "check_domination",
+    "domination_oracle",
+    "hill_pick_matrix",
+    "lyapunov_order_map",
+    "stein_domination",
+    "stein_order_map",
+    "upsilon_selection",
+]
+
+__version__ = "0.2.0"

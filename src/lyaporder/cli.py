@@ -113,6 +113,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
+    return value
+
+
 def _tolerances_from_flags(args) -> dict[str, float]:
     flags = {"rank_rel": args.tol_rank, "psd_rel": args.tol_psd, "eq_rel": args.tol_eq}
     return {name: value for name, value in flags.items() if value is not None}
@@ -121,7 +128,9 @@ def _tolerances_from_flags(args) -> dict[str, float]:
 def _add_common_flags(sub):
     sub.add_argument("path", help="problem file (JSON)")
     sub.add_argument("--json", action="store_true", help="emit one JSON object")
-    sub.add_argument("--precision", type=int, default=12, help="significant digits (default 12)")
+    sub.add_argument(
+        "--precision", type=nonnegative_int, default=12, help="significant digits (default 12)"
+    )
     sub.add_argument("--tol-rank", type=float, default=None, help="override rank_rel")
     sub.add_argument("--tol-psd", type=float, default=None, help="override psd_rel")
     sub.add_argument("--tol-eq", type=float, default=None, help="override eq_rel")
@@ -136,7 +145,9 @@ def _build_parser() -> _Parser:
     check.add_argument(
         "--oracle-trials", type=positive_int, default=1000, help="oracle sample count"
     )
-    check.add_argument("--seed", type=int, default=None, help="override the file's seed")
+    check.add_argument(
+        "--seed", type=nonnegative_int, default=None, help="override the file's seed"
+    )
     check.add_argument(
         "--verbose",
         action="store_true",
@@ -166,7 +177,9 @@ def _build_parser() -> _Parser:
     verify = subs.add_parser("verify", help="sampling oracle only")
     _add_common_flags(verify)
     verify.add_argument("--trials", type=positive_int, default=1000, help="oracle sample count")
-    verify.add_argument("--seed", type=int, default=None, help="override the file's seed")
+    verify.add_argument(
+        "--seed", type=nonnegative_int, default=None, help="override the file's seed"
+    )
 
     return parser
 

@@ -13,10 +13,12 @@ factors (each lower shift on the Jordan blocks of one eigenvalue, at the
 selection down the first block column of its leading block).  For diagonal
 A it is the classical Pick matrix (conj(t_i) + t_j) / (conj(lam_i) + lam_j).
 
-Three independent routes are provided and cross-validated: the closed-form
-Hill-Pick matrix (complex field; closed_form_matricization reconstructs the
-composite from it), the Choi PSD test, and a randomized sampling oracle
-that draws Lyapunov solutions of A and checks them against B directly.
+Three routes are provided and cross-validated: the Hill-Pick matrix
+(closed form over the complex field), the Choi PSD test, and a randomized
+sampling oracle that draws Lyapunov solutions of A and checks them against
+B directly.  Over the real field the Hill-Pick matrix is a principal
+submatrix of the support Choi matrix, so there it is not an independent
+route.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .hill import HillRep, reconstruct_map
 from .jordan import (
     BicommElement,
     JordanSpec,
@@ -46,7 +47,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     as_matrix,
-    block_diag,
+    block_diag,  # unused: a test patches it here to show no decision builds a dense J
     kron,
     psd_report,
     psd_screen,
@@ -62,8 +63,6 @@ __all__ = [
     "DominationReport",
     "lyapunov_matricization",
     "lyapunov_order_map",
-    "closed_form_matricization",
-    "hill_pick_coeff",
     "upsilon_selection",
     "hill_pick_matrix",
     "check_domination",
@@ -309,73 +308,6 @@ def stein_order_map(prob: LyapunovProblem) -> StarLinearMap:
     return _order_map(prob, STEIN)
 
 
-def hill_pick_coeff(
-    prob: LyapunovProblem, eigen_j: int, shift_i: int, eigen_a: int, shift_c: int
-) -> complex:
-    """Closed-form coefficient of the composite map's Toeplitz expansion.
-
-    This is the scalar weight of the shift_c-th subdiagonal of the blocks of
-    eigenvalue eigen_a inside the shift_i-th coefficient matrix of eigenvalue
-    eigen_j; the Hill-Pick matrix is assembled from these numbers.  Complex
-    field only; the pair (lam_j, lam_a) must be Lyapunov regular.
-    """
-    if prob.spec.field != "complex":
-        raise ValueError("closed-form coefficients are available for the complex field only")
-    eigens = prob.spec.eigens
-    for eigen, shift, name in ((eigen_j, shift_i, "shift_i"), (eigen_a, shift_c, "shift_c")):
-        if not 0 <= eigen < len(eigens):
-            raise ValueError(f"eigenvalue index {eigen} out of range for {len(eigens)} eigenvalues")
-        if not 0 <= shift < eigens[eigen].sizes[0]:
-            raise ValueError(f"{name} out of range for eigenvalue {eigen}")
-    lam_j = eigens[eigen_j].eigenvalue
-    lam_a = eigens[eigen_a].eigenvalue
-    t_j = prob.element.coeffs[eigen_j]
-    t_a = prob.element.coeffs[eigen_a]
-    denom = lam_j + lam_a.conjugate()
-    if abs(denom) <= prob.tol.eq_rel * (abs(lam_j) + abs(lam_a)):
-        LYAPUNOV.require_regular(prob.spec, prob.tol)  # raises: this pair is singular
-    total = 0.0 + 0.0j
-    for d in range(shift_c + 1):
-        total += (
-            comb(d + shift_i, d)
-            * (-1) ** (d + shift_i)
-            * t_a[shift_c - d].conjugate()
-            / denom ** (d + shift_i + 1)
-        )
-    for l in range(shift_i + 1):
-        total += (
-            comb(shift_c + shift_i - l, shift_c)
-            * (-1) ** (shift_i - l + shift_c)
-            * t_j[l]
-            / denom ** (shift_c + shift_i - l + 1)
-        )
-    return total
-
-
-def closed_form_matricization(prob: LyapunovProblem) -> np.ndarray:
-    """Matricization of the composite map, reconstructed from the Hill-Pick matrix.
-
-    The Hill-Pick matrix is the composite's Hill matrix for the Toeplitz shift
-    factors X_(j,i), in upsilon_selection order: the i-th lower shift on every
-    Jordan block of eigenvalue j, moved into A's basis as S X inv(S) with
-    (S, inv(S)) = LYAPUNOV.congruence(P, inv(P)).  Must agree with
-    :func:`lyapunov_order_map` to working precision.  Complex field only.
-    """
-    spec = prob.spec
-    if spec.field != "complex":
-        raise ValueError("the closed-form pipeline covers the complex field only")
-    hp = hill_pick_matrix(prob)
-    factors = [block_diag(*(np.eye(s, k=-i) * (a == j) for a, e in enumerate(spec.eigens)
-                            for s in e.sizes))
-               for j, lead in enumerate(spec.eigens) for i in range(lead.sizes[0])]
-    p = spec.similarity
-    if p is not None:
-        s, s_inv = LYAPUNOV.congruence(p, np.linalg.solve(p, np.eye(len(p))))
-        factors = [s @ x @ s_inv for x in factors]
-    rep = HillRep(factors, hp.matrix.T, hp.upsilon, False, spec.dim, spec.dim, spec.field)
-    return reconstruct_map(rep).matrix
-
-
 def upsilon_selection(spec: JordanSpec) -> tuple[tuple[int, int], ...]:
     """Canonical block selection: first block column of each eigenvalue's leading block.
 
@@ -391,8 +323,13 @@ def hill_pick_matrix(prob: LyapunovProblem, support_choi=None) -> HillPickMatrix
     """The Hill-Pick matrix: the composite map's Hill matrix at upsilon_selection.
 
     Over the complex field it is assembled from closed-form coefficients:
-    block (i, j) has entries f[j, b | i, a] = hill_pick_coeff(j, b, i, a) for
-    a, b ranging over the leading block sizes.  Over the real field it is
+    with d = lam_j + conj(lam_i), entry ((i, a), (j, b)), for shifts a, b
+    below the leading block sizes of eigenvalues i and j, is
+
+        sum_{k <= a} (-1)^(k+b) C(k+b, k) conj(t_i[a-k]) / d^(k+b+1)
+      + sum_{l <= b} (-1)^(a+b-l) C(a+b-l, a) t_j[l] / d^(a+b-l+1).
+
+    Over the real field it is
     the principal submatrix of the Jordan-basis support Choi matrix at the
     selection, whose entry (row, col) sits at Choi index (col, row); a caller
     that holds that matrix (choi_matrix of the Lyapunov setup's composite,
@@ -406,7 +343,7 @@ def hill_pick_matrix(prob: LyapunovProblem, support_choi=None) -> HillPickMatrix
     sel = upsilon_selection(spec)
     # Each eigenvalue's slice starts at its diagonal block position.
     offsets = tuple(k for k, (row, col) in enumerate(sel) if row == col)
-    if spec.field == "complex":  # entry ((i, a), (j, b)) is hill_pick_coeff(j, b, i, a)
+    if spec.field == "complex":
         sizes = [blk.size for blk in leading_blocks(spec)]
         top, eig = max(sizes), np.repeat(np.arange(len(sizes)), sizes)
         t = np.array([row + (0,) * (top - len(row)) for row in prob.element.coeffs])
@@ -416,7 +353,7 @@ def hill_pick_matrix(prob: LyapunovProblem, support_choi=None) -> HillPickMatrix
         shift = np.concatenate([np.arange(k) for k in sizes])
         a, b = shift[:, None], shift
         h = np.zeros(denom.shape, dtype=np.complex128)
-        for d in range(top):  # the two sums of hill_pick_coeff, masked past each shift
+        for d in range(top):  # the two sums, masked past each shift
             h += np.where(d <= a, binom[d + b, d] * t[eig, shift - d].conj()[:, None]
                           / denom ** (d + b + 1), 0.0)
         for l in range(top):
@@ -577,6 +514,13 @@ def check_domination(
     alongside, and the two agree on every non-marginal problem (a
     disagreement indicates a bug, not a borderline instance).  The sampling
     oracle provides an independent witness when domination fails.
+
+    Two limits: methods_agree is true by definition whenever either route
+    reads "marginal", which the support Choi matrix (of rank the Hill-Pick
+    size) does on dominators with a Jordan block of size > 1 or an
+    eigenvalue with two or more blocks; and over the real field the
+    Hill-Pick matrix is a principal submatrix of the support Choi matrix,
+    so it is not an independent route there.
     """
     _require_trials(oracle_trials)
     tol = prob.tol

@@ -1,4 +1,4 @@
-"""Hill representations of *-linear maps and the witness machinery built on them.
+"""Hill representations of *-linear maps, and the closed-form rank witness.
 
 A Hill representation writes a *-linear map as
 
@@ -16,51 +16,32 @@ and the map is completely positive iff H is positive definite.  Non-minimal
 representations built from a spanning block selection with pinned expansion
 coefficients keep "completely positive iff H PSD" and satisfy
 rank(H) == rank(choi) even when H is singular.  The Hill-Pick matrix is the
-Lyapunov composite's Hill matrix for Toeplitz shift factors;
-domination.closed_form_matricization rebuilds the map from it by reconstruct_map.
+Lyapunov composite's Hill matrix for Toeplitz shift factors.
 
 Positivity of a map upgrades to complete positivity whenever some vector z
 makes Ahat @ kron(z, I_n) have full row rank (or some x does the same for
 Ahat @ kron(I_q, x)).  For maps whose block span sits inside a triangular
 Toeplitz algebra attached to Jordan data, such witnesses exist in closed
-form: an indicator of the first (respectively last) position of every Jordan
-block, transported through the similarity.
+form (_structured_candidate): an indicator of the first (respectively last)
+position of every Jordan block, transported through the similarity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .jordan import JordanSpec, inner_blocks
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    frob,
-    gaussian,
-    is_psd,
-    kron,
-    rank_tol,
-    vec,
-)
+from .linalg import DEFAULT_TOLERANCES, Tolerances, rank_tol
 from .starmaps import StarLinearMap, choi_matrix, is_star_linear
 
 __all__ = [
     "HillRep",
-    "Certificate",
-    "ahat_matrix",
     "matricization_blocks",
     "hill_at_selection",
     "minimal_hill_from_blocks",
     "nonminimal_hill",
-    "hill_from_choi",
-    "reconstruct_map",
-    "cp_via_hill",
-    "find_c1_witness",
-    "find_c2_witness",
-    "positivity_equals_cp_certificate",
 ]
 
 
@@ -79,13 +60,6 @@ class HillRep:
     @property
     def size(self) -> int:
         return len(self.factors)
-
-
-def ahat_matrix(factors, n: int, q: int) -> np.ndarray:
-    """Stack vec(A_k)* as rows; full row rank for any valid representation."""
-    if not factors:
-        return np.zeros((0, n * q), dtype=np.complex128)
-    return np.array([vec(a).conj() for a in factors])
 
 
 def matricization_blocks(m: StarLinearMap) -> np.ndarray:
@@ -227,62 +201,8 @@ def nonminimal_hill(
     return HillRep(factors, h, tuple(selection), minimal, n, q, m.field)
 
 
-def hill_from_choi(m: StarLinearMap, ahat, tol: Tolerances | None = None) -> np.ndarray:
-    """Recover H from the Choi matrix for a given full-row-rank Ahat.
-
-    Solves choi == Ahat* @ H.T @ Ahat via H.T = inv(Ahat Ahat*) Ahat choi
-    Ahat* inv(Ahat Ahat*), then verifies the factorization; a failure means
-    ker(Ahat) is not contained in ker(choi).
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    _require_star_linear(m, tol)
-    a = np.asarray(ahat, dtype=np.complex128)
-    r = a.shape[0]
-    if rank_tol(a, tol) != r:
-        raise ValueError("Ahat must have full row rank")
-    c = choi_matrix(m)
-    gram = a @ a.conj().T
-    middle = a @ c @ a.conj().T
-    # gram is Hermitian positive definite, so gram^{-H} == gram^{-1}.
-    ht = np.linalg.solve(gram, np.linalg.solve(gram, middle.conj().T).conj().T)
-    residual = float(np.linalg.norm(a.conj().T @ ht @ a - c))
-    if residual > tol.eq_rel * (1.0 + frob(c)):
-        raise ValueError(
-            f"Choi matrix is not supported on the row space of Ahat (residual {residual:.3e})"
-        )
-    return ht.T
-
-
-def reconstruct_map(rep: HillRep) -> StarLinearMap:
-    """Assemble the matricization sum_{k,l} H[k,l] * kron(conj(A_k), A_l)."""
-    n, q = rep.out_dim, rep.in_dim
-    m = np.zeros((n * n, q * q), dtype=np.complex128)
-    for k, ak in enumerate(rep.factors):
-        for l, al in enumerate(rep.factors):
-            coeff = rep.hill[k, l]
-            if coeff != 0:
-                m += coeff * kron(ak.conj(), al)
-    return StarLinearMap(m, n, q, rep.field)
-
-
-def cp_via_hill(rep: HillRep, tol: Tolerances | None = None) -> str:
-    """Complete positivity verdict from the Hill matrix alone.
-
-    PSD test of H; for a minimal representation a "yes" additionally needs H
-    of full rank (positive definiteness), otherwise the verdict degrades to
-    "marginal".
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    if rep.size == 0:
-        return "yes"
-    verdict = is_psd(rep.hill, tol)
-    if rep.minimal and verdict == "yes" and rank_tol(rep.hill, tol) < rep.size:
-        return "marginal"
-    return verdict
-
-
 # --------------------------------------------------------------------------
-# Witness search: vectors making the bilinear evaluation of Ahat surjective.
+# Closed-form witness: a vector making the bilinear evaluation of Ahat surjective.
 # --------------------------------------------------------------------------
 
 
@@ -315,88 +235,3 @@ def _structured_candidate(spec: JordanSpec, kind: str) -> np.ndarray:
         return v.conj()
     x0 = _indicator(spec, last=True)
     return x0 if p is None else p @ x0
-
-
-def _find_witness(rep: HillRep, kind: str, jordan, trials, seed, tol) -> Optional[np.ndarray]:
-    """Both witness finders: the kind sets the length of v (q or n), the rank
-    bound (n or q) and the evaluation (kron(v, I_n) or kron(I_q, v)).
-    Jordan data must have the witness's length as its dimension."""
-    tol = tol or DEFAULT_TOLERANCES
-    r, n, q = rep.size, rep.out_dim, rep.in_dim
-    length, bound = (q, n) if kind == "c1" else (n, q)
-    if jordan is not None and jordan.dim != length:
-        raise ValueError(f"Jordan data of dimension {jordan.dim} do not match "
-                         f"the {kind} witness length {length}")
-    if r == 0:
-        return np.zeros(length, dtype=np.complex128)
-    if r > bound:
-        return None
-    ahat = ahat_matrix(rep.factors, n, q)
-    if jordan is not None:
-        candidates = [_structured_candidate(jordan, kind)]
-    else:
-        rng = np.random.default_rng(seed)
-        candidates = (gaussian(rng, length, rep.field) for _ in range(trials))
-    for v in candidates:
-        col = v.reshape(-1, 1)
-        evaluation = np.kron(col, np.eye(n)) if kind == "c1" else np.kron(np.eye(q), col)
-        if rank_tol(ahat @ evaluation, tol) == r:
-            return v
-    return None
-
-
-def find_c1_witness(
-    rep: HillRep,
-    jordan: JordanSpec | None = None,
-    trials: int = 32,
-    seed: int = 0,
-    tol: Tolerances | None = None,
-) -> Optional[np.ndarray]:
-    """Search for z with rank(Ahat @ kron(z, I_n)) == r.
-
-    With Jordan data supplied the single structured candidate is tried (the
-    first-position indicator, conjugate-transported through the similarity);
-    otherwise Gaussian vectors are drawn.  Returns None when no candidate
-    passes; no witness can exist when r exceeds the output dimension.
-    """
-    return _find_witness(rep, "c1", jordan, trials, seed, tol)
-
-
-def find_c2_witness(
-    rep: HillRep,
-    jordan: JordanSpec | None = None,
-    trials: int = 32,
-    seed: int = 0,
-    tol: Tolerances | None = None,
-) -> Optional[np.ndarray]:
-    """Mirror of :func:`find_c1_witness` for x with rank(Ahat @ kron(I_q, x)) == r."""
-    return _find_witness(rep, "c2", jordan, trials, seed, tol)
-
-
-class Certificate(NamedTuple):
-    certified: bool
-    kind: Optional[str]           # "c1" or "c2"
-    witness: Optional[np.ndarray]
-
-
-def positivity_equals_cp_certificate(
-    m: StarLinearMap,
-    tol: Tolerances | None = None,
-    trials: int = 32,
-    seed: int = 0,
-) -> Certificate:
-    """Try to certify that positivity and complete positivity coincide for m.
-
-    Builds a minimal Hill representation and searches for a rank witness,
-    first of the z kind, then of the x kind.  A certificate means a single
-    Choi PSD test decides plain positivity of the map.  Absence of a
-    certificate proves nothing (maps exist that are positive, not completely
-    positive, and admit no witness).
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    rep = minimal_hill_from_blocks(m, tol)
-    for kind in ("c1", "c2"):
-        v = _find_witness(rep, kind, None, trials, seed, tol)
-        if v is not None:
-            return Certificate(True, kind, v)
-    return Certificate(False, None, None)

@@ -46,7 +46,6 @@ __all__ = [
     "build_bicomm_jordan",
     "build_bicomm_element",
     "check_bicomm_membership",
-    "extract_bicomm_coeffs",
 ]
 
 # Binomial coefficients in the closed-form pipeline stay exactly
@@ -301,15 +300,3 @@ def check_bicomm_membership(
     bad = np.argwhere(diff > scale)
     witness = tuple(int(x) for x in bad[0])
     return MembershipResult(False, witness, None)
-
-
-def extract_bicomm_coeffs(
-    spec: JordanSpec, B, tol: Tolerances | None = None
-) -> BicommElement:
-    """Coefficients of a verified bicommutant member; raises on nonmembers."""
-    result = check_bicomm_membership(spec, B, tol)
-    if not result.member:
-        raise ValueError(
-            f"matrix is not in the bicommutant: pattern violated at entry {result.witness}"
-        )
-    return result.element

@@ -2,17 +2,17 @@
 
 Everything operates on plain numpy arrays with complex128 entries, except
 that psd_screen keeps float64 stacks as they are; vectors are 1-D arrays.
-The vectorization convention is column stacking throughout, so ``vec`` of
+The vectorization convention is column stacking throughout, so vec of
 an m-by-n unit matrix with its 1 in position (l, k) is the standard basis
 vector of index (k-1)*m + l (1-based), and
 
     vec(A @ X @ B.T) == kron(B, A) @ vec(X).
 
-Rank and positive-semidefiniteness tests are tolerance-aware.  ``is_psd``
-returns a three-way verdict ("yes" / "no" / "marginal") so callers can tell
-apart matrices whose smallest eigenvalue sits too close to zero to call
-either way; "marginal" means the minimum eigenvalue lies inside the
-``psd_rel`` band around zero.
+Rank and positive-semidefiniteness tests are tolerance-aware.
+``psd_report`` returns a three-way verdict ("yes" / "no" / "marginal") so
+callers can tell apart matrices whose smallest eigenvalue sits too close to
+zero to call either way; "marginal" means the minimum eigenvalue lies inside
+the ``psd_rel`` band around zero.
 """
 
 from __future__ import annotations
@@ -27,17 +27,12 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "NotHermitianError",
     "as_matrix",
-    "vec",
-    "unvec",
     "kron",
     "block_diag",
-    "canonical_shuffle",
     "frob",
-    "gaussian",
     "rank_tol",
     "psd_report",
     "psd_screen",
-    "is_psd",
 ]
 
 
@@ -49,6 +44,9 @@ class Tolerances:
     psd_rel:  half-width (relative to 1 + spectral norm) of the band around
               zero inside which a minimum eigenvalue is deemed marginal.
     eq_rel:   relative Frobenius tolerance for matrix comparisons.
+
+    Each must be finite and greater than 0: an infinite band would call
+    every matrix "marginal" and every pair of matrices equal.
     """
 
     rank_rel: float = 1e-9
@@ -58,8 +56,8 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_rel", "psd_rel", "eq_rel"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -75,19 +73,6 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {m.shape}")
     return m
-
-
-def vec(m) -> np.ndarray:
-    """Stack the columns of a matrix into one vector."""
-    return np.ravel(as_matrix(m), order="F")
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`: rebuild a rows-by-cols matrix from a vector."""
-    w = np.asarray(v, dtype=np.complex128).ravel()
-    if w.size != rows * cols:
-        raise ValueError(f"vector of length {w.size} cannot fill a {rows}x{cols} matrix")
-    return w.reshape((rows, cols), order="F")
 
 
 def kron(a, b) -> np.ndarray:
@@ -110,29 +95,6 @@ def block_diag(*blocks) -> np.ndarray:
         out[off : off + k, off : off + k] = m
         off += k
     return out
-
-
-def canonical_shuffle(m: int, n: int) -> np.ndarray:
-    """Permutation matrix S with S @ kron(u, v) = kron(v, u).
-
-    Here u has length m and v length n.  S is unitary with inverse equal to
-    canonical_shuffle(n, m).
-    """
-    if m < 1 or n < 1:
-        raise ValueError("shuffle dimensions must be at least 1")
-    s = np.zeros((m * n, m * n), dtype=np.complex128)
-    i = np.repeat(np.arange(m), n)
-    j = np.tile(np.arange(n), m)
-    s[j * m + i, i * n + j] = 1.0
-    return s
-
-
-def gaussian(rng: np.random.Generator, shape, field: str) -> np.ndarray:
-    """Standard Gaussian complex128 array; the complex field draws the real parts first."""
-    g = rng.standard_normal(shape)
-    if field == "complex":
-        g = g + 1j * rng.standard_normal(shape)
-    return g.astype(np.complex128)
 
 
 def frob(m) -> float:
@@ -239,8 +201,3 @@ def psd_screen(stack, tol: Tolerances | None = None, scratch=None) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def is_psd(m, tol: Tolerances | None = None) -> str:
-    """Three-way PSD verdict; see :func:`psd_report`."""
-    return psd_report(m, tol)[0]

@@ -21,6 +21,7 @@ All validation errors carry the JSON path of the offending value.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
@@ -143,8 +144,8 @@ def parse_problem(doc: dict, tol_override: Mapping[str, float] | None = None) ->
     for name in ("rank_rel", "psd_rel", "eq_rel"):
         if name in tnode:
             v = tnode[name]
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-                raise _fail(f"tolerances.{name}", "expected a positive number")
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < math.inf:
+                raise _fail(f"tolerances.{name}", "expected a finite positive number")
             values[name] = float(v)
     tol = replace(DEFAULT_TOLERANCES, **{**values, **(tol_override or {})})
 

@@ -10,16 +10,9 @@ boundary of the cone).
 
 import numpy as np
 
-from lyaporder import (
-    BicommElement,
-    EigenBlock,
-    JordanSpec,
-    LyapunovProblem,
-    extract_bicomm_coeffs,
-    kraus_map,
-    map_from_choi,
-)
+from lyaporder import BicommElement, EigenBlock, JordanSpec, LyapunovProblem
 from lyaporder.jordan import build_JA
+from reference import extract_bicomm_coeffs, kraus_map, map_from_choi
 
 
 def random_invertible(rng, n, field="complex", max_cond=50.0):

@@ -1,0 +1,444 @@
+"""Reference implementations of the paper's general machinery, for the tests.
+
+The package ships only what its decisions and the ``lyapctl`` command line
+call.  The general tools below check the theorems those decisions rest on:
+Hill's representation of *-linear maps (``reconstruct_map``,
+``hill_from_choi``, ``cp_via_hill``), the rank witnesses by which positivity
+and complete positivity coincide (``find_c1_witness``, ``find_c2_witness``,
+``positivity_equals_cp_certificate``), the scalar closed form of one
+Hill-Pick entry (``hill_pick_coeff``) and the composite map rebuilt from the
+Hill-Pick matrix (``closed_form_matricization``), plus small map and matrix
+utilities the tests build their inputs with.
+
+A Hill representation writes a *-linear map as
+
+    L(V) = sum_{k,l} H[k, l] * A_l @ V @ A_k*
+
+for matrices A_1..A_r in F^{n x q} and a Hermitian coefficient matrix H.
+Equivalently, with Ahat the r-by-nq matrix whose k-th row is vec(A_k)*,
+
+    matricization = sum_{k,l} H[k, l] * kron(conj(A_k), A_l)
+    choi          = Ahat* @ H.T @ Ahat.
+
+Positivity of a map upgrades to complete positivity whenever some vector z
+makes Ahat @ kron(z, I_n) have full row rank (or some x does the same for
+Ahat @ kron(I_q, x)).  For maps whose block span sits inside a triangular
+Toeplitz algebra attached to Jordan data, such witnesses exist in closed
+form: ``lyaporder.hill._structured_candidate``.
+"""
+
+from __future__ import annotations
+
+from math import comb
+from typing import NamedTuple, Optional
+
+import numpy as np
+
+from lyaporder.domination import LYAPUNOV, LyapunovProblem, hill_pick_matrix
+from lyaporder.hill import (
+    HillRep,
+    _require_star_linear,
+    _structured_candidate,
+    minimal_hill_from_blocks,
+)
+from lyaporder.jordan import BicommElement, JordanSpec, check_bicomm_membership
+from lyaporder.linalg import (
+    DEFAULT_TOLERANCES,
+    Tolerances,
+    as_matrix,
+    block_diag,
+    frob,
+    kron,
+    psd_report,
+    rank_tol,
+)
+from lyaporder.starmaps import StarLinearMap, choi_matrix, is_star_linear
+
+
+# --------------------------------------------------------------------------
+# Matrix utilities.
+# --------------------------------------------------------------------------
+
+
+def vec(m) -> np.ndarray:
+    """Stack the columns of a matrix into one vector."""
+    return np.ravel(as_matrix(m), order="F")
+
+
+def unvec(v, rows: int, cols: int) -> np.ndarray:
+    """Inverse of :func:`vec`: rebuild a rows-by-cols matrix from a vector."""
+    w = np.asarray(v, dtype=np.complex128).ravel()
+    if w.size != rows * cols:
+        raise ValueError(f"vector of length {w.size} cannot fill a {rows}x{cols} matrix")
+    return w.reshape((rows, cols), order="F")
+
+
+def canonical_shuffle(m: int, n: int) -> np.ndarray:
+    """Permutation matrix S with S @ kron(u, v) = kron(v, u).
+
+    Here u has length m and v length n.  S is unitary with inverse equal to
+    canonical_shuffle(n, m).
+    """
+    if m < 1 or n < 1:
+        raise ValueError("shuffle dimensions must be at least 1")
+    s = np.zeros((m * n, m * n), dtype=np.complex128)
+    i = np.repeat(np.arange(m), n)
+    j = np.tile(np.arange(n), m)
+    s[j * m + i, i * n + j] = 1.0
+    return s
+
+
+def gaussian(rng: np.random.Generator, shape, field: str) -> np.ndarray:
+    """Standard Gaussian complex128 array; the complex field draws the real parts first."""
+    g = rng.standard_normal(shape)
+    if field == "complex":
+        g = g + 1j * rng.standard_normal(shape)
+    return g.astype(np.complex128)
+
+
+def is_psd(m, tol: Tolerances | None = None) -> str:
+    """Three-way PSD verdict; see :func:`lyaporder.linalg.psd_report`."""
+    return psd_report(m, tol)[0]
+
+
+# --------------------------------------------------------------------------
+# Linear matrix maps stored by their matricization.
+# --------------------------------------------------------------------------
+
+
+def identity_map(n: int, field: str = "complex") -> StarLinearMap:
+    return StarLinearMap(np.eye(n * n, dtype=np.complex128), n, n, field)
+
+
+def kraus_map(operators, field: str = "complex") -> StarLinearMap:
+    """The completely positive map V -> sum_k X_k V X_k* for given X_k."""
+    ops = [as_matrix(x) for x in operators]
+    if not ops:
+        raise ValueError("at least one operator is required")
+    n, q = ops[0].shape
+    if any(x.shape != (n, q) for x in ops):
+        raise ValueError("all operators must share one shape")
+    m = sum(kron(x.conj(), x) for x in ops)
+    return StarLinearMap(m, n, q, field)
+
+
+def apply_map(m: StarLinearMap, v) -> np.ndarray:
+    """Evaluate the map on a q x q matrix."""
+    w = as_matrix(v)
+    if w.shape != (m.in_dim, m.in_dim):
+        raise ValueError(f"input must be {m.in_dim}x{m.in_dim}, got {w.shape}")
+    return unvec(m.matrix @ vec(w), m.out_dim, m.out_dim)
+
+
+def map_from_choi(bl, n: int, q: int, field: str = "complex") -> StarLinearMap:
+    """Rebuild a map from its Choi matrix (inverse permutation of choi_matrix)."""
+    b = as_matrix(bl)
+    if b.shape != (n * q, n * q):
+        raise ValueError(f"Choi matrix must be {n * q}x{n * q}, got {b.shape}")
+    c4 = b.reshape(q, n, q, n)
+    return StarLinearMap(c4.transpose(3, 1, 2, 0).reshape(n * n, q * q), n, q, field)
+
+
+def entry_symmetry_holds(m: StarLinearMap, tol: Tolerances | None = None) -> bool:
+    """Equivalent matricization-level test: L[i*n+k, j*q+l] == conj(L[k*n+i, l*q+j])."""
+    tol = tol or DEFAULT_TOLERANCES
+    n, q = m.out_dim, m.in_dim
+    l4 = m.matrix.reshape(n, n, q, q)
+    mirrored = l4.transpose(1, 0, 3, 2).conj()
+    return float(np.linalg.norm((l4 - mirrored).ravel())) <= tol.eq_rel * (
+        1.0 + frob(m.matrix)
+    )
+
+
+def is_completely_positive(m: StarLinearMap, tol: Tolerances | None = None) -> str:
+    """PSD verdict of the Choi matrix; requires a *-linear map."""
+    tol = tol or DEFAULT_TOLERANCES
+    if not is_star_linear(m, tol):
+        raise ValueError("complete positivity is only defined for *-linear maps here")
+    return psd_report(choi_matrix(m), tol)[0]
+
+
+def positivity_sample_test(
+    m: StarLinearMap,
+    trials: int = 1000,
+    seed: int = 0,
+    tol: Tolerances | None = None,
+):
+    """Randomized refutation of positivity.
+
+    Draws Gaussian pairs (z, x) and tests the quadratic form of the Choi
+    matrix at z (x) x, i.e. the map evaluated on a rank-one PSD input.
+    Returns a violating pair (z, x) when the form drops below the psd_rel
+    band, and None otherwise: sampling can refute positivity, never certify
+    it.  Real-field maps are probed with real vectors only.
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    if not is_star_linear(m, tol):
+        raise ValueError("positivity test needs a *-linear map")
+    c = choi_matrix(m)
+    if c.size == 0:
+        return None
+    spectral = float(np.abs(np.linalg.eigvalsh((c + c.conj().T) / 2.0)).max())
+    floor = -tol.psd_rel * (1.0 + spectral)
+    rng = np.random.default_rng(seed)
+    for _ in range(int(trials)):
+        z = gaussian(rng, m.in_dim, m.field)
+        x = gaussian(rng, m.out_dim, m.field)
+        v = np.kron(z, x)
+        value = float((v.conj() @ c @ v).real)
+        if value < floor:
+            return z, x
+    return None
+
+
+def compose(first: StarLinearMap, then: StarLinearMap) -> StarLinearMap:
+    """The map V -> then(first(V)); matricization is then.matrix @ first.matrix."""
+    if first.out_dim != then.in_dim:
+        raise ValueError(
+            f"cannot compose: first map produces {first.out_dim}x{first.out_dim}, "
+            f"second expects {then.in_dim}x{then.in_dim}"
+        )
+    field = "real" if first.field == then.field == "real" else "complex"
+    return StarLinearMap(then.matrix @ first.matrix, then.out_dim, first.in_dim, field)
+
+
+# --------------------------------------------------------------------------
+# Hill representations: reconstruction, recovery from the Choi matrix, and
+# the complete positivity verdict of H.
+# --------------------------------------------------------------------------
+
+
+def ahat_matrix(factors, n: int, q: int) -> np.ndarray:
+    """Stack vec(A_k)* as rows; full row rank for any valid representation."""
+    if not factors:
+        return np.zeros((0, n * q), dtype=np.complex128)
+    return np.array([vec(a).conj() for a in factors])
+
+
+def hill_from_choi(m: StarLinearMap, ahat, tol: Tolerances | None = None) -> np.ndarray:
+    """Recover H from the Choi matrix for a given full-row-rank Ahat.
+
+    Solves choi == Ahat* @ H.T @ Ahat via H.T = inv(Ahat Ahat*) Ahat choi
+    Ahat* inv(Ahat Ahat*), then verifies the factorization; a failure means
+    ker(Ahat) is not contained in ker(choi).
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    _require_star_linear(m, tol)
+    a = np.asarray(ahat, dtype=np.complex128)
+    r = a.shape[0]
+    if rank_tol(a, tol) != r:
+        raise ValueError("Ahat must have full row rank")
+    c = choi_matrix(m)
+    gram = a @ a.conj().T
+    middle = a @ c @ a.conj().T
+    # gram is Hermitian positive definite, so gram^{-H} == gram^{-1}.
+    ht = np.linalg.solve(gram, np.linalg.solve(gram, middle.conj().T).conj().T)
+    residual = float(np.linalg.norm(a.conj().T @ ht @ a - c))
+    if residual > tol.eq_rel * (1.0 + frob(c)):
+        raise ValueError(
+            f"Choi matrix is not supported on the row space of Ahat (residual {residual:.3e})"
+        )
+    return ht.T
+
+
+def reconstruct_map(rep: HillRep) -> StarLinearMap:
+    """Assemble the matricization sum_{k,l} H[k,l] * kron(conj(A_k), A_l)."""
+    n, q = rep.out_dim, rep.in_dim
+    m = np.zeros((n * n, q * q), dtype=np.complex128)
+    for k, ak in enumerate(rep.factors):
+        for l, al in enumerate(rep.factors):
+            coeff = rep.hill[k, l]
+            if coeff != 0:
+                m += coeff * kron(ak.conj(), al)
+    return StarLinearMap(m, n, q, rep.field)
+
+
+def cp_via_hill(rep: HillRep, tol: Tolerances | None = None) -> str:
+    """Complete positivity verdict from the Hill matrix alone.
+
+    PSD test of H; for a minimal representation a "yes" additionally needs H
+    of full rank (positive definiteness), otherwise the verdict degrades to
+    "marginal".
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    if rep.size == 0:
+        return "yes"
+    verdict = is_psd(rep.hill, tol)
+    if rep.minimal and verdict == "yes" and rank_tol(rep.hill, tol) < rep.size:
+        return "marginal"
+    return verdict
+
+
+# --------------------------------------------------------------------------
+# Witness search: vectors making the bilinear evaluation of Ahat surjective.
+# --------------------------------------------------------------------------
+
+
+def _find_witness(rep: HillRep, kind: str, jordan, trials, seed, tol) -> Optional[np.ndarray]:
+    """Both witness finders: the kind sets the length of v (q or n), the rank
+    bound (n or q) and the evaluation (kron(v, I_n) or kron(I_q, v)).
+    Jordan data must have the witness's length as its dimension."""
+    tol = tol or DEFAULT_TOLERANCES
+    r, n, q = rep.size, rep.out_dim, rep.in_dim
+    length, bound = (q, n) if kind == "c1" else (n, q)
+    if jordan is not None and jordan.dim != length:
+        raise ValueError(f"Jordan data of dimension {jordan.dim} do not match "
+                         f"the {kind} witness length {length}")
+    if r == 0:
+        return np.zeros(length, dtype=np.complex128)
+    if r > bound:
+        return None
+    ahat = ahat_matrix(rep.factors, n, q)
+    if jordan is not None:
+        candidates = [_structured_candidate(jordan, kind)]
+    else:
+        rng = np.random.default_rng(seed)
+        candidates = (gaussian(rng, length, rep.field) for _ in range(trials))
+    for v in candidates:
+        col = v.reshape(-1, 1)
+        evaluation = np.kron(col, np.eye(n)) if kind == "c1" else np.kron(np.eye(q), col)
+        if rank_tol(ahat @ evaluation, tol) == r:
+            return v
+    return None
+
+
+def find_c1_witness(
+    rep: HillRep,
+    jordan: JordanSpec | None = None,
+    trials: int = 32,
+    seed: int = 0,
+    tol: Tolerances | None = None,
+) -> Optional[np.ndarray]:
+    """Search for z with rank(Ahat @ kron(z, I_n)) == r.
+
+    With Jordan data supplied the single structured candidate is tried (the
+    first-position indicator, conjugate-transported through the similarity);
+    otherwise Gaussian vectors are drawn.  Returns None when no candidate
+    passes; no witness can exist when r exceeds the output dimension.
+    """
+    return _find_witness(rep, "c1", jordan, trials, seed, tol)
+
+
+def find_c2_witness(
+    rep: HillRep,
+    jordan: JordanSpec | None = None,
+    trials: int = 32,
+    seed: int = 0,
+    tol: Tolerances | None = None,
+) -> Optional[np.ndarray]:
+    """Mirror of :func:`find_c1_witness` for x with rank(Ahat @ kron(I_q, x)) == r."""
+    return _find_witness(rep, "c2", jordan, trials, seed, tol)
+
+
+class Certificate(NamedTuple):
+    certified: bool
+    kind: Optional[str]           # "c1" or "c2"
+    witness: Optional[np.ndarray]
+
+
+def positivity_equals_cp_certificate(
+    m: StarLinearMap,
+    tol: Tolerances | None = None,
+    trials: int = 32,
+    seed: int = 0,
+) -> Certificate:
+    """Try to certify that positivity and complete positivity coincide for m.
+
+    Builds a minimal Hill representation and searches for a rank witness,
+    first of the z kind, then of the x kind.  A certificate means a single
+    Choi PSD test decides plain positivity of the map.  Absence of a
+    certificate proves nothing (maps exist that are positive, not completely
+    positive, and admit no witness).
+    """
+    tol = tol or DEFAULT_TOLERANCES
+    rep = minimal_hill_from_blocks(m, tol)
+    for kind in ("c1", "c2"):
+        v = _find_witness(rep, kind, None, trials, seed, tol)
+        if v is not None:
+            return Certificate(True, kind, v)
+    return Certificate(False, None, None)
+
+
+# --------------------------------------------------------------------------
+# Bicommutant coefficients and the closed-form Hill-Pick entries.
+# --------------------------------------------------------------------------
+
+
+def extract_bicomm_coeffs(
+    spec: JordanSpec, B, tol: Tolerances | None = None
+) -> BicommElement:
+    """Coefficients of a verified bicommutant member; raises on nonmembers."""
+    result = check_bicomm_membership(spec, B, tol)
+    if not result.member:
+        raise ValueError(
+            f"matrix is not in the bicommutant: pattern violated at entry {result.witness}"
+        )
+    return result.element
+
+
+def hill_pick_coeff(
+    prob: LyapunovProblem, eigen_j: int, shift_i: int, eigen_a: int, shift_c: int
+) -> complex:
+    """Closed-form coefficient of the composite map's Toeplitz expansion.
+
+    This is the scalar weight of the shift_c-th subdiagonal of the blocks of
+    eigenvalue eigen_a inside the shift_i-th coefficient matrix of eigenvalue
+    eigen_j; entry ((i, a), (j, b)) of the complex Hill-Pick matrix is
+    hill_pick_coeff(j, b, i, a).  Complex field only; the pair (lam_j, lam_a)
+    must be Lyapunov regular.
+    """
+    if prob.spec.field != "complex":
+        raise ValueError("closed-form coefficients are available for the complex field only")
+    eigens = prob.spec.eigens
+    for eigen, shift, name in ((eigen_j, shift_i, "shift_i"), (eigen_a, shift_c, "shift_c")):
+        if not 0 <= eigen < len(eigens):
+            raise ValueError(f"eigenvalue index {eigen} out of range for {len(eigens)} eigenvalues")
+        if not 0 <= shift < eigens[eigen].sizes[0]:
+            raise ValueError(f"{name} out of range for eigenvalue {eigen}")
+    lam_j = eigens[eigen_j].eigenvalue
+    lam_a = eigens[eigen_a].eigenvalue
+    t_j = prob.element.coeffs[eigen_j]
+    t_a = prob.element.coeffs[eigen_a]
+    denom = lam_j + lam_a.conjugate()
+    if abs(denom) <= prob.tol.eq_rel * (abs(lam_j) + abs(lam_a)):
+        LYAPUNOV.require_regular(prob.spec, prob.tol)  # raises: this pair is singular
+    total = 0.0 + 0.0j
+    for d in range(shift_c + 1):
+        total += (
+            comb(d + shift_i, d)
+            * (-1) ** (d + shift_i)
+            * t_a[shift_c - d].conjugate()
+            / denom ** (d + shift_i + 1)
+        )
+    for l in range(shift_i + 1):
+        total += (
+            comb(shift_c + shift_i - l, shift_c)
+            * (-1) ** (shift_i - l + shift_c)
+            * t_j[l]
+            / denom ** (shift_c + shift_i - l + 1)
+        )
+    return total
+
+
+def closed_form_matricization(prob: LyapunovProblem) -> np.ndarray:
+    """Matricization of the composite map, reconstructed from the Hill-Pick matrix.
+
+    The Hill-Pick matrix is the composite's Hill matrix for the Toeplitz shift
+    factors X_(j,i), in upsilon_selection order: the i-th lower shift on every
+    Jordan block of eigenvalue j, moved into A's basis as S X inv(S) with
+    (S, inv(S)) = LYAPUNOV.congruence(P, inv(P)).  Must agree with
+    lyapunov_order_map to working precision.  Complex field only.
+    """
+    spec = prob.spec
+    if spec.field != "complex":
+        raise ValueError("the closed-form pipeline covers the complex field only")
+    hp = hill_pick_matrix(prob)
+    factors = [block_diag(*(np.eye(s, k=-i) * (a == j) for a, e in enumerate(spec.eigens)
+                            for s in e.sizes))
+               for j, lead in enumerate(spec.eigens) for i in range(lead.sizes[0])]
+    p = spec.similarity
+    if p is not None:
+        s, s_inv = LYAPUNOV.congruence(p, np.linalg.solve(p, np.eye(len(p))))
+        factors = [s @ x @ s_inv for x in factors]
+    rep = HillRep(factors, hp.matrix.T, hp.upsilon, False, spec.dim, spec.dim, spec.field)
+    return reconstruct_map(rep).matrix

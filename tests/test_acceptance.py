@@ -16,21 +16,14 @@ from lyaporder import (
     EigenBlock,
     JordanSpec,
     LyapunovProblem,
-    ahat_matrix,
     choi_matrix,
-    closed_form_matricization,
-    cp_via_hill,
     domination_oracle,
-    find_c1_witness,
-    find_c2_witness,
     hill_pick_matrix,
-    is_completely_positive,
     lyapunov_order_map,
     minimal_hill_from_blocks,
     nonminimal_hill,
     psd_report,
     rank_tol,
-    reconstruct_map,
     stein_domination,
 )
 from helpers import (
@@ -44,6 +37,15 @@ from helpers import (
     rational_dominator,
     stein_jordan_spec,
     stein_power_element,
+)
+from reference import (
+    ahat_matrix,
+    closed_form_matricization,
+    cp_via_hill,
+    find_c1_witness,
+    find_c2_witness,
+    is_completely_positive,
+    reconstruct_map,
 )
 
 BAND = 1e-9

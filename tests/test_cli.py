@@ -149,6 +149,43 @@ class TestExitCodes:
         assert captured.out == ""
         assert "must be at least 1" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag, field", [("--tol-psd", "psd_rel"), ("--tol-eq", "eq_rel"), ("--tol-rank", "rank_rel")]
+    )
+    def test_infinite_tolerance_flag_rejected(self, flag, field, capsys):
+        # An infinite band used to read "marginal" on a problem that is not dominated.
+        assert run(["check", problem("pick_not_dominated.json"), flag, "inf"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
+
+    def test_infinite_tolerance_in_file_rejected(self, tmp_path, capsys):
+        with open(problem("pick_not_dominated.json")) as fh:
+            text = json.dumps(json.load(fh))
+        path = write(tmp_path, text[:-1] + ', "tolerances": {"psd_rel": 1e400}}')  # JSON reads inf
+        assert run(["check", path]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerances.psd_rel" in captured.err
+
+    @pytest.mark.parametrize("command", ["check", "hill-pick", "hill", "verify"])
+    def test_negative_precision_rejected(self, command, capsys):
+        assert run([command, problem("pick_not_dominated.json"), "--precision", "-1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--precision" in captured.err
+
+    def test_zero_precision_accepted(self, capsys):
+        assert run(["hill-pick", problem("pick_not_dominated.json"), "--precision", "0"]) == 0
+        assert "hill-pick matrix" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_negative_seed_rejected(self, command, capsys):
+        assert run([command, problem("pick_not_dominated.json"), "--seed", "-3"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed" in captured.err
+
 
 class TestJsonOutput:
     def test_round_trip(self, capsys):

@@ -13,31 +13,27 @@ from lyaporder import (
     JordanSpec,
     LyapunovProblem,
     Tolerances,
-    apply_map,
     build_A,
     build_bicomm_element,
     check_domination,
     choi_matrix,
-    closed_form_matricization,
     domination_oracle,
-    hill_pick_coeff,
     hill_pick_matrix,
-    is_psd,
-    is_stein_regular,
-    lyapunov_matricization,
     lyapunov_order_map,
     psd_report,
     rank_tol,
-    sample_lyapunov_solutions,
     stein_domination,
-    stein_matricization,
     stein_order_map,
     upsilon_selection,
-    vec,
-    unvec,
 )
 from lyaporder import domination, jordan
-from lyaporder.domination import _jordan_setup
+from lyaporder.domination import (
+    _jordan_setup,
+    is_stein_regular,
+    lyapunov_matricization,
+    sample_lyapunov_solutions,
+    stein_matricization,
+)
 from lyaporder.hill import hill_at_selection, matricization_blocks
 from lyaporder.jordan import build_bicomm_jordan, build_JA, inner_blocks
 from lyaporder.linalg import NotHermitianError, block_diag
@@ -50,6 +46,14 @@ from helpers import (
     rational_dominator,
     stein_jordan_spec,
     stein_power_element,
+)
+from reference import (
+    apply_map,
+    closed_form_matricization,
+    hill_pick_coeff,
+    is_psd,
+    unvec,
+    vec,
 )
 
 

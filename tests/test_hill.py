@@ -7,25 +7,14 @@ from lyaporder import (
     JordanSpec,
     LyapunovProblem,
     StarLinearMap,
-    ahat_matrix,
-    canonical_shuffle,
     choi_matrix,
-    cp_via_hill,
-    find_c1_witness,
-    find_c2_witness,
-    hill_from_choi,
-    is_completely_positive,
-    kraus_map,
     kron,
-    lyapunov_matricization,
     lyapunov_order_map,
     minimal_hill_from_blocks,
     nonminimal_hill,
-    positivity_equals_cp_certificate,
     rank_tol,
-    reconstruct_map,
-    vec,
 )
+from lyaporder.domination import lyapunov_matricization
 from lyaporder.hill import HillRep
 from helpers import (
     random_cp_map,
@@ -33,6 +22,19 @@ from helpers import (
     random_jordan_spec,
     random_star_linear,
     rational_dominator,
+)
+from reference import (
+    ahat_matrix,
+    canonical_shuffle,
+    cp_via_hill,
+    find_c1_witness,
+    find_c2_witness,
+    hill_from_choi,
+    is_completely_positive,
+    kraus_map,
+    positivity_equals_cp_certificate,
+    reconstruct_map,
+    vec,
 )
 
 
@@ -67,7 +69,7 @@ class TestMinimal:
         assert reconstruction_error(rep, m) <= 1e-12
 
     def test_identity_map_frozen(self):
-        from lyaporder import identity_map
+        from reference import identity_map
 
         rep = minimal_hill_from_blocks(identity_map(2))
         assert rep.size == 1
@@ -159,7 +161,7 @@ class TestNonMinimal:
         assert reconstruction_error(rep, la) <= 1e-12
 
     def test_repeated_block_value(self):
-        from lyaporder import identity_map
+        from reference import identity_map
 
         m = identity_map(2)
         rep = nonminimal_hill(m, [(0, 0), (1, 1)])

