@@ -33,7 +33,7 @@ from .domination import (
     stein_order_map,
 )
 from .hill import minimal_hill_from_blocks, nonminimal_hill
-from .linalg import NotHermitianError, rank_tol
+from .linalg import NotHermitianError, Tolerances, rank_tol
 from .problemfile import LoadedProblem, ProblemFileError, load_problem_file
 from .starmaps import choi_matrix
 
@@ -120,6 +120,16 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def tolerance(name: str):
+    """Parse-time type for the Tolerances field name: finite and strictly positive."""
+    def parse(text: str) -> float:
+        try:
+            return getattr(Tolerances(**{name: float(text)}), name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def _tolerances_from_flags(args) -> dict[str, float]:
     flags = {"rank_rel": args.tol_rank, "psd_rel": args.tol_psd, "eq_rel": args.tol_eq}
     return {name: value for name, value in flags.items() if value is not None}
@@ -131,9 +141,9 @@ def _add_common_flags(sub):
     sub.add_argument(
         "--precision", type=nonnegative_int, default=12, help="significant digits (default 12)"
     )
-    sub.add_argument("--tol-rank", type=float, default=None, help="override rank_rel")
-    sub.add_argument("--tol-psd", type=float, default=None, help="override psd_rel")
-    sub.add_argument("--tol-eq", type=float, default=None, help="override eq_rel")
+    for name in ("rank", "psd", "eq"):
+        sub.add_argument(f"--tol-{name}", type=tolerance(f"{name}_rel"), default=None,
+                         help=f"override {name}_rel")
 
 
 def _build_parser() -> _Parser:

@@ -13,12 +13,10 @@ factors (each lower shift on the Jordan blocks of one eigenvalue, at the
 selection down the first block column of its leading block).  For diagonal
 A it is the classical Pick matrix (conj(t_i) + t_j) / (conj(lam_i) + lam_j).
 
-Three routes are provided and cross-validated: the Hill-Pick matrix
-(closed form over the complex field), the Choi PSD test, and a randomized
-sampling oracle that draws Lyapunov solutions of A and checks them against
-B directly.  Over the real field the Hill-Pick matrix is a principal
-submatrix of the support Choi matrix, so there it is not an independent
-route.
+Three independent routes are provided and cross-validated: the Hill-Pick
+matrix (closed form, over the real field by complexification), the Choi
+PSD test, and a randomized sampling oracle that draws Lyapunov solutions
+of A and checks them against B directly.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .jordan import (
     build_A,
     build_bicomm_element,
     eigenvalue_list,
-    inner_blocks,
     jordan_blocks,
     leading_blocks,
     validate_bicomm_element,
@@ -47,7 +44,6 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     as_matrix,
-    block_diag,  # unused: a test patches it here to show no decision builds a dense J
     kron,
     psd_report,
     psd_screen,
@@ -61,16 +57,12 @@ __all__ = [
     "LyapunovProblem",
     "HillPickMatrix",
     "DominationReport",
-    "lyapunov_matricization",
     "lyapunov_order_map",
     "upsilon_selection",
     "hill_pick_matrix",
     "check_domination",
     "sample_lyapunov_solutions",
     "domination_oracle",
-    "is_lyapunov_regular",
-    "is_stein_regular",
-    "stein_matricization",
     "stein_order_map",
     "stein_domination",
 ]
@@ -214,10 +206,6 @@ STEIN = Order(
     lambda p, p_inv: (p, p_inv),
     "lam_i * conj(lam_j) == 1",
 )
-lyapunov_matricization = LYAPUNOV.matricization
-stein_matricization = STEIN.matricization
-is_lyapunov_regular = LYAPUNOV.regular
-is_stein_regular = STEIN.regular
 
 
 class _PairMaps:
@@ -283,9 +271,8 @@ class _PairMaps:
 
 
 def _jordan_setup(prob: LyapunovProblem, order: Order) -> _PairMaps:
-    """One decision's Jordan-basis data, shared by its routes; A must be regular for the order."""
+    """One decision's Jordan-basis data, shared by its routes; the caller checks regularity."""
     spec = prob.spec
-    order.require_regular(spec, prob.tol)
     return _PairMaps(order, jordan_blocks(spec), bicomm_blocks(spec, prob.element), spec.field)
 
 
@@ -319,53 +306,57 @@ def upsilon_selection(spec: JordanSpec) -> tuple[tuple[int, int], ...]:
     return tuple((b.offset + a, b.offset) for b in leading_blocks(spec) for a in range(b.dim))
 
 
-def hill_pick_matrix(prob: LyapunovProblem, support_choi=None) -> HillPickMatrix:
+def hill_pick_matrix(prob: LyapunovProblem) -> HillPickMatrix:
     """The Hill-Pick matrix: the composite map's Hill matrix at upsilon_selection.
 
-    Over the complex field it is assembled from closed-form coefficients:
-    with d = lam_j + conj(lam_i), entry ((i, a), (j, b)), for shifts a, b
-    below the leading block sizes of eigenvalues i and j, is
+    It is assembled from closed-form coefficients over slot groups, each an
+    eigenvalue lam with coefficients t.  With d = lam_j + conj(lam_i), entry
+    ((i, a), (j, b)), for shifts a, b below the leading block sizes of
+    groups i and j, is
 
         sum_{k <= a} (-1)^(k+b) C(k+b, k) conj(t_i[a-k]) / d^(k+b+1)
       + sum_{l <= b} (-1)^(a+b-l) C(a+b-l, a) t_j[l] / d^(a+b-l+1).
 
-    Over the real field it is
-    the principal submatrix of the Jordan-basis support Choi matrix at the
-    selection, whose entry (row, col) sits at Choi index (col, row); a caller
-    that holds that matrix (choi_matrix of the Lyapunov setup's composite,
-    whose construction checked regularity) passes it as support_choi.
-    Either way, positive semidefiniteness of the result is equivalent to B
-    Lyapunov dominating A.  A must be Lyapunov regular.
+    Over the real field this H_c is that of the complexified problem: a pair
+    a + ib of leading size s gives the groups (lam, t) and (conj lam, conj t),
+    both of size s; real eigenvalues stay as they are.  The real matrix is
+    M* H_c M, with M[lam_k, 2k] = M[conj_k, 2k] = 1/2, M[lam_k, 2k + 1] = -i/2
+    and M[conj_k, 2k + 1] = i/2 on each pair's 2s real slots, and M the
+    identity on real eigenvalues: M = U / sqrt(2), U unitary.  The result is
+    PSD exactly when B Lyapunov dominates A.  A must be Lyapunov regular.
     """
     spec = prob.spec
-    if support_choi is None:
-        LYAPUNOV.require_regular(spec, prob.tol)
+    LYAPUNOV.require_regular(spec, prob.tol)
     sel = upsilon_selection(spec)
     # Each eigenvalue's slice starts at its diagonal block position.
     offsets = tuple(k for k, (row, col) in enumerate(sel) if row == col)
-    if spec.field == "complex":
-        sizes = [blk.size for blk in leading_blocks(spec)]
-        top, eig = max(sizes), np.repeat(np.arange(len(sizes)), sizes)
-        t = np.array([row + (0,) * (top - len(row)) for row in prob.element.coeffs])
-        lam = np.array([e.eigenvalue for e in spec.eigens])[eig]
-        denom = lam + lam.conj()[:, None]  # lam_j + conj(lam_i)
-        binom = np.array([[(-1) ** m * comb(m, k) for k in range(2 * top)] for m in range(2 * top)])
-        shift = np.concatenate([np.arange(k) for k in sizes])
-        a, b = shift[:, None], shift
-        h = np.zeros(denom.shape, dtype=np.complex128)
-        for d in range(top):  # the two sums, masked past each shift
-            h += np.where(d <= a, binom[d + b, d] * t[eig, shift - d].conj()[:, None]
-                          / denom ** (d + b + 1), 0.0)
-        for l in range(top):
-            h += np.where(l <= b, binom[a + b - l, a] * t[eig, l]
-                          / denom ** (a + b - l + 1), 0.0)
-    else:
-        layout = inner_blocks(spec)
-        start = dict(zip((b.offset for b in layout), np.cumsum([0] + [b.dim**2 for b in layout])))
-        pos = [start[col] + row - col for row, col in sel]
-        if support_choi is None:
-            support_choi = _jordan_setup(prob, LYAPUNOV).composite.support_choi()
-        h = support_choi[np.ix_(pos, pos)].real.astype(np.complex128)
+    leads = leading_blocks(spec)
+    r, top = len(leads), max(blk.size for blk in leads)
+    # Slot a of eigenvalue j: group j (j + r: a pair's conjugate), shift, column of M.
+    group, shift, col, paired = np.array([
+        (j + r * (a >= blk.size), a % blk.size, off + (1 + blk.pair) * (a % blk.size), blk.pair)
+        for j, (off, blk) in enumerate(zip(offsets, leads)) for a in range(blk.dim)]).T
+    # Group rows: lam, then t.  t and binom end in zeros, onto which negative
+    # indices wrap: the terms past a shift (k > a, l > b) vanish.
+    data = np.array([(e.eigenvalue,) + row + (0,) * (2 * top - len(row))
+                     for e, row in zip(spec.eigens, prob.element.coeffs)])
+    data = np.concatenate((data, data.conj()))
+    lam, t = data[group, 0], data[:, 1:]
+    denom = lam + lam.conj()[:, None]  # lam_j + conj(lam_i)
+    binom = np.zeros((3 * top, 2 * top))
+    binom[: 2 * top] = [[(-1) ** m * comb(m, k) for k in range(2 * top)] for m in range(2 * top)]
+    a, b = shift[:, None], shift
+    h = np.zeros(denom.shape, dtype=np.complex128)
+    for d in range(top):  # the two sums
+        h += binom[d + b, d] * t[group, shift - d].conj()[:, None] / denom ** (d + b + 1)
+    for l in range(top):
+        h += binom[a + b - l, a] * t[group, l] / denom ** (a + b - l + 1)
+    if spec.field == "real":  # fold back: M* H_c M
+        paired, rows = paired.astype(bool), np.arange(len(group))
+        m = np.zeros(h.shape, dtype=np.complex128)
+        m[rows, col] = np.where(paired, 0.5, 1.0)
+        m[rows[paired], col[paired] + 1] = np.where(group >= r, 0.5j, -0.5j)[paired]
+        h = (m.conj().T @ h @ m).real.astype(np.complex128)
     return HillPickMatrix(h, sel, offsets, spec.field)
 
 
@@ -478,12 +469,14 @@ def domination_oracle(
     that trial's target through inv(L_A)) and any NotHermitianError are
     those of a per-trial loop.  Real-field trials run in float64 (setup.dtype);
     the witness is complex128 either way.  setup is this order's
-    _jordan_setup, built when not given.  A must be regular for the order,
-    trials >= 1.
+    _jordan_setup, built (after the regularity check) when not given.  A
+    must be regular for the order, trials >= 1.
     """
     _require_trials(trials)
     spec = prob.spec
-    setup = _jordan_setup(prob, order) if setup is None else setup
+    if setup is None:
+        order.require_regular(spec, prob.tol)
+        setup = _jordan_setup(prob, order)
     p, congruence = spec.similarity, None
     if p is not None:  # real S and inv(S) for the real field: float64 copies
         s, s_inv = order.congruence(p, np.linalg.solve(p, np.eye(len(p))))
@@ -515,20 +508,16 @@ def check_domination(
     disagreement indicates a bug, not a borderline instance).  The sampling
     oracle provides an independent witness when domination fails.
 
-    Two limits: methods_agree is true by definition whenever either route
+    One limit: methods_agree is true by definition whenever either route
     reads "marginal", which the support Choi matrix (of rank the Hill-Pick
     size) does on dominators with a Jordan block of size > 1 or an
-    eigenvalue with two or more blocks; and over the real field the
-    Hill-Pick matrix is a principal submatrix of the support Choi matrix,
-    so it is not an independent route there.
+    eigenvalue with two or more blocks.
     """
     _require_trials(oracle_trials)
-    tol = prob.tol
+    hp = hill_pick_matrix(prob)  # which checks that A is Lyapunov regular
     setup = _jordan_setup(prob, LYAPUNOV)
-    choi = choi_matrix(setup.composite)
-    hp = hill_pick_matrix(prob, choi)
-    hp_verdict, hp_eig = psd_report(hp.matrix, tol)
-    choi_verdict, choi_eig = psd_report(choi, tol)
+    hp_verdict, hp_eig = psd_report(hp.matrix, prob.tol)
+    choi_verdict, choi_eig = psd_report(choi_matrix(setup.composite), prob.tol)
     status, witness = domination_oracle(prob, oracle_trials, seed, setup=setup)
     agree = hp_verdict == choi_verdict or "marginal" in (hp_verdict, choi_verdict)
     return DominationReport(
@@ -554,6 +543,7 @@ def stein_domination(
     oracle draws H with H - A H A* PSD and tests H - B H B*.
     """
     _require_trials(oracle_trials)
+    STEIN.require_regular(prob.spec, prob.tol)
     setup = _jordan_setup(prob, STEIN)
     choi_verdict, choi_eig = psd_report(choi_matrix(setup.composite), prob.tol)
     status, witness = domination_oracle(prob, oracle_trials, seed, STEIN, setup)

@@ -159,6 +159,13 @@ class TestExitCodes:
         assert captured.out == ""
         assert field in captured.err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_tolerance_flag_checked_before_reading_the_file(self, value, capsys):
+        assert run(["check", "/nonexistent/problem.json", "--tol-psd", value]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol-psd" in captured.err and "cannot read" not in captured.err
+
     def test_infinite_tolerance_in_file_rejected(self, tmp_path, capsys):
         with open(problem("pick_not_dominated.json")) as fh:
             text = json.dumps(json.load(fh))

@@ -29,15 +29,12 @@ from lyaporder import (
 from lyaporder import domination, jordan
 from lyaporder.domination import (
     _jordan_setup,
-    is_stein_regular,
-    lyapunov_matricization,
     sample_lyapunov_solutions,
-    stein_matricization,
 )
 from lyaporder.hill import hill_at_selection, matricization_blocks
 from lyaporder.jordan import build_bicomm_jordan, build_JA, inner_blocks
 from lyaporder.linalg import NotHermitianError, block_diag
-from lyaporder.starmaps import StarLinearMap
+from lyaporder.starmaps import BlockSeparableMap, StarLinearMap
 from helpers import (
     a_element,
     identity_element,
@@ -212,17 +209,17 @@ ORDER_MAPS = {"Lyapunov": lyapunov_order_map, "Stein": stein_order_map}
 
 class TestMatricization:
     def test_scalar(self):
-        m = lyapunov_matricization(np.array([[1 + 2j]]))
+        m = LYAPUNOV.matricization(np.array([[1 + 2j]]))
         assert np.allclose(m.matrix, [[2.0]])
 
     def test_diagonal(self):
-        m = lyapunov_matricization(np.diag([1.0, 2.0]))
+        m = LYAPUNOV.matricization(np.diag([1.0, 2.0]))
         assert np.array_equal(m.matrix, np.diag([2.0, 3.0, 3.0, 4.0]).astype(complex))
 
     def test_acts_as_lyapunov_operator(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        m = lyapunov_matricization(a)
+        m = LYAPUNOV.matricization(a)
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert np.allclose(apply_map(m, x), x @ a + a.conj().T @ x)
 
@@ -239,7 +236,7 @@ class TestOrderMap:
         m = lyapunov_order_map(prob)
         a = build_A(spec)
         b = build_bicomm_element(spec, prob.element)
-        la = lyapunov_matricization(a).matrix
+        la = LYAPUNOV.matricization(a).matrix
         n = spec.dim
         for _ in range(5):
             h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -409,8 +406,11 @@ class TestHillPickMatrix:
                                        atol=1e-12 * np.abs(expect).max())
         spec = JordanSpec("complex", (EigenBlock(1.0, (3, 1)), EigenBlock(-1.0, (2,))))
         singular = LyapunovProblem(spec, BicommElement(((1.0, 0.5, 0.2), (1.0, 0.3))))
-        with pytest.raises(ValueError, match="not Lyapunov regular"):
-            hill_pick_matrix(singular)
+        real_singular = LyapunovProblem(JordanSpec("real", (EigenBlock(1j, (1,)),)),
+                                        BicommElement(((1.0,),)))
+        for prob in (singular, real_singular):
+            with pytest.raises(ValueError, match="not Lyapunov regular"):
+                hill_pick_matrix(prob)
 
     def test_matches_pinned_hill_transpose(self):
         from lyaporder import nonminimal_hill
@@ -420,8 +420,8 @@ class TestHillPickMatrix:
         prob = LyapunovProblem(spec, random_element(rng, spec))
         ja = build_JA(spec)
         bt = build_bicomm_jordan(spec, prob.element)
-        la = lyapunov_matricization(ja).matrix
-        lb = lyapunov_matricization(bt).matrix
+        la = LYAPUNOV.matricization(ja).matrix
+        lb = LYAPUNOV.matricization(bt).matrix
         jordan_map = StarLinearMap(np.linalg.solve(la.T, lb.T).T, spec.dim, spec.dim)
         rep = nonminimal_hill(jordan_map, upsilon_selection(spec))
         assert np.allclose(hill_pick_matrix(prob).matrix, rep.hill.T, atol=1e-9)
@@ -451,6 +451,59 @@ class TestHillPickReal:
             choi_verdict = is_psd(choi_matrix(lyapunov_order_map(prob)))
             if "marginal" not in (hp_verdict, choi_verdict):
                 assert hp_verdict == choi_verdict
+
+    def test_real_is_congruent_to_complexified(self):
+        # Each pair a + ib becomes the eigenvalues lam and conj(lam), with
+        # coefficients t and conj(t); M takes their slots k to the real slots
+        # 2k and 2k + 1, and is the identity on real eigenvalues.
+        rng = np.random.default_rng(36)
+        folded = 0
+        while folded < 40:
+            lams = [complex(-rng.uniform(0.2, 2.0), rng.uniform(0.3, 1.5) * rng.integers(0, 2))
+                    for _ in range(int(rng.integers(1, 4)))]
+            if not any(lam.imag for lam in lams) or any(
+                    abs(x - y) < 0.2 for i, x in enumerate(lams) for y in lams[i + 1:]):
+                continue
+            eigens, coeffs, c_eigens, c_coeffs, blocks = [], [], [], [], []
+            for lam in lams:
+                sizes = sorted(rng.integers(1, 5, size=int(rng.integers(1, 3))), reverse=True)
+                s = sizes[0]
+                t = tuple(rng.standard_normal(s) + 1j * rng.standard_normal(s) * (lam.imag > 0))
+                eigens.append(EigenBlock(lam, sizes))
+                coeffs.append(t)
+                if lam.imag > 0:
+                    c_eigens += [eigens[-1], EigenBlock(lam.conjugate(), sizes)]
+                    c_coeffs += [t, tuple(np.conj(t))]
+                    m = np.zeros((2 * s, 2 * s), dtype=complex)
+                    for k in range(s):
+                        m[k, 2 * k], m[k, 2 * k + 1] = 0.5, -0.5j
+                        m[s + k, 2 * k], m[s + k, 2 * k + 1] = 0.5, 0.5j
+                    blocks.append(m)
+                else:
+                    c_eigens.append(eigens[-1])
+                    c_coeffs.append(t)
+                    blocks.append(np.eye(s))
+            real = LyapunovProblem(JordanSpec("real", tuple(eigens)), BicommElement(tuple(coeffs)))
+            complexified = LyapunovProblem(JordanSpec("complex", tuple(c_eigens)),
+                                           BicommElement(tuple(c_coeffs)))
+            m = block_diag(*blocks)
+            expect = m.conj().T @ hill_pick_matrix(complexified).matrix @ m
+            got = hill_pick_matrix(real).matrix
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+            assert not got.imag.any()
+            folded += 1
+
+    def test_no_jordan_setup_or_choi(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Hill-Pick route used the Choi route's setup")
+
+        monkeypatch.setattr(domination, "_jordan_setup", refuse)
+        monkeypatch.setattr(BlockSeparableMap, "support_choi", refuse)
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            spec = random_jordan_spec(rng, field="real", similarity=True)
+            hp = hill_pick_matrix(LyapunovProblem(spec, random_element(rng, spec)))
+            assert hp.field == "real" and hp.size == len(upsilon_selection(spec))
 
 
 class TestCheckDomination:
@@ -540,7 +593,7 @@ class TestCheckDomination:
         # One setup per decision: A's pair maps are built once, B's once (for
         # the composite, which the Choi route and the oracle share), and no
         # dense matrix is built from the Jordan blocks.
-        built, two_sided, dense = [], [], []
+        built, two_sided = [], []
 
         class CountingPairMaps(domination._PairMaps):
             def __init__(self, *args):
@@ -555,25 +608,23 @@ class TestCheckDomination:
             raise AssertionError("a dense Jordan matrix was built")
 
         monkeypatch.setattr(domination, "_PairMaps", CountingPairMaps)
-        monkeypatch.setattr(domination, "block_diag",
-                            lambda *blocks: dense.append(len(blocks)) or block_diag(*blocks))
         for module, name in ((domination, "build_A"), (domination, "build_bicomm_element"),
                              (jordan, "build_JA"), (jordan, "build_bicomm_jordan"),
-                             (jordan, "build_A"), (jordan, "build_bicomm_element")):
+                             (jordan, "build_A"), (jordan, "build_bicomm_element"),
+                             (jordan, "block_diag")):
             monkeypatch.setattr(module, name, refuse)
         rng = np.random.default_rng(42)
         for k in range(8):
             field, order = ("complex", "real")[k % 2], (LYAPUNOV, STEIN)[k // 2 % 2]
             spec = random_jordan_spec(rng, field=field, max_dim=6)
             prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
-            for log in (built, two_sided, dense):
+            for log in (built, two_sided):
                 log.clear()
             decide = check_domination if order is LYAPUNOV else stein_domination
             decide(prob, oracle_trials=20)
             groups = len({b.dim for b in inner_blocks(prob.spec)}) ** 2
             assert built == [order.name]
             assert two_sided == [False] * groups + [True] * groups
-            assert dense == []
 
 
 class TestSampling:
@@ -898,17 +949,20 @@ class TestStein:
     def test_matricization(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        m = stein_matricization(a)
+        m = STEIN.matricization(a)
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert np.allclose(apply_map(m, x), x - a @ x @ a.conj().T)
 
     def test_regularity_guard(self):
-        assert not is_stein_regular(JordanSpec("complex", (EigenBlock(1.0, (1,)),)))
-        assert is_stein_regular(JordanSpec("complex", (EigenBlock(0.5, (1,)),)))
+        assert not STEIN.regular(JordanSpec("complex", (EigenBlock(1.0, (1,)),)))
+        assert STEIN.regular(JordanSpec("complex", (EigenBlock(0.5, (1,)),)))
         spec = JordanSpec("complex", (EigenBlock(2.0, (1,)), EigenBlock(0.5, (1,))))
-        assert not is_stein_regular(spec)  # 2 * conj(0.5) == 1
-        with pytest.raises(ValueError, match="Stein regular"):
-            stein_order_map(LyapunovProblem(spec, BicommElement(((2.0,), (0.5,)))))
+        assert not STEIN.regular(spec)  # 2 * conj(0.5) == 1
+        prob = LyapunovProblem(spec, BicommElement(((2.0,), (0.5,))))
+        for route in (stein_order_map, stein_domination,
+                      lambda p: domination_oracle(p, order=STEIN)):
+            with pytest.raises(ValueError, match="not Stein regular"):
+                route(prob)
 
     @pytest.mark.parametrize(
         "a,b,expect",
@@ -1033,8 +1087,8 @@ class TestJordanBasis:
             spec = random_jordan_spec(rng, field="real", max_dim=8, similarity=k % 2 == 1)
             prob = LyapunovProblem(spec, random_element(rng, spec))
             # The n^2 x n^2 Jordan-basis composite, read at upsilon.
-            la = lyapunov_matricization(build_JA(spec), "real").matrix
-            lb = lyapunov_matricization(build_bicomm_jordan(spec, prob.element), "real").matrix
+            la = LYAPUNOV.matricization(build_JA(spec), "real").matrix
+            lb = LYAPUNOV.matricization(build_bicomm_jordan(spec, prob.element), "real").matrix
             jordan_map = StarLinearMap(np.linalg.solve(la.T, lb.T).T, spec.dim, spec.dim, "real")
             expect = hill_at_selection(matricization_blocks(jordan_map), upsilon_selection(spec)).T
             for hp in (hill_pick_matrix(prob), check_domination(prob, oracle_trials=1).hill_pick):

@@ -13,7 +13,7 @@ from lyaporder import (
     check_bicomm_membership,
     rank_tol,
 )
-from lyaporder.domination import is_lyapunov_regular, upsilon_selection
+from lyaporder.domination import upsilon_selection
 from lyaporder.jordan import InnerBlock, bicomm_blocks, build_bicomm_jordan, inner_blocks
 from lyaporder.linalg import block_diag
 from helpers import a_element, random_element, random_invertible, random_jordan_spec
@@ -156,19 +156,19 @@ class TestLayout:
 
 class TestRegularity:
     def test_regular_diagonal(self):
-        assert is_lyapunov_regular(JordanSpec("complex", (EigenBlock(1.0, (1,)), EigenBlock(2.0, (1,)))))
+        assert LYAPUNOV.regular(JordanSpec("complex", (EigenBlock(1.0, (1,)), EigenBlock(2.0, (1,)))))
 
     def test_imaginary_axis_fails(self):
-        assert not is_lyapunov_regular(JordanSpec("complex", (EigenBlock(1j, (1,)),)))
+        assert not LYAPUNOV.regular(JordanSpec("complex", (EigenBlock(1j, (1,)),)))
 
     def test_mirror_pair_fails(self):
         spec = JordanSpec("complex", (EigenBlock(1.0, (1,)), EigenBlock(-1.0, (1,))))
-        assert not is_lyapunov_regular(spec)
+        assert not LYAPUNOV.regular(spec)
 
     def test_real_field_implicit_conjugates(self):
         # 1+i and implicit 1-i are fine; i alone is on the imaginary axis
-        assert is_lyapunov_regular(JordanSpec("real", (EigenBlock(1 + 1j, (1,)),)))
-        assert not is_lyapunov_regular(JordanSpec("real", (EigenBlock(1j, (1,)),)))
+        assert LYAPUNOV.regular(JordanSpec("real", (EigenBlock(1 + 1j, (1,)),)))
+        assert not LYAPUNOV.regular(JordanSpec("real", (EigenBlock(1j, (1,)),)))
 
     def test_matches_matricization_invertibility(self):
         cases = (
