@@ -32,11 +32,10 @@ import numpy as np
 from .jordan import (
     BicommElement,
     JordanSpec,
-    bicomm_blocks,
     build_A,
     build_bicomm_element,
     eigenvalue_list,
-    jordan_blocks,
+    jordan_and_bicomm_stacks,
     leading_blocks,
     validate_bicomm_element,
 )
@@ -209,37 +208,47 @@ STEIN = Order(
 
 
 class _PairMaps:
-    """cone(X, A) for A = diag(a_blocks) on each block X_IJ: L_A = order.two_sided(A_I, A_J).
+    """cone(X, A) for A = diag(blocks) on each block X_IJ, its inverse and the composite.
 
-    pairs holds one (rows, cols, L_A) per pair of block sizes, L_A[k, l]
-    acting on block (rows[k], cols[l]).  composite is cone_B o cone_A^{-1}
-    for B = diag(b_blocks), for the Choi route and the oracle; plan serves
-    the oracle and is float64 (dtype) for the real field, whose blocks are real.
+    groups holds one (rows, stack) per block size d: rows indexes the blocks
+    of A of that size, and stack, of shape (k, len(rows), d, d), holds them
+    (stack[0]) and, with k = 2, the same blocks of B (stack[1]).  pairs holds
+    one (rows, cols, L_A) per pair of block sizes, L_A[k, l] =
+    order.two_sided(A_rows[k], A_cols[l]) acting on block (rows[k], cols[l]).
+    Per size pair, one two_sided call on the two groups' stacks gives L_A
+    and L_B, and one solve(L_A^T, [L_B^T | I]) gives both the composite
+    cone_B o cone_A^{-1} = L_B inv(L_A) (composite, for the Choi route and
+    the oracle's trials) and inv(L_A) (plan, for sample_lyapunov_solutions
+    and the pull-back of the oracle's witness).  Without B the right-hand
+    side is I alone and composite is None.  plan is float64 (dtype) for the
+    real field, whose blocks are real.
     """
 
-    def __init__(self, order: Order, a_blocks, b_blocks=None, field: str = "complex"):
-        sizes = [len(blk) for blk in a_blocks]
-        groups = [np.flatnonzero(np.equal(sizes, d)) for d in dict.fromkeys(sizes)]
-        self.order, self.dims, self.b_blocks = order, tuple(sizes), b_blocks
+    def __init__(self, order: Order, groups, field: str = "complex"):
+        dims = np.zeros(sum(len(rows) for rows, _ in groups), dtype=int)
+        for rows, stack in groups:
+            dims[rows] = stack.shape[-1]
+        self.dims = tuple(dims.tolist())
         self.dtype = np.dtype(np.float64 if field == "real" else np.complex128)
-        self.pairs = [(rows, cols, self._two_sided(a_blocks, rows, cols))
-                      for rows in groups for cols in groups]
-
-    def _two_sided(self, blocks, rows, cols) -> np.ndarray:
-        return self.order.two_sided(np.stack([blocks[k] for k in rows])[:, None],
-                                    np.stack([blocks[k] for k in cols])[None, :])
+        with_b = len(groups[0][1]) == 2
+        self.pairs, self._inverses, composite = [], [], []
+        for rows, left in groups:
+            for cols, right in groups:
+                maps = order.two_sided(left[:, :, None], right[:, None])  # L_A[, L_B]
+                la, m = maps[0], maps.shape[-1]
+                rhs = np.empty(la.shape[:-1] + (len(maps) * m,), dtype=la.dtype)  # [L_B^T | I]
+                rhs[..., -m:] = np.eye(m)
+                if with_b:
+                    rhs[..., :m] = maps[1].swapaxes(-1, -2)
+                x = np.linalg.solve(la.swapaxes(-1, -2), rhs).swapaxes(-1, -2)
+                self.pairs.append((rows, cols, la))
+                self._inverses.append(x[..., -m:, :])
+                composite.append((rows, cols, x[..., :-m, :]))
+        self.composite = BlockSeparableMap(self.dims, composite) if with_b else None
 
     def _group(self, maps: np.ndarray) -> np.ndarray:  # of dtype, flat for 1 x 1 blocks
         maps = (maps.real if self.dtype == np.float64 else maps).astype(self.dtype, copy=False)
         return maps.ravel() if maps.shape[-1] == 1 else maps
-
-    @cached_property
-    def composite(self) -> BlockSeparableMap:
-        out = []
-        for rows, cols, la in self.pairs:  # L_B inv(L_A), by L_A^T X^T = L_B^T
-            lb = self._two_sided(self.b_blocks, rows, cols).swapaxes(-1, -2)
-            out.append((rows, cols, np.linalg.solve(la.swapaxes(-1, -2), lb).swapaxes(-1, -2)))
-        return BlockSeparableMap(self.dims, out)
 
     @cached_property
     def plan(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, np.ndarray]]]:
@@ -252,13 +261,11 @@ class _PairMaps:
         """
         n, offset = sum(self.dims), np.cumsum((0,) + self.dims)
         perm, groups = [], []
-        for rows, cols, la in self.pairs:
+        for (rows, cols, _), inverse in zip(self.pairs, self._inverses):
             r = offset[rows][:, None, None, None] + np.arange(self.dims[rows[0]])[:, None]
             c = offset[cols][None, :, None, None] + np.arange(self.dims[cols[0]])
             start = sum(len(p) for p in perm)
             perm.append((r * n + c).swapaxes(-1, -2).ravel())
-            la = la.real if self.dtype == np.float64 else la
-            inverse = np.linalg.solve(la, np.eye(la.shape[-1]))
             groups.append((start, start + len(perm[-1]), self._group(inverse)))
         perm = np.concatenate(perm)
         return perm, np.argsort(perm), groups
@@ -271,18 +278,24 @@ class _PairMaps:
 
 
 def _jordan_setup(prob: LyapunovProblem, order: Order) -> _PairMaps:
-    """One decision's Jordan-basis data, shared by its routes; the caller checks regularity."""
+    """One decision's Jordan-basis data, shared by its routes; the caller checks regularity.
+
+    J's and B's diagonal blocks come from one gather, stacked by block size
+    (jordan_and_bicomm_stacks), and _PairMaps builds and factors each size
+    pair's L_A once.
+    """
     spec = prob.spec
-    return _PairMaps(order, jordan_blocks(spec), bicomm_blocks(spec, prob.element), spec.field)
+    return _PairMaps(order, jordan_and_bicomm_stacks(spec, prob.element), spec.field)
 
 
 def _order_map(prob: LyapunovProblem, order: Order) -> StarLinearMap:
+    """L_B inv(L_A) on the whole of A and B, by the one solve L_A^T X^T = L_B^T."""
     spec = prob.spec
     order.require_regular(spec, prob.tol)
-    a = build_A(spec)
-    b = build_bicomm_element(spec, prob.element)
-    ((_, _, maps),) = _PairMaps(order, [a], [b]).composite.pairs
-    return StarLinearMap(maps[0, 0], spec.dim, spec.dim, spec.field)
+    ab = np.stack([build_A(spec), build_bicomm_element(spec, prob.element)])
+    la, lb = order.two_sided(ab, ab)
+    maps = np.linalg.solve(la.swapaxes(-1, -2), lb.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return StarLinearMap(maps, spec.dim, spec.dim, spec.field)
 
 
 def lyapunov_order_map(prob: LyapunovProblem) -> StarLinearMap:
@@ -441,7 +454,7 @@ def sample_lyapunov_solutions(
     H A + A* H = W; every returned H is symmetrized and owns its data.  A
     must be Lyapunov regular (the map is inverted directly).
     """
-    maps = _PairMaps(LYAPUNOV, [_square(a)])
+    maps = _PairMaps(LYAPUNOV, [(np.zeros(1, dtype=int), _square(a)[None, None])])
     return [h.copy() for hs, *_ in _cone_solutions(maps, field, int(count), seed) for h in hs]
 
 

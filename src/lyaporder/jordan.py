@@ -39,6 +39,7 @@ __all__ = [
     "eigenvalue_list",
     "bicomm_blocks",
     "jordan_blocks",
+    "jordan_and_bicomm_stacks",
     "from_jordan_basis",
     "build_JA",
     "build_A",
@@ -169,10 +170,19 @@ def from_jordan_basis(spec: JordanSpec, m: np.ndarray) -> np.ndarray:
     return np.linalg.solve(p.T, (p @ m).T).T
 
 
+def _jordan_coeffs(spec: JordanSpec) -> list[tuple[complex, ...]]:
+    """J's coefficient rows (lam, 1, 0, ...), one per eigenvalue."""
+    return [((e.eigenvalue, 1.0) + (0.0,) * e.sizes[0])[: e.sizes[0]] for e in spec.eigens]
+
+
 def jordan_blocks(spec: JordanSpec) -> list[np.ndarray]:
-    """The diagonal blocks of J: the bicommutant element with coefficients (lam, 1, 0, ...)."""
-    coeffs = tuple(((e.eigenvalue, 1.0) + (0.0,) * e.sizes[0])[: e.sizes[0]] for e in spec.eigens)
-    return bicomm_blocks(spec, BicommElement(coeffs))
+    """The diagonal blocks of J: the bicommutant element with coefficients (lam, 1, 0, ...).
+
+    They come from the gather of :func:`bicomm_blocks`; see
+    :func:`jordan_and_bicomm_stacks` for J's blocks together with an element's.
+    """
+    toeplitz = _toeplitz(spec, _jordan_coeffs(spec))
+    return [toeplitz[b.eigen_index, : b.dim, : b.dim] for b in inner_blocks(spec)]
 
 
 def build_JA(spec: JordanSpec) -> np.ndarray:
@@ -218,22 +228,63 @@ def validate_bicomm_element(spec: JordanSpec, elem: BicommElement) -> None:
                 raise ValueError(f"eigenvalue {j}: real eigenvalue needs real coefficients")
 
 
+def _toeplitz(spec: JordanSpec, rows) -> np.ndarray:
+    """The Toeplitz matrices of stacked, unvalidated coefficient rows, from one gather.
+
+    rows holds one row per eigenvalue for each of one or more matrices in
+    turn; Jordan block b of the i-th matrix is out[i * len(spec.eigens) +
+    b.eigen_index, :b.dim, :b.dim].  out is of the largest leading size,
+    doubled when the real field has pairs, whose rows hold the 2x2 blocks
+    [[a, b], [-b, a]] for a + ib.  Adding 0.0 turns -0.0 into +0.0, as a
+    sum of shift matrices does.
+    """
+    top = max(e.sizes[0] for e in spec.eigens)
+    k = np.arange(top)
+    c = np.array([(0,) * (top - 1) + tuple(row) + (0,) * (top - len(row)) for row in rows],
+                 dtype=np.complex128)
+    t = c[:, top - 1 + k - k[:, None]] + 0.0
+    pair = np.tile([spec._is_pair(e) for e in spec.eigens], len(c) // len(spec.eigens))
+    if not pair.any():
+        return t
+    rot = np.array([[t.real, t.imag], [-t.imag, t.real]]) + 0.0
+    out = rot.transpose(2, 3, 0, 4, 1).reshape(len(c), 2 * top, 2 * top).astype(complex)
+    out[~pair] = 0.0
+    out[~pair, :top, :top] = t[~pair]
+    return out
+
+
 def bicomm_blocks(spec: JordanSpec, elem: BicommElement) -> list[np.ndarray]:
     """The element's diagonal Toeplitz blocks in the Jordan basis, one per Jordan block.
 
-    All are views into one gather at the largest leading size (2x2 blocks
-    [[a, b], [-b, a]] for a + ib at pairs); adding 0.0 turns -0.0 into +0.0,
-    as a sum of shift matrices does.
+    elem is validated first.  All are views into one gather at the largest
+    leading size (2x2 blocks [[a, b], [-b, a]] for a + ib at pairs); adding
+    0.0 turns -0.0 into +0.0, as a sum of shift matrices does.
     """
     validate_bicomm_element(spec, elem)
-    top = max(e.sizes[0] for e in spec.eigens)
-    k = np.arange(top)
-    c = np.array([(0,) * (top - 1) + row + (0,) * (top - len(row)) for row in elem.coeffs])
-    t = c[:, top - 1 + k - k[:, None]] + 0.0
-    if spec.field == "real":  # pairs take their 2x2 blocks from here
-        rot = np.array([[t.real, t.imag], [-t.imag, t.real]]) + 0.0
-        pair = rot.transpose(2, 3, 0, 4, 1).reshape(len(c), 2 * top, 2 * top).astype(complex)
-    return [(pair if b.pair else t)[b.eigen_index, : b.dim, : b.dim] for b in inner_blocks(spec)]
+    toeplitz = _toeplitz(spec, elem.coeffs)
+    return [toeplitz[b.eigen_index, : b.dim, : b.dim] for b in inner_blocks(spec)]
+
+
+def jordan_and_bicomm_stacks(
+    spec: JordanSpec, elem: BicommElement
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """J's and the element's diagonal blocks, stacked by block size, from one gather.
+
+    The gather runs over J's coefficient rows (lam, 1, 0, ...) stacked on
+    elem's, and elem is validated once.  One (rows, stack) per distinct
+    block dim d, in order of first appearance in inner_blocks(spec): rows
+    indexes the blocks of dim d, and stack, of shape (2, len(rows), d, d),
+    holds jordan_blocks(spec)[rows] then bicomm_blocks(spec, elem)[rows].
+    """
+    validate_bicomm_element(spec, elem)
+    toeplitz = _toeplitz(spec, _jordan_coeffs(spec) + list(elem.coeffs))
+    dims = np.array([b.dim for b in inner_blocks(spec)])
+    eigen = np.array([[0], [len(spec.eigens)]]) + [b.eigen_index for b in inner_blocks(spec)]
+    out = []
+    for d in dict.fromkeys(dims.tolist()):
+        rows = np.flatnonzero(dims == d)
+        out.append((rows, toeplitz[eigen[:, rows], :d, :d]))
+    return out
 
 
 def build_bicomm_jordan(spec: JordanSpec, elem: BicommElement) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Reading problem files: one JSON document describing A, B and run options.
 
 The format is deliberately small and diff-friendly; complex scalars are
-always [re, im] pairs (a bare number is accepted and read as real).  See
-schemas/problem.json in the repository for the full schema.
+always [re, im] pairs (a bare number is accepted and read as real), and
+every number must be finite: the NaN and Infinity that json.load accepts
+are input errors.  See schemas/problem.json in the repository for the
+full schema.
 
     {
       "field": "complex",
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
@@ -56,16 +59,24 @@ def _fail(where: str, message: str) -> ProblemFileError:
     return ProblemFileError(f"{where}: {message}")
 
 
+def _real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _scalar(node, where: str) -> complex:
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return complex(float(node), 0.0)
-    if (
-        isinstance(node, list)
-        and len(node) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
-    ):
-        return complex(float(node[0]), float(node[1]))
-    raise _fail(where, "expected a number or an [re, im] pair")
+    if _real(node):
+        re, im = node, 0.0
+    elif isinstance(node, list) and len(node) == 2 and _real(node[0]) and _real(node[1]):
+        re, im = node
+    else:
+        raise _fail(where, "expected a number or an [re, im] pair")
+    try:
+        re, im = float(re), float(im)
+    except OverflowError:  # an integer beyond the float range
+        re = math.nan
+    if not (math.isfinite(re) and math.isfinite(im)):  # json.load reads NaN and Infinity too
+        raise _fail(where, "expected finite numbers, not NaN, Infinity or beyond the float range")
+    return complex(re, im)
 
 
 def _matrix(node, where: str) -> np.ndarray:
@@ -144,7 +155,7 @@ def parse_problem(doc: dict, tol_override: Mapping[str, float] | None = None) ->
     for name in ("rank_rel", "psd_rel", "eq_rel"):
         if name in tnode:
             v = tnode[name]
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < math.inf:
+            if not _real(v) or not 0 < v <= sys.float_info.max:
                 raise _fail(f"tolerances.{name}", "expected a finite positive number")
             values[name] = float(v)
     tol = replace(DEFAULT_TOLERANCES, **{**values, **(tol_override or {})})

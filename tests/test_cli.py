@@ -175,6 +175,43 @@ class TestExitCodes:
         assert captured.out == ""
         assert "tolerances.psd_rel" in captured.err
 
+    @pytest.mark.parametrize("where, value", [
+        ("eigenvalues[0].lambda", "NaN"),
+        ("eigenvalues[1].lambda", "-Infinity"),
+        ("eigenvalues[1].lambda", "1" + "0" * 400),  # an integer beyond the float range
+        ("B.coeffs[0][0]", "Infinity"),
+        ("B.matrix[0][1]", "NaN"),
+        ("P[1][0]", "-Infinity"),
+        ("map.matricization[0][0]", "Infinity"),
+        ("tolerances.psd_rel", "1" + "0" * 400),
+    ], ids=lambda v: "10**400" if v.startswith("100") else v)
+    def test_non_finite_number_is_an_input_error(self, tmp_path, capsys, where, value):
+        # json.load accepts NaN and Infinity; they used to reach the routes,
+        # which warned and exited 70, and a huge integer raised OverflowError.
+        doc = {"field": "complex",
+               "eigenvalues": [{"lambda": [1.0, 0.0], "sizes": [1]},
+                               {"lambda": [2.0, 0.5], "sizes": [1]}],
+               "P": [[1.0, 0.0], [0.5, 1.0]],
+               "B": {"coeffs": [[1.0], [[2.0, 0.0]]]},
+               "map": {"matricization": [[1.0]], "n": 1, "q": 1},
+               "tolerances": {"psd_rel": 1e-9}}
+        if where.startswith("B.matrix"):
+            doc["B"] = {"matrix": [[1.0, 0.0], [0.0, 2.0]]}
+        node, key = doc, where.replace("]", "").replace("[", ".").split(".")
+        for part in key[:-1]:
+            node = node[int(part) if part.isdigit() else part]
+        if where.endswith(".lambda"):  # the whole scalar, or its imaginary part
+            node[key[-1]] = "@" if value == "NaN" else [2.0, "@"]
+        else:
+            node[int(key[-1]) if key[-1].isdigit() else key[-1]] = "@"
+        path = write(tmp_path, json.dumps(doc).replace('"@"', value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["check", path]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {where}: expected ")
+
     @pytest.mark.parametrize("command", ["check", "hill-pick", "hill", "verify"])
     def test_negative_precision_rejected(self, command, capsys):
         assert run([command, problem("pick_not_dominated.json"), "--precision", "-1"]) == 64

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -571,7 +572,7 @@ class TestCheckDomination:
     def test_trial_count_checked_before_any_route(self, monkeypatch, decide):
         called = []
         for name in ("hill_pick_matrix", "_jordan_setup", "choi_matrix", "psd_report",
-                     "domination_oracle", "jordan_blocks", "bicomm_blocks"):
+                     "domination_oracle", "jordan_and_bicomm_stacks"):
             monkeypatch.setattr(domination, name, lambda *a, _name=name, **k: called.append(_name))
         with pytest.raises(ValueError, match="trials must be at least 1"):
             decide(STEIN_FLIP, oracle_trials=0)
@@ -590,41 +591,144 @@ class TestCheckDomination:
         stein_domination(with_similarity(rng, prob, STEIN), oracle_trials=20)
 
     def test_decisions_build_pair_maps_once(self, monkeypatch):
-        # One setup per decision: A's pair maps are built once, B's once (for
-        # the composite, which the Choi route and the oracle share), and no
-        # dense matrix is built from the Jordan blocks.
-        built, two_sided = [], []
-
-        class CountingPairMaps(domination._PairMaps):
-            def __init__(self, *args):
-                built.append(args[0].name)
-                super().__init__(*args)
-
-            def _two_sided(self, *args):
-                two_sided.append(args[0] is self.b_blocks)
-                return super()._two_sided(*args)
+        # One setup per decision: one gather of J's and B's blocks (B's element
+        # validated once), one two_sided call per size pair that builds A's
+        # maps on J's blocks and B's on B's, one L_A factorization per size
+        # pair, whose right-hand side [L_B^T | I] gives the composite and
+        # inv(L_A), and no dense matrix built from the Jordan blocks.
+        log = {"built": [], "two_sided": [], "solve": [], "gather": 0, "validate": 0}
+        monkeypatch.setattr(domination, "_PairMaps", counting_pair_maps(log))
+        monkeypatch.setattr(np.linalg, "solve", counting_solve(log, np.linalg.solve))
+        for key, name in (("gather", "_toeplitz"), ("validate", "validate_bicomm_element")):
+            monkeypatch.setattr(jordan, name, counting(log, key, getattr(jordan, name)))
+        for order in (LYAPUNOV, STEIN):
+            monkeypatch.setattr(domination, order.name.upper(), counting_order(log, order))
 
         def refuse(*args):
             raise AssertionError("a dense Jordan matrix was built")
 
-        monkeypatch.setattr(domination, "_PairMaps", CountingPairMaps)
         for module, name in ((domination, "build_A"), (domination, "build_bicomm_element"),
                              (jordan, "build_JA"), (jordan, "build_bicomm_jordan"),
                              (jordan, "build_A"), (jordan, "build_bicomm_element"),
                              (jordan, "block_diag")):
             monkeypatch.setattr(module, name, refuse)
         rng = np.random.default_rng(42)
+        seen = set()
         for k in range(8):
             field, order = ("complex", "real")[k % 2], (LYAPUNOV, STEIN)[k // 2 % 2]
             spec = random_jordan_spec(rng, field=field, max_dim=6)
             prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
-            for log in (built, two_sided):
-                log.clear()
+            blocks = {"A": jordan.jordan_blocks(prob.spec),
+                      "B": jordan.bicomm_blocks(prob.spec, prob.element)}
+            log.update(built=[], two_sided=[], solve=[], gather=0, validate=0)
             decide = check_domination if order is LYAPUNOV else stein_domination
             decide(prob, oracle_trials=20)
-            groups = len({b.dim for b in inner_blocks(prob.spec)}) ** 2
-            assert built == [order.name]
-            assert two_sided == [False] * groups + [True] * groups
+            dims = [len(blk) for blk in blocks["A"]]
+            size_pairs = sorted((r, c) for r in set(dims) for c in set(dims))
+            assert log["built"] == [order.name]
+            assert (log["gather"], log["validate"]) == (1, 1)
+            # Each size pair's maps are built once, A's on J's blocks and B's on B's.
+            assert sorted((l.shape[-1], r.shape[-1]) for l, r in log["two_sided"]) == size_pairs
+            for l, r in log["two_sided"]:
+                assert l.shape[:3] == (2, dims.count(l.shape[-1]), 1)
+                assert r.shape[:3] == (2, 1, dims.count(r.shape[-1]))
+                for side, stack in zip("AB", l[:, :, 0]):
+                    want = [blk for blk in blocks[side] if len(blk) == l.shape[-1]]
+                    np.testing.assert_array_equal(stack, want)
+                for side, stack in zip("AB", r[:, 0]):
+                    want = [blk for blk in blocks[side] if len(blk) == r.shape[-1]]
+                    np.testing.assert_array_equal(stack, want)
+            # Besides the oracle's solve for inv(P), one L_A solve per size pair.
+            la_solves = [(a, b) for a, b in log["solve"] if a is not prob.spec.similarity]
+            assert len(la_solves) == len(log["solve"]) - 1 == len(size_pairs)
+            for a, b in la_solves:
+                assert a.ndim == 4 and b.shape[:-1] == a.shape[:-1]
+                assert b.shape[-1] == 2 * a.shape[-1]  # [L_B^T | I]
+            assert sorted((a.shape[0], a.shape[1]) for a, _ in la_solves) == sorted(
+                (dims.count(r), dims.count(c)) for r, c in size_pairs)
+            seen.add((field, order.name))
+        assert len(seen) == 4
+
+    def test_order_map_and_sampling_solve_one_half(self, monkeypatch):
+        # lyapctl hill's order map solves for L_B inv(L_A) alone, and the
+        # sampler, which has no B, for inv(L_A) alone: neither pays for the
+        # other half of a decision's [L_B^T | I].
+        log = {"two_sided": [], "solve": []}
+        monkeypatch.setattr(np.linalg, "solve", counting_solve(log, np.linalg.solve))
+        monkeypatch.setattr(domination, "LYAPUNOV", counting_order(log, LYAPUNOV))
+        rng = np.random.default_rng(43)
+        spec = random_jordan_spec(rng, max_dim=5)
+        prob = LyapunovProblem(spec, random_element(rng, spec))
+        n = spec.dim
+        lyapunov_order_map(prob)
+        ((a, b),) = log["solve"]
+        assert a.shape == b.shape == (n * n, n * n)
+        a = build_A(spec)
+        log.update(two_sided=[], solve=[])
+        sample_lyapunov_solutions(a, count=3, seed=1)
+        ((l, r),) = log["two_sided"]
+        assert l.shape[:2] == r.shape[:2] == (1, 1)  # A's maps only
+        ((la, rhs),) = log["solve"]
+        assert la.shape == rhs.shape == (1, 1, n * n, n * n)
+        np.testing.assert_array_equal(rhs[0, 0], np.eye(n * n))
+
+    def test_setup_matches_separate_solves(self):
+        # The one solve per size pair against the two it replaced: the
+        # composite against solve(L_A^T, L_B^T)^T, the plan's inverses
+        # against solve(L_A, I) (on float64 L_A for the real field).
+        seen = set()
+        for k, field, order, similar, prob in mixed_block_problems():
+            setup = _jordan_setup(prob, order)
+            a_blocks = jordan.jordan_blocks(prob.spec)
+            b_blocks = jordan.bicomm_blocks(prob.spec, prob.element)
+            groups = setup.plan[2]
+            for (rows, cols, la), (_, _, comp), (_, _, inv) in zip(
+                    setup.pairs, setup.composite.pairs, groups, strict=True):
+                def pair_map(blocks):
+                    return order.two_sided(np.stack([blocks[i] for i in rows])[:, None],
+                                           np.stack([blocks[j] for j in cols])[None, :])
+
+                lb = pair_map(b_blocks)
+                np.testing.assert_array_equal(la, pair_map(a_blocks))
+                want = np.linalg.solve(la.swapaxes(-1, -2), lb.swapaxes(-1, -2)).swapaxes(-1, -2)
+                np.testing.assert_allclose(comp, want, rtol=0, atol=1e-13 * np.abs(want).max())
+                la = la.real if field == "real" else la
+                want = np.linalg.solve(la, np.eye(la.shape[-1]))
+                want = want.ravel() if want.shape[-1] == 1 else want
+                assert inv.dtype == setup.dtype
+                np.testing.assert_allclose(inv, want, rtol=0, atol=1e-13 * np.abs(want).max())
+            seen.add((field, order.name, similar))
+        assert len(seen) == 8
+
+
+def counting(log, key, fn):
+    def wrapped(*args, **kwargs):
+        log[key] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def counting_pair_maps(log):
+    class CountingPairMaps(domination._PairMaps):
+        def __init__(self, *args):
+            log["built"].append(args[0].name)
+            super().__init__(*args)
+    return CountingPairMaps
+
+
+def counting_order(log, order):
+    """order, with each two_sided call's stacks logged."""
+    def two_sided(l, r):
+        log["two_sided"].append((l, r))
+        return order.two_sided(l, r)
+    return dataclasses.replace(order, two_sided=two_sided)
+
+
+def counting_solve(log, solve):
+    def wrapped(a, b):
+        log["solve"].append((a, b))
+        return solve(a, b)
+    return wrapped
 
 
 class TestSampling:
@@ -675,7 +779,7 @@ class TestSampling:
         hs = sample_lyapunov_solutions(a, count=count, seed=7)
         assert len(hs) == count
         assert not any(np.shares_memory(x, y) for k, x in enumerate(hs) for y in hs[k + 1:])
-        maps = domination._PairMaps(LYAPUNOV, [a])
+        maps = domination._PairMaps(LYAPUNOV, [(np.zeros(1, dtype=int), a[None, None])])
         expect = [h for batch in block_pair_solutions(maps, "complex", count, 7) for h in batch]
         for h, want in zip(hs, expect):
             assert h.dtype == np.complex128
