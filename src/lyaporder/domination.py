@@ -13,10 +13,10 @@ factors (each lower shift on the Jordan blocks of one eigenvalue, at the
 selection down the first block column of its leading block).  For diagonal
 A it is the classical Pick matrix (conj(t_i) + t_j) / (conj(lam_i) + lam_j).
 
-Three independent routes are provided and cross-validated: the Hill-Pick
-matrix (closed form, over the real field by complexification), the Choi
-PSD test, and a randomized sampling oracle that draws Lyapunov solutions
-of A and checks them against B directly.
+Three routes are cross-validated: the Hill-Pick matrix (closed form, over
+the real field by complexification), the Choi PSD test of the composite,
+built in closed form from the order's operator in A's Jordan basis, and a
+sampling oracle that applies that composite to random cone elements' images.
 """
 
 from __future__ import annotations
@@ -31,18 +31,18 @@ import numpy as np
 
 from .jordan import (
     BicommElement,
+    MAX_BLOCK_SIZE,
     JordanSpec,
     build_A,
     build_bicomm_element,
     eigenvalue_list,
-    jordan_and_bicomm_stacks,
+    inner_blocks,
     leading_blocks,
     validate_bicomm_element,
 )
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    as_matrix,
     kron,
     psd_report,
     psd_screen,
@@ -60,7 +60,6 @@ __all__ = [
     "upsilon_selection",
     "hill_pick_matrix",
     "check_domination",
-    "sample_lyapunov_solutions",
     "domination_oracle",
     "stein_order_map",
     "stein_domination",
@@ -71,19 +70,13 @@ _VERDICT = {"yes": "dominates", "no": "not_dominates", "marginal": "marginal"}
 _MAX_BATCH = 64
 
 
-def _square(a) -> np.ndarray:
-    am = as_matrix(a)
-    if am.shape[0] != am.shape[1]:
-        raise ValueError("A must be square")
-    return am
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LyapunovProblem:
     """A given by Jordan data plus bicommutant data for B.
 
-    Regularity of A is not checked here: it depends on the order, and each
-    route that inverts an order's map checks it for that order.
+    The element is validated once, here, and the problem is frozen.  A's
+    regularity depends on the order: each route that inverts an order's map
+    checks it for that order.
     """
 
     spec: JordanSpec
@@ -150,23 +143,22 @@ class Order:
     scale that eq_rel is relative to.  singular names the vanishing condition.
     For A = P J inv(P), cone(S Y S*, A) = S cone(Y, J) S* with the S of
     congruence(P, inv(P)) = (S, inv(S)): P^{-*} for Lyapunov, P for Stein.
-    cone defines the order and is the tests' reference; the decisions never
-    call it, since the oracle applies the composite map to its targets.
+
+    On Toeplitz blocks l(N), r(N) (N the upper shift, l and r stacks of
+    coefficient rows) the map is series(l, r), a polynomial in a left and a
+    right shift: N^T X, X N for Lyapunov (shift = 1), N X, X N^T for Stein
+    (shift = -1).  Decisions use series; cone and two_sided are the reference.
     """
 
     name: str
     two_sided: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    series: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    shift: int
     pair: Callable[[np.ndarray, np.ndarray], np.ndarray]
     slack: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cone: Callable[[np.ndarray, np.ndarray], np.ndarray]
     congruence: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     singular: str
-
-    def matricization(self, a, field: str = "complex") -> StarLinearMap:
-        """Matricization of the map X -> cone(X, A)."""
-        am = _square(a)
-        n = am.shape[0]
-        return StarLinearMap(self.two_sided(am, am), n, n, field)
 
     def regular(self, spec: JordanSpec, tol: Tolerances | None = None) -> bool:
         """True when no eigenvalue pair of A makes the order's map singular.
@@ -186,10 +178,14 @@ class Order:
             )
 
 
+_E0 = np.eye(1, MAX_BLOCK_SIZE)[0]  # (1, 0, 0, ...): the shifts' zeroth power
 LYAPUNOV = Order(
     "Lyapunov",  # kron(R.T, I) + kron(I, L*) is the matricization of X -> X R + L* X
     lambda l, r: (kron(r.swapaxes(-1, -2), np.eye(l.shape[-1]))
                   + kron(np.eye(r.shape[-1]), l.conj().swapaxes(-1, -2))),
+    lambda l, r: (l.conj()[..., :, None] * _E0[: r.shape[-1]]  # X r(N) + conj(l)(N^T) X
+                  + _E0[: l.shape[-1], None] * r[..., None, :]),
+    1,
     lambda a, b: a + b.conj(),
     lambda a, b: np.abs(a) + np.abs(b),
     lambda h, m: h @ m + m.conj().T @ h,
@@ -199,6 +195,9 @@ LYAPUNOV = Order(
 STEIN = Order(
     "Stein",  # I - kron(conj R, L) is the matricization of X -> X - L X R*
     lambda l, r: np.eye(l.shape[-1] * r.shape[-1]) - kron(r.conj(), l),
+    lambda l, r: (_E0[: l.shape[-1], None] * _E0[: r.shape[-1]]  # X - l(N) X conj(r)(N^T)
+                  - l[..., :, None] * r.conj()[..., None, :]),
+    -1,
     lambda a, b: a * b.conj() - 1.0,
     lambda a, b: 1.0 + np.abs(a) * np.abs(b),
     lambda h, m: h - m @ h @ m.conj().T,
@@ -206,86 +205,125 @@ STEIN = Order(
     "lam_i * conj(lam_j) == 1",
 )
 
+# _SPLIT[2] splits a real pair's 2 x 2 slot [[a, b], [-b, a]] into a + ib and a - ib.
+# _FOLD[k_r, k_c][(u, v, u', v'), (s, t)]: part (s, t)'s weight in real slots (u, v) <- (u', v').
+_SPLIT = {1: np.ones((1, 1)), 2: np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0)}
+_FOLD = {(k_r, k_c): np.einsum("us,vt,Us,Vt->uvUVst", _SPLIT[k_r], _SPLIT[k_c].conj(),
+                               _SPLIT[k_r].conj(), _SPLIT[k_c]).reshape(-1, k_r * k_c)
+         for k_r in (1, 2) for k_c in (1, 2)}
+_OFFSETS = np.subtract.outer(np.arange(MAX_BLOCK_SIZE), np.arange(MAX_BLOCK_SIZE))  # i - j
+
+
+def _expand(c: np.ndarray, shift: int) -> np.ndarray:
+    """Matrices of sum c[i, j] left^i right^j on vec(X): entry (p, q) moves by shift * (i, j)."""
+    (s_r, s_c), lead = c.shape[-2:], c.shape[:-2]
+    pad = np.zeros(lead + (2 * s_r, 2 * s_c), dtype=c.dtype)
+    pad[..., :s_r, :s_c] = c  # negative offsets wrap onto the zeros
+    rows = _OFFSETS[:s_r, :s_r][::shift, ::shift]  # shift * (out - in)
+    cols = _OFFSETS[:s_c, :s_c][::shift, ::shift]
+    return pad[..., rows[:, None], cols[:, None, :, None]].reshape(lead + (s_r * s_c,) * 2)
+
 
 class _PairMaps:
-    """cone(X, A) for A = diag(blocks) on each block X_IJ, its inverse and the composite.
+    """cone_A^{-1} and the composite cone_B o cone_A^{-1} on each block X_IJ, in closed form.
 
-    groups holds one (rows, stack) per block size d: rows indexes the blocks
-    of A of that size, and stack, of shape (k, len(rows), d, d), holds them
-    (stack[0]) and, with k = 2, the same blocks of B (stack[1]).  pairs holds
-    one (rows, cols, L_A) per pair of block sizes, L_A[k, l] =
-    order.two_sided(A_rows[k], A_cols[l]) acting on block (rows[k], cols[l]).
-    Per size pair, one two_sided call on the two groups' stacks gives L_A
-    and L_B, and one solve(L_A^T, [L_B^T | I]) gives both the composite
-    cone_B o cone_A^{-1} = L_B inv(L_A) (composite, for the Choi route and
-    the oracle's trials) and inv(L_A) (plan, for sample_lyapunov_solutions
-    and the pull-back of the oracle's witness).  Without B the right-hand
-    side is I alone and composite is None.  plan is float64 (dtype) for the
-    real field, whose blocks are real.
+    inverse and composite are BlockSeparableMaps, one (rows, cols, maps) per
+    pair (i, j) of block dims, made per pair of kinds (size, pair) for i <= j;
+    both maps are *-linear, which gives the (j, i) maps.  A real pair a + ib of
+    size s is complexified by Q = I_s (x) _SPLIT[2] into (lam, t), (conj lam,
+    conj t).  On a complex block pair L = mu I - K (Order.series), K nilpotent
+    of index below s_r + s_c: inv(L_A) = sum_k K^k / mu^(k+1) (Horner), 1 / mu
+    for 1 x 1 blocks.  Real blocks are folded back by Q, float64 (dtype).
     """
 
-    def __init__(self, order: Order, groups, field: str = "complex"):
-        dims = np.zeros(sum(len(rows) for rows, _ in groups), dtype=int)
-        for rows, stack in groups:
-            dims[rows] = stack.shape[-1]
-        self.dims = tuple(dims.tolist())
-        self.dtype = np.dtype(np.float64 if field == "real" else np.complex128)
-        with_b = len(groups[0][1]) == 2
-        self.pairs, self._inverses, composite = [], [], []
-        for rows, left in groups:
-            for cols, right in groups:
-                maps = order.two_sided(left[:, :, None], right[:, None])  # L_A[, L_B]
-                la, m = maps[0], maps.shape[-1]
-                rhs = np.empty(la.shape[:-1] + (len(maps) * m,), dtype=la.dtype)  # [L_B^T | I]
-                rhs[..., -m:] = np.eye(m)
-                if with_b:
-                    rhs[..., :m] = maps[1].swapaxes(-1, -2)
-                x = np.linalg.solve(la.swapaxes(-1, -2), rhs).swapaxes(-1, -2)
-                self.pairs.append((rows, cols, la))
-                self._inverses.append(x[..., -m:, :])
-                composite.append((rows, cols, x[..., :-m, :]))
-        self.composite = BlockSeparableMap(self.dims, composite) if with_b else None
+    def __init__(self, order: Order, spec: JordanSpec, element: BicommElement):
+        blocks = inner_blocks(spec)
+        self.dims = tuple(b.dim for b in blocks)
+        self.dtype = np.dtype(np.float64 if spec.field == "real" else np.complex128)
+        # rows[0, :, j]: J's coefficients (lam_j, 1, 0, ...), then B's, each read up
+        # to a block's size; rows[1] conjugated, for the pairs' conj lam blocks.
+        top = max(e.sizes[0] for e in spec.eigens)
+        rows = np.zeros((1 + (spec.field == "real"), 2, len(spec.eigens), top), dtype=complex)
+        rows[0, 0, :, 0] = [e.eigenvalue for e in spec.eigens]
+        rows[0, 0, :, 1:2] = 1.0
+        rows[0, 1] = [(row + (0.0,) * top)[:top] for row in element.coeffs]
+        rows[1:] = rows[:1].conj()
+        by_dim: dict[int, dict[tuple[int, int], list[int]]] = {}  # kind: (size, pair)
+        for i, b in enumerate(blocks):
+            by_dim.setdefault(b.dim, {}).setdefault((b.size, 1 + b.pair), []).append(i)
+        groups = [(np.concatenate(list(kinds.values())),  # one stack per dim, for the plan
+                   [rows[:k, :, [blocks[i].eigen_index for i in idx], :s]
+                    for (s, k), idx in kinds.items()]) for kinds in by_dim.values()]
+        done = {}
+        for i, (r, lefts) in enumerate(groups):
+            for j, (c, rights) in enumerate(groups):
+                if j < i:  # X_IJ's map from X_JI's: Phi(X*) = Phi(X)*
+                    d, maps = (self.dims[r[0]], self.dims[c[0]]), done[j, i]
+                    maps = maps.reshape(maps.shape[:3] + d + d).transpose(0, 2, 1, 4, 3, 6, 5)
+                    maps = maps.conj().reshape(2, len(r), len(c), d[0] * d[1], -1)
+                else:
+                    maps = [[self._pair(order, left, right) for right in rights] for left in lefts]
+                    maps = maps[0][0] if len(lefts) == len(rights) == 1 else np.concatenate(
+                        [np.concatenate(m, axis=2) for m in maps], axis=1)
+                done[i, j] = np.ascontiguousarray(maps)  # for BLAS in the oracle's matmuls
+        self.inverse, self.composite = (BlockSeparableMap(self.dims, [
+            (groups[i][0], groups[j][0], m[k]) for (i, j), m in done.items()]) for k in (0, 1))
 
-    def _group(self, maps: np.ndarray) -> np.ndarray:  # of dtype, flat for 1 x 1 blocks
-        maps = (maps.real if self.dtype == np.float64 else maps).astype(self.dtype, copy=False)
-        return maps.ravel() if maps.shape[-1] == 1 else maps
+    def _pair(self, order: Order, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """(inv(L_A), L_B inv(L_A)), (2, R, C, d_r d_c, d_r d_c), from rows (k, 2, R|C, s)."""
+        (k_r, _, n_r, s_r), (k_c, _, n_c, s_c) = left.shape, right.shape
+        c = order.series(left[:, None, :, :, None], right[None, :, :, None])
+        mu = c[:, :, :1, :, :, :1, :1]  # c is (k_r, k_c, 2, R, C, s_r, s_c)
+        if s_r == s_c == 1:
+            maps = c / mu
+            maps[:, :, :1] = 1.0 / mu
+        else:
+            maps, eye, mu = _expand(c, order.shift), np.eye(s_r * s_c), mu[:, :, 0]  # L_A, L_B
+            k = np.add(eye, maps[:, :, 0] / -mu, out=maps[:, :, 0])  # K / mu = I - L_A / mu
+            x = k + eye
+            for _ in range(s_r + s_c - 3):  # Horner: sum_k (K / mu)^k
+                x = k @ x + eye
+            np.divide(x, mu, out=k)
+            maps[:, :, 1] = maps[:, :, 1] @ k
+        if k_r * k_c > 1:  # fold back: the congruence with Q on each block pair
+            maps = np.matmul(_FOLD[k_r, k_c], maps.reshape(k_r * k_c, -1)).real
+            maps = maps.reshape(k_r, k_c, k_r, k_c, 2, n_r, n_c, s_c, s_r, s_c, s_r)
+            maps = maps.transpose(4, 5, 6, 7, 1, 8, 0, 9, 3, 10, 2)  # to the real blocks' vecs
+        elif self.dtype == np.float64:
+            maps = maps.real
+        return maps.reshape(2, n_r, n_c, k_r * s_r * k_c * s_c, -1)
 
     @cached_property
     def plan(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, np.ndarray]]]:
         """(perm, inverse perm, groups): the oracle's solve of cone(X, A) = W, W flat n x n.
 
         W.ravel()[perm] holds each pair's blocks contiguously, as the
-        column-major vecs L_A acts on, in the order of its stack; group
+        column-major vecs the maps act on, in the order of its stack; group
         (start, stop, inv(L_A)) owns [start, stop), shaped (R, C, d_r d_c).
         For 1 x 1 blocks inv(L_A) is flat (R C,): the solve is a product.
         """
         n, offset = sum(self.dims), np.cumsum((0,) + self.dims)
         perm, groups = [], []
-        for (rows, cols, _), inverse in zip(self.pairs, self._inverses):
+        for rows, cols, inverse in self.inverse.pairs:
             r = offset[rows][:, None, None, None] + np.arange(self.dims[rows[0]])[:, None]
             c = offset[cols][None, :, None, None] + np.arange(self.dims[cols[0]])
             start = sum(len(p) for p in perm)
             perm.append((r * n + c).swapaxes(-1, -2).ravel())
-            groups.append((start, start + len(perm[-1]), self._group(inverse)))
+            groups.append((start, start + len(perm[-1]),
+                           inverse.ravel() if inverse.shape[-1] == 1 else inverse))
         perm = np.concatenate(perm)
         return perm, np.argsort(perm), groups
 
     @cached_property
     def composite_groups(self) -> list[tuple[int, int, np.ndarray]]:
         """plan's groups with the composite's L_B inv(L_A) in place of inv(L_A)."""
-        return [(start, stop, self._group(maps))
+        return [(start, stop, maps.ravel() if maps.shape[-1] == 1 else maps)
                 for (start, stop, _), (_, _, maps) in zip(self.plan[2], self.composite.pairs)]
 
 
 def _jordan_setup(prob: LyapunovProblem, order: Order) -> _PairMaps:
-    """One decision's Jordan-basis data, shared by its routes; the caller checks regularity.
-
-    J's and B's diagonal blocks come from one gather, stacked by block size
-    (jordan_and_bicomm_stacks), and _PairMaps builds and factors each size
-    pair's L_A once.
-    """
-    spec = prob.spec
-    return _PairMaps(order, jordan_and_bicomm_stacks(spec, prob.element), spec.field)
+    """One decision's Jordan-basis maps, shared by its routes; the caller checks regularity."""
+    return _PairMaps(order, prob.spec, prob.element)
 
 
 def _order_map(prob: LyapunovProblem, order: Order) -> StarLinearMap:
@@ -443,19 +481,6 @@ def _cone_solutions(
         yield y, scratch, v
         done += size
         batch = min(2 * batch, _MAX_BATCH)
-
-
-def sample_lyapunov_solutions(
-    a, count: int = 1, seed: int = 0, field: str = "complex"
-) -> list[np.ndarray]:
-    """Draw Hermitian H with H A + A* H PSD, by pulling random PSD targets back.
-
-    Samples W = G G* with Gaussian G and solves the Lyapunov equation
-    H A + A* H = W; every returned H is symmetrized and owns its data.  A
-    must be Lyapunov regular (the map is inverted directly).
-    """
-    maps = _PairMaps(LYAPUNOV, [(np.zeros(1, dtype=int), _square(a)[None, None])])
-    return [h.copy() for hs, *_ in _cone_solutions(maps, field, int(count), seed) for h in hs]
 
 
 def _require_trials(trials: int) -> None:

@@ -39,7 +39,6 @@ __all__ = [
     "eigenvalue_list",
     "bicomm_blocks",
     "jordan_blocks",
-    "jordan_and_bicomm_stacks",
     "from_jordan_basis",
     "build_JA",
     "build_A",
@@ -178,8 +177,7 @@ def _jordan_coeffs(spec: JordanSpec) -> list[tuple[complex, ...]]:
 def jordan_blocks(spec: JordanSpec) -> list[np.ndarray]:
     """The diagonal blocks of J: the bicommutant element with coefficients (lam, 1, 0, ...).
 
-    They come from the gather of :func:`bicomm_blocks`; see
-    :func:`jordan_and_bicomm_stacks` for J's blocks together with an element's.
+    They come from the gather of :func:`bicomm_blocks`.
     """
     toeplitz = _toeplitz(spec, _jordan_coeffs(spec))
     return [toeplitz[b.eigen_index, : b.dim, : b.dim] for b in inner_blocks(spec)]
@@ -229,21 +227,20 @@ def validate_bicomm_element(spec: JordanSpec, elem: BicommElement) -> None:
 
 
 def _toeplitz(spec: JordanSpec, rows) -> np.ndarray:
-    """The Toeplitz matrices of stacked, unvalidated coefficient rows, from one gather.
+    """The Toeplitz matrices of unvalidated coefficient rows, from one gather.
 
-    rows holds one row per eigenvalue for each of one or more matrices in
-    turn; Jordan block b of the i-th matrix is out[i * len(spec.eigens) +
-    b.eigen_index, :b.dim, :b.dim].  out is of the largest leading size,
-    doubled when the real field has pairs, whose rows hold the 2x2 blocks
-    [[a, b], [-b, a]] for a + ib.  Adding 0.0 turns -0.0 into +0.0, as a
-    sum of shift matrices does.
+    rows holds one row per eigenvalue; Jordan block b is out[b.eigen_index,
+    :b.dim, :b.dim].  out is of the largest leading size, doubled when the
+    real field has pairs, whose rows hold the 2x2 blocks [[a, b], [-b, a]]
+    for a + ib.  Adding 0.0 turns -0.0 into +0.0, as a sum of shift
+    matrices does.
     """
     top = max(e.sizes[0] for e in spec.eigens)
     k = np.arange(top)
     c = np.array([(0,) * (top - 1) + tuple(row) + (0,) * (top - len(row)) for row in rows],
                  dtype=np.complex128)
     t = c[:, top - 1 + k - k[:, None]] + 0.0
-    pair = np.tile([spec._is_pair(e) for e in spec.eigens], len(c) // len(spec.eigens))
+    pair = np.array([spec._is_pair(e) for e in spec.eigens])
     if not pair.any():
         return t
     rot = np.array([[t.real, t.imag], [-t.imag, t.real]]) + 0.0
@@ -263,28 +260,6 @@ def bicomm_blocks(spec: JordanSpec, elem: BicommElement) -> list[np.ndarray]:
     validate_bicomm_element(spec, elem)
     toeplitz = _toeplitz(spec, elem.coeffs)
     return [toeplitz[b.eigen_index, : b.dim, : b.dim] for b in inner_blocks(spec)]
-
-
-def jordan_and_bicomm_stacks(
-    spec: JordanSpec, elem: BicommElement
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """J's and the element's diagonal blocks, stacked by block size, from one gather.
-
-    The gather runs over J's coefficient rows (lam, 1, 0, ...) stacked on
-    elem's, and elem is validated once.  One (rows, stack) per distinct
-    block dim d, in order of first appearance in inner_blocks(spec): rows
-    indexes the blocks of dim d, and stack, of shape (2, len(rows), d, d),
-    holds jordan_blocks(spec)[rows] then bicomm_blocks(spec, elem)[rows].
-    """
-    validate_bicomm_element(spec, elem)
-    toeplitz = _toeplitz(spec, _jordan_coeffs(spec) + list(elem.coeffs))
-    dims = np.array([b.dim for b in inner_blocks(spec)])
-    eigen = np.array([[0], [len(spec.eigens)]]) + [b.eigen_index for b in inner_blocks(spec)]
-    out = []
-    for d in dict.fromkeys(dims.tolist()):
-        rows = np.flatnonzero(dims == d)
-        out.append((rows, toeplitz[eigen[:, rows], :d, :d]))
-    return out
 
 
 def build_bicomm_jordan(spec: JordanSpec, elem: BicommElement) -> np.ndarray:

@@ -7,8 +7,10 @@ Hill's representation of *-linear maps (``reconstruct_map``,
 and complete positivity coincide (``find_c1_witness``, ``find_c2_witness``,
 ``positivity_equals_cp_certificate``), the scalar closed form of one
 Hill-Pick entry (``hill_pick_coeff``) and the composite map rebuilt from the
-Hill-Pick matrix (``closed_form_matricization``), plus small map and matrix
-utilities the tests build their inputs with.
+Hill-Pick matrix (``closed_form_matricization``), an order's dense map on A
+(``matricization``) and the Lyapunov-solution sampler
+(``sample_lyapunov_solutions``), plus small map and matrix utilities the
+tests build their inputs with.
 
 A Hill representation writes a *-linear map as
 
@@ -30,11 +32,18 @@ form: ``lyaporder.hill._structured_candidate``.
 from __future__ import annotations
 
 from math import comb
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from lyaporder.domination import LYAPUNOV, LyapunovProblem, hill_pick_matrix
+from lyaporder.domination import (
+    LYAPUNOV,
+    LyapunovProblem,
+    Order,
+    _cone_solutions,
+    hill_pick_matrix,
+)
 from lyaporder.hill import (
     HillRep,
     _require_star_linear,
@@ -99,6 +108,47 @@ def gaussian(rng: np.random.Generator, shape, field: str) -> np.ndarray:
 def is_psd(m, tol: Tolerances | None = None) -> str:
     """Three-way PSD verdict; see :func:`lyaporder.linalg.psd_report`."""
     return psd_report(m, tol)[0]
+
+
+# --------------------------------------------------------------------------
+# The orders' maps on a dense A.
+# --------------------------------------------------------------------------
+
+
+def _square(a) -> np.ndarray:
+    am = as_matrix(a)
+    if am.shape[0] != am.shape[1]:
+        raise ValueError("A must be square")
+    return am
+
+
+def matricization(order: Order, a, field: str = "complex") -> StarLinearMap:
+    """Matricization of the map X -> order.cone(X, A), by order.two_sided."""
+    am = _square(a)
+    n = am.shape[0]
+    return StarLinearMap(order.two_sided(am, am), n, n, field)
+
+
+def sample_lyapunov_solutions(
+    a, count: int = 1, seed: int = 0, field: str = "complex"
+) -> list[np.ndarray]:
+    """Draw Hermitian H with H A + A* H PSD, by pulling random PSD targets back.
+
+    Samples W = G G* with Gaussian G and solves the Lyapunov equation
+    H A + A* H = W; every returned H is symmetrized and owns its data.  The
+    draw is the oracle's (domination._cone_solutions), on A as one block
+    whose n^2 x n^2 map is inverted by one dense solve, so A must be
+    Lyapunov regular.
+    """
+    la = matricization(LYAPUNOV, a).matrix
+    n = _square(a).shape[0]
+    inverse = np.linalg.solve(la, np.eye(n * n))
+    perm = np.arange(n * n).reshape(n, n).T.ravel()  # W.ravel()[perm] is vec(W)
+    one_block = SimpleNamespace(
+        dims=(n,), dtype=np.dtype(np.complex128),
+        plan=(perm, np.argsort(perm),
+              [(0, n * n, inverse.ravel() if n == 1 else inverse[None, None])]))
+    return [h.copy() for hs, *_ in _cone_solutions(one_block, field, int(count), seed) for h in hs]
 
 
 # --------------------------------------------------------------------------

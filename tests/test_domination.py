@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import tracemalloc
 
@@ -27,11 +28,8 @@ from lyaporder import (
     stein_order_map,
     upsilon_selection,
 )
-from lyaporder import domination, jordan
-from lyaporder.domination import (
-    _jordan_setup,
-    sample_lyapunov_solutions,
-)
+from lyaporder import domination, jordan, linalg
+from lyaporder.domination import _jordan_setup
 from lyaporder.hill import hill_at_selection, matricization_blocks
 from lyaporder.jordan import build_bicomm_jordan, build_JA, inner_blocks
 from lyaporder.linalg import NotHermitianError, block_diag
@@ -45,11 +43,14 @@ from helpers import (
     stein_jordan_spec,
     stein_power_element,
 )
+import reference
 from reference import (
     apply_map,
     closed_form_matricization,
     hill_pick_coeff,
     is_psd,
+    matricization,
+    sample_lyapunov_solutions,
     unvec,
     vec,
 )
@@ -70,7 +71,7 @@ def per_trial_solutions(prob, order, trials, seed):
     """Reference sampler: one target and one n^2 x n^2 solve in A's own basis per trial."""
     spec = prob.spec
     n = spec.dim
-    la = order.matricization(build_A(spec), spec.field).matrix
+    la = matricization(order, build_A(spec), spec.field).matrix
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         g = rng.standard_normal((n, n))
@@ -96,20 +97,21 @@ def per_trial_witness(prob, order, trials, seed):
     return per_trial_violation(prob, order, trials, seed)[1]
 
 
-def block_pair_solutions(maps, field, count, seed, congruence=None):
+def block_pair_solutions(dims, las, dtype, field, count, seed, congruence=None):
     """Reference for _cone_solutions: a fancy-index gather, solve and scatter per size pair.
 
-    Each block of W is gathered as W[:, r, c], solved as inv(L_A) @ vec and
-    scattered back, in fresh arrays per batch; the draw, batch sizes and
-    congruence are those of the oracle.
+    las holds (rows, cols, L_A) per pair of block kinds, L_A built by the
+    test (pair_maps).  Each block of W is gathered as W[:, r, c], solved as
+    inv(L_A) @ vec and scattered back, in fresh arrays per batch; the draw,
+    batch sizes and congruence are those of the oracle.
     """
-    n = sum(maps.dims)
-    offset = np.cumsum((0,) + maps.dims)
+    n = sum(dims)
+    offset = np.cumsum((0,) + tuple(dims))
     inverses = []
-    for rows, cols, la in maps.pairs:
-        r = offset[rows][:, None, None, None] + np.arange(maps.dims[rows[0]])[:, None]
-        c = offset[cols][None, :, None, None] + np.arange(maps.dims[cols[0]])
-        la = la.real if maps.dtype == np.float64 else la
+    for rows, cols, la in las:
+        r = offset[rows][:, None, None, None] + np.arange(dims[rows[0]])[:, None]
+        c = offset[cols][None, :, None, None] + np.arange(dims[cols[0]])
+        la = la.real if dtype == np.float64 else la
         inverses.append((r, c, np.linalg.solve(la, np.eye(la.shape[-1]))))
     s, s_inv, s_star = congruence or (None, None, None)
     rng = np.random.default_rng(seed)
@@ -117,7 +119,7 @@ def block_pair_solutions(maps, field, count, seed, congruence=None):
     while done < count:
         size = min(batch, count - done)
         z = rng.standard_normal((size, 2 if field == "complex" else 1, n, n))
-        g = (z[:, 0] + 1j * z[:, 1] if field == "complex" else z[:, 0]).astype(maps.dtype)
+        g = (z[:, 0] + 1j * z[:, 1] if field == "complex" else z[:, 0]).astype(dtype)
         g = g if s_inv is None else s_inv @ g
         w = g @ g.conj().swapaxes(-1, -2)
         y = np.empty_like(w)
@@ -129,6 +131,29 @@ def block_pair_solutions(maps, field, count, seed, congruence=None):
         yield (y + y.conj().swapaxes(-1, -2)) / 2.0
         done += size
         batch = min(2 * batch, domination._MAX_BATCH)
+
+
+def pair_maps(setup, prob, order):
+    """(rows, cols, L_A, L_B) per pair of the setup's block kinds, by order.two_sided.
+
+    L_A and L_B act on the blocks (rows[k], cols[l]) of J's and B's Toeplitz
+    blocks, dense and complex128 in both fields.
+    """
+    a_blocks = jordan.jordan_blocks(prob.spec)
+    b_blocks = jordan.bicomm_blocks(prob.spec, prob.element)
+    out = []
+    for rows, cols, _ in setup.inverse.pairs:
+        la, lb = (order.two_sided(np.stack([blocks[i] for i in rows])[:, None],
+                                  np.stack([blocks[j] for j in cols])[None, :])
+                  for blocks in (a_blocks, b_blocks))
+        out.append((rows, cols, la, lb))
+    return out
+
+
+def setup_solutions(setup, prob, order, field, count, seed, congruence=None):
+    """block_pair_solutions on the setup's layout, with L_A from pair_maps."""
+    las = [(rows, cols, la) for rows, cols, la, _ in pair_maps(setup, prob, order)]
+    return block_pair_solutions(setup.dims, las, setup.dtype, field, count, seed, congruence)
 
 
 def faulty_cones(fault):
@@ -210,17 +235,17 @@ ORDER_MAPS = {"Lyapunov": lyapunov_order_map, "Stein": stein_order_map}
 
 class TestMatricization:
     def test_scalar(self):
-        m = LYAPUNOV.matricization(np.array([[1 + 2j]]))
+        m = matricization(LYAPUNOV, np.array([[1 + 2j]]))
         assert np.allclose(m.matrix, [[2.0]])
 
     def test_diagonal(self):
-        m = LYAPUNOV.matricization(np.diag([1.0, 2.0]))
+        m = matricization(LYAPUNOV, np.diag([1.0, 2.0]))
         assert np.array_equal(m.matrix, np.diag([2.0, 3.0, 3.0, 4.0]).astype(complex))
 
     def test_acts_as_lyapunov_operator(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        m = LYAPUNOV.matricization(a)
+        m = matricization(LYAPUNOV, a)
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert np.allclose(apply_map(m, x), x @ a + a.conj().T @ x)
 
@@ -237,7 +262,7 @@ class TestOrderMap:
         m = lyapunov_order_map(prob)
         a = build_A(spec)
         b = build_bicomm_element(spec, prob.element)
-        la = LYAPUNOV.matricization(a).matrix
+        la = matricization(LYAPUNOV, a).matrix
         n = spec.dim
         for _ in range(5):
             h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -421,8 +446,8 @@ class TestHillPickMatrix:
         prob = LyapunovProblem(spec, random_element(rng, spec))
         ja = build_JA(spec)
         bt = build_bicomm_jordan(spec, prob.element)
-        la = LYAPUNOV.matricization(ja).matrix
-        lb = LYAPUNOV.matricization(bt).matrix
+        la = matricization(LYAPUNOV, ja).matrix
+        lb = matricization(LYAPUNOV, bt).matrix
         jordan_map = StarLinearMap(np.linalg.solve(la.T, lb.T).T, spec.dim, spec.dim)
         rep = nonminimal_hill(jordan_map, upsilon_selection(spec))
         assert np.allclose(hill_pick_matrix(prob).matrix, rep.hill.T, atol=1e-9)
@@ -508,6 +533,13 @@ class TestHillPickReal:
 
 
 class TestCheckDomination:
+    def test_problem_is_frozen(self):
+        # The setup trusts the element check made when the problem was built.
+        prob = diag_problem([1.0, 2.0], [1.0, 3.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prob.element = BicommElement(((1.0, 2.0), (3.0,)))
+        assert prob.element == BicommElement(((1.0,), (3.0,)))
+
     def test_scalar_b_equals_a(self):
         prob = diag_problem([2.0], [2.0])
         report = check_domination(prob, oracle_trials=100, seed=0)
@@ -571,8 +603,8 @@ class TestCheckDomination:
     @pytest.mark.parametrize("decide", [check_domination, stein_domination])
     def test_trial_count_checked_before_any_route(self, monkeypatch, decide):
         called = []
-        for name in ("hill_pick_matrix", "_jordan_setup", "choi_matrix", "psd_report",
-                     "domination_oracle", "jordan_and_bicomm_stacks"):
+        for name in ("hill_pick_matrix", "_jordan_setup", "_PairMaps", "choi_matrix",
+                     "psd_report", "domination_oracle"):
             monkeypatch.setattr(domination, name, lambda *a, _name=name, **k: called.append(_name))
         with pytest.raises(ValueError, match="trials must be at least 1"):
             decide(STEIN_FLIP, oracle_trials=0)
@@ -591,18 +623,33 @@ class TestCheckDomination:
         stein_domination(with_similarity(rng, prob, STEIN), oracle_trials=20)
 
     def test_decisions_build_pair_maps_once(self, monkeypatch):
-        # One setup per decision: one gather of J's and B's blocks (B's element
-        # validated once), one two_sided call per size pair that builds A's
-        # maps on J's blocks and B's on B's, one L_A factorization per size
-        # pair, whose right-hand side [L_B^T | I] gives the composite and
-        # inv(L_A), and no dense matrix built from the Jordan blocks.
-        log = {"built": [], "two_sided": [], "solve": [], "gather": 0, "validate": 0}
+        # One setup per decision, in closed form: every pair of Jordan blocks
+        # is covered by exactly one pair of block kinds; no dense matrix is
+        # built from the Jordan blocks, no Toeplitz block is gathered and B's
+        # element is not validated again (the frozen problem was, when made);
+        # the decision calls two_sided and kron nowhere, and _jordan_setup
+        # makes no solve.  The oracle's solve for inv(P) is the only one.
+        log = {"built": [], "two_sided": [], "solve": [], "kron": 0, "gather": 0,
+               "validate": 0, "setup": []}
         monkeypatch.setattr(domination, "_PairMaps", counting_pair_maps(log))
         monkeypatch.setattr(np.linalg, "solve", counting_solve(log, np.linalg.solve))
+        for module in (domination, linalg):
+            monkeypatch.setattr(module, "kron", counting(log, "kron", linalg.kron))
         for key, name in (("gather", "_toeplitz"), ("validate", "validate_bicomm_element")):
             monkeypatch.setattr(jordan, name, counting(log, key, getattr(jordan, name)))
+        monkeypatch.setattr(domination, "validate_bicomm_element",
+                            counting(log, "validate", jordan.validate_bicomm_element))
         for order in (LYAPUNOV, STEIN):
             monkeypatch.setattr(domination, order.name.upper(), counting_order(log, order))
+        real_setup = domination._jordan_setup
+
+        def setup(prob, order):
+            before = len(log["solve"]), len(log["two_sided"]), log["kron"]
+            out = real_setup(prob, order)
+            log["setup"].append(before == (len(log["solve"]), len(log["two_sided"]), log["kron"]))
+            return out
+
+        monkeypatch.setattr(domination, "_jordan_setup", setup)
 
         def refuse(*args):
             raise AssertionError("a dense Jordan matrix was built")
@@ -618,44 +665,28 @@ class TestCheckDomination:
             field, order = ("complex", "real")[k % 2], (LYAPUNOV, STEIN)[k // 2 % 2]
             spec = random_jordan_spec(rng, field=field, max_dim=6)
             prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
-            blocks = {"A": jordan.jordan_blocks(prob.spec),
-                      "B": jordan.bicomm_blocks(prob.spec, prob.element)}
-            log.update(built=[], two_sided=[], solve=[], gather=0, validate=0)
+            log.update(built=[], two_sided=[], solve=[], kron=0, gather=0, validate=0, setup=[])
             decide = check_domination if order is LYAPUNOV else stein_domination
             decide(prob, oracle_trials=20)
-            dims = [len(blk) for blk in blocks["A"]]
-            size_pairs = sorted((r, c) for r in set(dims) for c in set(dims))
-            assert log["built"] == [order.name]
-            assert (log["gather"], log["validate"]) == (1, 1)
-            # Each size pair's maps are built once, A's on J's blocks and B's on B's.
-            assert sorted((l.shape[-1], r.shape[-1]) for l, r in log["two_sided"]) == size_pairs
-            for l, r in log["two_sided"]:
-                assert l.shape[:3] == (2, dims.count(l.shape[-1]), 1)
-                assert r.shape[:3] == (2, 1, dims.count(r.shape[-1]))
-                for side, stack in zip("AB", l[:, :, 0]):
-                    want = [blk for blk in blocks[side] if len(blk) == l.shape[-1]]
-                    np.testing.assert_array_equal(stack, want)
-                for side, stack in zip("AB", r[:, 0]):
-                    want = [blk for blk in blocks[side] if len(blk) == r.shape[-1]]
-                    np.testing.assert_array_equal(stack, want)
-            # Besides the oracle's solve for inv(P), one L_A solve per size pair.
-            la_solves = [(a, b) for a, b in log["solve"] if a is not prob.spec.similarity]
-            assert len(la_solves) == len(log["solve"]) - 1 == len(size_pairs)
-            for a, b in la_solves:
-                assert a.ndim == 4 and b.shape[:-1] == a.shape[:-1]
-                assert b.shape[-1] == 2 * a.shape[-1]  # [L_B^T | I]
-            assert sorted((a.shape[0], a.shape[1]) for a, _ in la_solves) == sorted(
-                (dims.count(r), dims.count(c)) for r, c in size_pairs)
+            ((name, maps),) = log["built"]
+            assert name == order.name and log["setup"] == [True]
+            cover = np.zeros((len(maps.dims),) * 2, dtype=int)
+            for rows, cols, _ in maps.composite.pairs:
+                cover[np.ix_(rows, cols)] += 1
+            assert (cover == 1).all()
+            assert (log["gather"], log["validate"], log["kron"], log["two_sided"]) == (0, 0, 0, [])
+            assert [a is prob.spec.similarity for a, _ in log["solve"]] == [True]
             seen.add((field, order.name))
         assert len(seen) == 4
 
     def test_order_map_and_sampling_solve_one_half(self, monkeypatch):
         # lyapctl hill's order map solves for L_B inv(L_A) alone, and the
-        # sampler, which has no B, for inv(L_A) alone: neither pays for the
-        # other half of a decision's [L_B^T | I].
+        # reference sampler, which has no B, for inv(L_A) alone: one
+        # two_sided call on A and one solve against I.
         log = {"two_sided": [], "solve": []}
         monkeypatch.setattr(np.linalg, "solve", counting_solve(log, np.linalg.solve))
-        monkeypatch.setattr(domination, "LYAPUNOV", counting_order(log, LYAPUNOV))
+        for module in (domination, reference):
+            monkeypatch.setattr(module, "LYAPUNOV", counting_order(log, LYAPUNOV))
         rng = np.random.default_rng(43)
         spec = random_jordan_spec(rng, max_dim=5)
         prob = LyapunovProblem(spec, random_element(rng, spec))
@@ -667,38 +698,50 @@ class TestCheckDomination:
         log.update(two_sided=[], solve=[])
         sample_lyapunov_solutions(a, count=3, seed=1)
         ((l, r),) = log["two_sided"]
-        assert l.shape[:2] == r.shape[:2] == (1, 1)  # A's maps only
+        np.testing.assert_array_equal(l, a)  # A's maps only
+        np.testing.assert_array_equal(r, a)
         ((la, rhs),) = log["solve"]
-        assert la.shape == rhs.shape == (1, 1, n * n, n * n)
-        np.testing.assert_array_equal(rhs[0, 0], np.eye(n * n))
+        assert la.shape == rhs.shape == (n * n, n * n)
+        np.testing.assert_array_equal(rhs, np.eye(n * n))
 
     def test_setup_matches_separate_solves(self):
-        # The one solve per size pair against the two it replaced: the
-        # composite against solve(L_A^T, L_B^T)^T, the plan's inverses
-        # against solve(L_A, I) (on float64 L_A for the real field).
+        # The closed form against the dense solves written here, on L_A and
+        # L_B built by two_sided from J's and B's Toeplitz blocks: the
+        # composite against solve(L_A^T, L_B^T)^T and the inverse against
+        # solve(L_A, I) (on float64 L_A for the real field).
         seen = set()
         for k, field, order, similar, prob in mixed_block_problems():
-            setup = _jordan_setup(prob, order)
-            a_blocks = jordan.jordan_blocks(prob.spec)
-            b_blocks = jordan.bicomm_blocks(prob.spec, prob.element)
-            groups = setup.plan[2]
-            for (rows, cols, la), (_, _, comp), (_, _, inv) in zip(
-                    setup.pairs, setup.composite.pairs, groups, strict=True):
-                def pair_map(blocks):
-                    return order.two_sided(np.stack([blocks[i] for i in rows])[:, None],
-                                           np.stack([blocks[j] for j in cols])[None, :])
-
-                lb = pair_map(b_blocks)
-                np.testing.assert_array_equal(la, pair_map(a_blocks))
-                want = np.linalg.solve(la.swapaxes(-1, -2), lb.swapaxes(-1, -2)).swapaxes(-1, -2)
-                np.testing.assert_allclose(comp, want, rtol=0, atol=1e-13 * np.abs(want).max())
-                la = la.real if field == "real" else la
-                want = np.linalg.solve(la, np.eye(la.shape[-1]))
-                want = want.ravel() if want.shape[-1] == 1 else want
-                assert inv.dtype == setup.dtype
-                np.testing.assert_allclose(inv, want, rtol=0, atol=1e-13 * np.abs(want).max())
+            assert_setup_matches_dense(_jordan_setup(prob, order), prob, order)
             seen.add((field, order.name, similar))
         assert len(seen) == 8
+
+    def test_setup_does_not_use_hill_pick(self, monkeypatch):
+        # The Choi route stays independent of the Hill-Pick route: the setup
+        # calls neither hill_pick_matrix nor the selection, leading blocks and
+        # binomials the Hill-Pick matrix is built from.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the setup used the Hill-Pick route")
+
+        for name in ("hill_pick_matrix", "upsilon_selection", "leading_blocks", "comb"):
+            monkeypatch.setattr(domination, name, refuse)
+        seen = set()
+        for k, field, order, similar, prob in itertools.islice(mixed_block_problems(), 16):
+            assert_setup_matches_dense(_jordan_setup(prob, order), prob, order)
+            seen.add((field, order.name, similar))
+        assert len(seen) == 8
+
+
+def assert_setup_matches_dense(setup, prob, order):
+    """Each pair's composite and inverse within 1e-13 of the block's max-norm of dense solves."""
+    for (_, _, la, lb), (_, _, comp), (_, _, inv) in zip(
+            pair_maps(setup, prob, order), setup.composite.pairs, setup.plan[2], strict=True):
+        assert comp.dtype == inv.dtype == setup.dtype
+        want = np.linalg.solve(la.swapaxes(-1, -2), lb.swapaxes(-1, -2)).swapaxes(-1, -2)
+        np.testing.assert_allclose(comp, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        la = la.real if setup.dtype == np.float64 else la
+        want = np.linalg.solve(la, np.eye(la.shape[-1]))
+        want = want.ravel() if want.shape[-1] == 1 else want
+        np.testing.assert_allclose(inv, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def counting(log, key, fn):
@@ -711,8 +754,8 @@ def counting(log, key, fn):
 def counting_pair_maps(log):
     class CountingPairMaps(domination._PairMaps):
         def __init__(self, *args):
-            log["built"].append(args[0].name)
             super().__init__(*args)
+            log["built"].append((args[0].name, self))
     return CountingPairMaps
 
 
@@ -779,8 +822,9 @@ class TestSampling:
         hs = sample_lyapunov_solutions(a, count=count, seed=7)
         assert len(hs) == count
         assert not any(np.shares_memory(x, y) for k, x in enumerate(hs) for y in hs[k + 1:])
-        maps = domination._PairMaps(LYAPUNOV, [(np.zeros(1, dtype=int), a[None, None])])
-        expect = [h for batch in block_pair_solutions(maps, "complex", count, 7) for h in batch]
+        one = [(np.zeros(1, dtype=int),) * 2 + (LYAPUNOV.two_sided(a, a)[None, None],)]
+        batches = block_pair_solutions((len(a),), one, np.complex128, "complex", count, 7)
+        expect = [h for batch in batches for h in batch]
         for h, want in zip(hs, expect):
             assert h.dtype == np.complex128
             np.testing.assert_allclose(h, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -959,7 +1003,7 @@ class TestOracle:
             congruence = oracle_congruence(prob, order, maps.dtype)
             sizes = []
             for (hs, *_), want in zip(domination._cone_solutions(maps, field, 200, k, congruence),
-                                     block_pair_solutions(maps, field, 200, k, congruence),
+                                     setup_solutions(maps, prob, order, field, 200, k, congruence),
                                      strict=True):
                 assert hs.dtype == maps.dtype and hs.shape == want.shape
                 np.testing.assert_allclose(hs, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -981,7 +1025,7 @@ class TestOracle:
             b = build_bicomm_element(prob.spec, prob.element)
             for (cones, _, targets), hs in zip(
                     domination._cone_solutions(maps, field, 200, k, congruence, composite=True),
-                    block_pair_solutions(maps, field, 200, k, congruence), strict=True):
+                    setup_solutions(maps, prob, order, field, 200, k, congruence), strict=True):
                 want = order.cone(hs, b)
                 assert cones.dtype == maps.dtype and cones.shape == want.shape
                 assert targets.shape == (len(hs), prob.spec.dim ** 2)
@@ -1053,7 +1097,7 @@ class TestStein:
     def test_matricization(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        m = STEIN.matricization(a)
+        m = matricization(STEIN, a)
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert np.allclose(apply_map(m, x), x - a @ x @ a.conj().T)
 
@@ -1124,7 +1168,7 @@ class TestStein:
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         for order in (LYAPUNOV, STEIN):
             x = order.cone(h, m)
-            assert np.allclose(vec(x), order.matricization(m).matrix @ vec(h))
+            assert np.allclose(vec(x), matricization(order, m).matrix @ vec(h))
 
 
 class TestSimilarityInvariance:
@@ -1191,13 +1235,54 @@ class TestJordanBasis:
             spec = random_jordan_spec(rng, field="real", max_dim=8, similarity=k % 2 == 1)
             prob = LyapunovProblem(spec, random_element(rng, spec))
             # The n^2 x n^2 Jordan-basis composite, read at upsilon.
-            la = LYAPUNOV.matricization(build_JA(spec), "real").matrix
-            lb = LYAPUNOV.matricization(build_bicomm_jordan(spec, prob.element), "real").matrix
+            la = matricization(LYAPUNOV, build_JA(spec), "real").matrix
+            lb = matricization(LYAPUNOV, build_bicomm_jordan(spec, prob.element), "real").matrix
             jordan_map = StarLinearMap(np.linalg.solve(la.T, lb.T).T, spec.dim, spec.dim, "real")
             expect = hill_at_selection(matricization_blocks(jordan_map), upsilon_selection(spec)).T
             for hp in (hill_pick_matrix(prob), check_domination(prob, oracle_trials=1).hill_pick):
                 np.testing.assert_allclose(hp.matrix, expect.real, rtol=0,
                                            atol=1e-12 * np.abs(expect).max())
+
+    def test_support_choi_is_hill_pick_for_diagonal_a(self):
+        # For complex diagonal A both routes build the Pick matrix
+        # (conj(t_i) + t_j) / (conj(lam_i) + lam_j), each its own way.
+        rng = np.random.default_rng(36)
+        for n in (1, 2, 5, 16, 24):
+            lams = rng.uniform(0.2, 2.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+            prob = diag_problem(lams, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            hp = hill_pick_matrix(prob).matrix
+            choi = choi_matrix(_jordan_setup(prob, LYAPUNOV).composite)
+            np.testing.assert_allclose(choi, hp, rtol=0, atol=1e-14 * np.abs(hp).max())
+
+    @pytest.mark.parametrize("order", [LYAPUNOV, STEIN], ids=["lyapunov", "stein"])
+    def test_real_pair_choi_has_the_complexified_inertia(self, order):
+        # A real-pair problem and its complexification (each pair a + ib as
+        # lam and conj lam, with t and conj t) are congruent, block pair by
+        # block pair: their support Choi matrices have one inertia.
+        rng = np.random.default_rng(37)
+        signs = set()
+        for k in range(24):
+            sizes = (1,) if k % 3 else (2, 1)
+            m = 1 + k % 4
+            if order is LYAPUNOV:
+                lams = rng.uniform(0.3, 2.0, m) + 1j * rng.uniform(0.2, 1.5, m)
+            else:
+                lams = rng.uniform(0.2, 0.8, m) * np.exp(1j * rng.uniform(0.2, 3.0, m))
+            coeffs = [tuple(rng.standard_normal(2) @ (1.0, 1j) for _ in range(sizes[0]))
+                      for _ in range(m)]
+            if k % 2:  # a dominator: B = 2I + A (Lyapunov), B = A^2 (Stein)
+                coeffs = [((2 + lam, 1.0) if order is LYAPUNOV else (lam * lam, 2 * lam))
+                          [: sizes[0]] for lam in lams]
+            real = LyapunovProblem(JordanSpec("real", tuple(EigenBlock(l, sizes) for l in lams)),
+                                   BicommElement(tuple(coeffs)))
+            complexified = LyapunovProblem(
+                JordanSpec("complex",
+                           tuple(EigenBlock(l, sizes) for l in np.r_[lams, lams.conj()])),
+                BicommElement(tuple(coeffs) + tuple(tuple(np.conj(row)) for row in coeffs)))
+            got = inertia(choi_matrix(_jordan_setup(real, order).composite))
+            assert got == inertia(choi_matrix(_jordan_setup(complexified, order).composite))
+            signs.add(got[0] > 0)
+        assert signs == {False, True}
 
     def test_choi_route_decides_diagonal_dominators(self):
         # For diagonal A the support Choi matrix is the n x n Pick matrix, so a

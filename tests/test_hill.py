@@ -32,6 +32,7 @@ from reference import (
     hill_from_choi,
     is_completely_positive,
     kraus_map,
+    matricization,
     positivity_equals_cp_certificate,
     reconstruct_map,
     vec,
@@ -78,7 +79,7 @@ class TestMinimal:
         assert np.array_equal(rep.hill, np.array([[1.0 + 0j]]))
 
     def test_lyapunov_map_frozen(self):
-        la = LYAPUNOV.matricization(np.diag([1.0, 2.0]))
+        la = matricization(LYAPUNOV, np.diag([1.0, 2.0]))
         rep = minimal_hill_from_blocks(la)
         assert rep.size == 2
         assert rep.selection == ((0, 0), (1, 1))
@@ -137,7 +138,7 @@ class TestHillFromChoi:
         assert np.allclose(ahat2.conj().T @ h2.T @ ahat2, choi_matrix(m), atol=1e-8)
 
     def test_unsupported_rowspace_rejected(self):
-        la = LYAPUNOV.matricization(np.diag([1.0, 2.0]))  # choi rank 2
+        la = matricization(LYAPUNOV, np.diag([1.0, 2.0]))  # choi rank 2
         ahat = vec(np.eye(2)).conj().reshape(1, -1)       # spans one direction only
         with pytest.raises(ValueError):
             hill_from_choi(la, ahat)
@@ -145,7 +146,7 @@ class TestHillFromChoi:
 
 class TestNonMinimal:
     def test_minimal_selection_coincides(self):
-        la = LYAPUNOV.matricization(np.diag([1.0, 2.0]))
+        la = matricization(LYAPUNOV, np.diag([1.0, 2.0]))
         rep_min = minimal_hill_from_blocks(la)
         rep = nonminimal_hill(la, rep_min.selection)
         assert rep.minimal
@@ -153,7 +154,7 @@ class TestNonMinimal:
         assert reconstruction_error(rep, la) <= 1e-12
 
     def test_redundant_selection_keeps_rank(self):
-        la = LYAPUNOV.matricization(np.diag([1.0, 2.0]))
+        la = matricization(LYAPUNOV, np.diag([1.0, 2.0]))
         rep = nonminimal_hill(la, [(0, 0), (1, 1), (0, 1)])  # (0,1) block is zero
         assert not rep.minimal
         assert rep.size == 3
@@ -180,12 +181,12 @@ class TestNonMinimal:
         assert rank_tol(rep.hill) == rank_tol(choi_matrix(m))
 
     def test_duplicate_positions_rejected(self):
-        la = LYAPUNOV.matricization(np.diag([1.0, 2.0]))
+        la = matricization(LYAPUNOV, np.diag([1.0, 2.0]))
         with pytest.raises(ValueError):
             nonminimal_hill(la, [(0, 0), (0, 0)])
 
     def test_non_spanning_selection_rejected(self):
-        la = LYAPUNOV.matricization(np.diag([1.0, 2.0]))
+        la = matricization(LYAPUNOV, np.diag([1.0, 2.0]))
         with pytest.raises(ValueError, match="span"):
             nonminimal_hill(la, [(0, 0), (0, 1)])
 

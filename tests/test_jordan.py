@@ -17,7 +17,7 @@ from lyaporder.domination import upsilon_selection
 from lyaporder.jordan import InnerBlock, bicomm_blocks, build_bicomm_jordan, inner_blocks
 from lyaporder.linalg import block_diag
 from helpers import a_element, random_element, random_invertible, random_jordan_spec
-from reference import extract_bicomm_coeffs
+from reference import extract_bicomm_coeffs, matricization
 
 
 class TestBuildJordan:
@@ -181,7 +181,7 @@ class TestRegularity:
         for order, eigens, expect in cases:
             spec = JordanSpec("complex", eigens)
             n = spec.dim
-            la = order.matricization(build_A(spec)).matrix
+            la = matricization(order, build_A(spec)).matrix
             assert (rank_tol(la) == n * n) is expect
             assert order.regular(spec) is expect
 
