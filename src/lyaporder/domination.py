@@ -17,6 +17,8 @@ Three routes are cross-validated: the Hill-Pick matrix (closed form, over
 the real field by complexification), the Choi PSD test of the composite,
 built in closed form from the order's operator in A's Jordan basis, and a
 sampling oracle that applies that composite to random cone elements' images.
+One body, _decide, runs the routes of either order and applies one
+agreement rule: no route reads "yes" while another reads "no".
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ class DominationReport:
     means that eigenvalue sits inside the psd_rel band around zero.
     choi_min_eig is that of the Jordan-basis Choi matrix on its support
     (BlockSeparableMap): it has the inertia of the Choi matrix in A's own
-    basis, not its eigenvalues.
+    basis, not its eigenvalues.  methods_agree is false when one route
+    reads "yes" and another "no", where an oracle violation reads "no".
     """
 
     verdict: str
@@ -535,40 +538,52 @@ def domination_oracle(
     return "consistent", None
 
 
+def _decide(prob: LyapunovProblem, order: Order, trials: int, seed: int) -> DominationReport:
+    """Either order's decision: each route once, then one agreement rule.
+
+    Trials, then regularity, the Hill-Pick route (Lyapunov only), one
+    _jordan_setup, the Choi route and the oracle.  The verdict is the first
+    matrix route's.  No route may read "yes" while another reads "no"; the
+    oracle reads "no" at a violation, nothing when consistent (evidence,
+    not proof).
+    """
+    _require_trials(trials)
+    order.require_regular(prob.spec, prob.tol)
+    hp = hill_pick_matrix(prob) if order is LYAPUNOV else None
+    routes = [psd_report(hp.matrix, prob.tol)] if hp is not None else []
+    setup = _jordan_setup(prob, order)
+    routes.append(psd_report(choi_matrix(setup.composite), prob.tol))
+    status, witness = domination_oracle(prob, trials, seed, order, setup)
+    verdicts = {verdict for verdict, _ in routes} | ({"no"} if status == "violation" else set())
+    return DominationReport(
+        verdict=_VERDICT[routes[0][0]],
+        hill_pick_min_eig=None if hp is None else routes[0][1],
+        choi_min_eig=routes[-1][1],
+        oracle_status=status, oracle_witness=witness,
+        methods_agree=not {"yes", "no"} <= verdicts,
+        hill_pick=hp,
+        oracle_trials=int(trials),
+        seed=int(seed),
+    )
+
+
 def check_domination(
     prob: LyapunovProblem, oracle_trials: int = 1000, seed: int = 0
 ) -> DominationReport:
-    """Run all three routes and report the verdict with agreement data.
+    """Decide Lyapunov domination by three routes (see _decide).
 
-    The verdict comes from the Hill-Pick matrix; the Choi PSD test of the
-    composite map, in A's Jordan basis on its support, is recorded
-    alongside, and the two agree on every non-marginal problem (a
-    disagreement indicates a bug, not a borderline instance).  The sampling
-    oracle provides an independent witness when domination fails.
+    The verdict comes from the Hill-Pick matrix.  The Choi PSD test of the
+    composite map, in A's Jordan basis on its support, and the sampling
+    oracle, which gives a witness when domination fails, cross-check it: a
+    "yes" against a "no" (an oracle violation reads "no") indicates a bug,
+    not a borderline instance, and sets methods_agree false.
 
-    One limit: methods_agree is true by definition whenever either route
-    reads "marginal", which the support Choi matrix (of rank the Hill-Pick
-    size) does on dominators with a Jordan block of size > 1 or an
-    eigenvalue with two or more blocks.
+    One limit: agreement is vacuous when a matrix route reads "marginal"
+    and the oracle finds nothing.  The support Choi matrix (of rank the
+    Hill-Pick size) reads "marginal" on dominators with a Jordan block of
+    size > 1 or an eigenvalue with two or more blocks.
     """
-    _require_trials(oracle_trials)
-    hp = hill_pick_matrix(prob)  # which checks that A is Lyapunov regular
-    setup = _jordan_setup(prob, LYAPUNOV)
-    hp_verdict, hp_eig = psd_report(hp.matrix, prob.tol)
-    choi_verdict, choi_eig = psd_report(choi_matrix(setup.composite), prob.tol)
-    status, witness = domination_oracle(prob, oracle_trials, seed, setup=setup)
-    agree = hp_verdict == choi_verdict or "marginal" in (hp_verdict, choi_verdict)
-    return DominationReport(
-        verdict=_VERDICT[hp_verdict],
-        hill_pick_min_eig=hp_eig,
-        choi_min_eig=choi_eig,
-        oracle_status=status,
-        oracle_witness=witness,
-        methods_agree=agree,
-        hill_pick=hp,
-        oracle_trials=int(oracle_trials),
-        seed=int(seed),
-    )
+    return _decide(prob, LYAPUNOV, oracle_trials, seed)
 
 
 def stein_domination(
@@ -580,20 +595,4 @@ def stein_domination(
     closed-form Hill-Pick matrix is assembled for this order); the sampling
     oracle draws H with H - A H A* PSD and tests H - B H B*.
     """
-    _require_trials(oracle_trials)
-    STEIN.require_regular(prob.spec, prob.tol)
-    setup = _jordan_setup(prob, STEIN)
-    choi_verdict, choi_eig = psd_report(choi_matrix(setup.composite), prob.tol)
-    status, witness = domination_oracle(prob, oracle_trials, seed, STEIN, setup)
-    agree = status == "consistent" or choi_verdict != "yes"
-    return DominationReport(
-        verdict=_VERDICT[choi_verdict],
-        hill_pick_min_eig=None,
-        choi_min_eig=choi_eig,
-        oracle_status=status,
-        oracle_witness=witness,
-        methods_agree=agree,
-        hill_pick=None,
-        oracle_trials=int(oracle_trials),
-        seed=int(seed),
-    )
+    return _decide(prob, STEIN, oracle_trials, seed)

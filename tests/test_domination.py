@@ -567,6 +567,23 @@ class TestCheckDomination:
         assert report.oracle_status == "consistent"
         assert report.methods_agree
 
+    @pytest.mark.parametrize("decide,prob", [
+        (check_domination, B_IS_IDENTITY),
+        (stein_domination, diag_problem([0.5], [0.25])),
+    ], ids=["lyapunov", "stein"])
+    def test_oracle_violation_against_yes_breaks_agreement(self, monkeypatch, decide, prob):
+        # Both orders share one agreement rule, in which an oracle violation
+        # reads "no": against a strict dominator's "yes" the cross-check fails,
+        # while the verdict stays the matrix route's.
+        def violating(prob, trials, seed, order=LYAPUNOV, setup=None):
+            return "violation", np.eye(prob.spec.dim, dtype=complex)
+
+        assert decide(prob, oracle_trials=50).methods_agree
+        monkeypatch.setattr(domination, "domination_oracle", violating)
+        report = decide(prob, oracle_trials=50)
+        assert report.verdict == "dominates" and report.oracle_status == "violation"
+        assert report.methods_agree is False
+
     def test_boundary_reports_marginal(self):
         prob = diag_problem([1.0, 2.0], [1.0, 2.0])  # B = A: all-ones Pick matrix
         report = check_domination(prob, oracle_trials=200, seed=0)
@@ -1142,6 +1159,18 @@ class TestStein:
         report = stein_domination(diag_problem([0.5, -0.5], [2.0, 0.25]), oracle_trials=1000)
         assert report.verdict == "not_dominates"
         assert report.oracle_status == "violation"
+
+    @pytest.mark.xfail(strict=True, raises=NotHermitianError,
+                       reason="the support Choi matrix is not Hermitian within tolerance")
+    def test_square_near_the_unit_circle_is_marginal(self):
+        # B = A^2 is on the boundary of the Stein order: the right verdict is
+        # "marginal".  The composite's Choi matrix deviates from Hermitian by
+        # 2.9e-5 relative here, and psd_report refuses it.
+        lams = (-0.98581402 - 0.15403808j, -0.35365875 + 0.24578270j)
+        spec = JordanSpec("complex", tuple(EigenBlock(lam, (3, 1)) for lam in lams))
+        square = BicommElement(tuple((lam * lam, 2 * lam, 1.0) for lam in lams))
+        report = stein_domination(LyapunovProblem(spec, square), oracle_trials=100)
+        assert report.verdict == "marginal"
 
     def test_square_dominates(self):
         spec = stein_jordan_spec(np.random.default_rng(12))
