@@ -78,4 +78,4 @@ __all__ = [
     "upsilon_selection",
 ]
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

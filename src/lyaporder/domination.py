@@ -429,24 +429,26 @@ def _apply_groups(groups, v: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _cone_solutions(
     maps: _PairMaps, field: str, count: int, seed: int, congruence=None, composite: bool = False
 ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]]:
-    """Yield batches of Hermitian H with cone(H, A) = W for random PSD targets W = G G*.
+    """Yield batches of Hermitian H with cone(H, A) = W for random rank-one targets W = g g*.
 
+    g is n normals (2n, real parts first, for the complex field) per trial.
     With (S, inv(S), S*) = congruence (S = I when None), cone(S Y S*, A) =
-    S cone(Y, diag(blocks)) S*: each W becomes inv(S) W inv(S)*, is solved
-    block pair by block pair (maps.plan: one gather, a product or a stacked
-    matmul per size pair, one scatter), and maps back as H = S Y S*.  With
-    composite the pairs apply L_B inv(L_A) instead (composite_groups), and
-    the batch is cone(H, B) = Phi(W), not symmetrized; no H is formed.
-    Everything is of maps.dtype: float64 for the real field, whose G is real.
-    Batches hold 1, 2, 4, ..., at most _MAX_BATCH trials: a caller that
-    stops at the first trial pays for one small batch, and the cap bounds
-    the workspace.  Each batch is one draw from a single default_rng(seed)
-    stream, in the order of per-trial gaussian(rng, (n, n), field) draws, so
-    trial k sees the same G however the trials are grouped.  The workspace,
-    made once per call, is four buffers of min(count, _MAX_BATCH) trials:
-    one keeps the gathered targets (size, n^2), for the witness, and each
-    stage writes into the next of the other three.  A batch is yielded with
-    two scratch buffers and its targets, all valid only until the next
+    S cone(Y, diag(blocks)) S*: each g becomes inv(S) g (a matvec), its
+    g g* is solved block pair by block pair (maps.plan: one gather, a
+    product or a stacked matmul per size pair, one scatter), and maps back
+    as H = S Y S*.  With composite the pairs apply L_B inv(L_A) instead
+    (composite_groups), and the batch is cone(H, B) = Phi(W), not
+    symmetrized; no H is formed.  Everything is of maps.dtype: float64 for
+    the real field, whose g is real.  Batches hold 1, 2, 4, ..., at most
+    _MAX_BATCH trials: a caller that stops at the first trial pays for one
+    small batch, and the cap bounds the workspace.  Each batch is one draw
+    from a single default_rng(seed) stream, in the order of per-trial
+    gaussian(rng, n, field) draws, so trial k sees the same g however the
+    trials are grouped.  The workspace, made once per call, is two (size,
+    n) buffers for the g stages and four (size, n, n) buffers: one keeps
+    the gathered targets (size, n^2), for the witness, and each later stage
+    writes into the next of the other three.  A batch is yielded with two
+    scratch buffers and its targets, all valid only until the next
     iteration, so a caller that keeps an H copies it.
     """
     n, k = sum(maps.dims), 2 if field == "complex" else 1
@@ -455,20 +457,21 @@ def _cone_solutions(
     s, s_inv, s_star = congruence or (None, None, None)
     rng = np.random.default_rng(seed)
     work = np.empty((4, min(count, _MAX_BATCH), n, n), dtype=maps.dtype)
+    vecs = np.empty((2, min(count, _MAX_BATCH), n), dtype=maps.dtype)  # the g stages
     done, batch = 0, 1
     while done < count:
         size = min(batch, count - done)
         targets, *bufs = work[:, :size]
-        ring = itertools.cycle(bufs)
-        g = next(ring)
-        z = g.view(np.float64).reshape(-1)[: size * k * n * n].reshape(size, k, n, n)
+        ring, pair = itertools.cycle(bufs), itertools.cycle(vecs[:, :size])
+        g = next(pair)
+        z = g.view(np.float64).reshape(-1)[: size * k * n].reshape(size, k, n)
         rng.standard_normal(out=z)
         if maps.dtype != np.float64:
-            g = next(ring)
+            g = next(pair)
             g.real, g.imag = z[:, 0], z[:, 1] if k == 2 else 0.0
-        g = g if s_inv is None else np.matmul(s_inv, g, out=next(ring))
-        g_star = g if maps.dtype == np.float64 else np.conjugate(g, out=next(ring))
-        w = np.matmul(g, g_star.swapaxes(-1, -2), out=next(ring)).reshape(size, n * n)
+        g = g if s_inv is None else np.matmul(g, s_inv.T, out=next(pair))  # rows inv(S) g
+        g_conj = g if maps.dtype == np.float64 else np.conjugate(g, out=next(pair))
+        w = np.multiply(g[:, :, None], g_conj[:, None], out=next(ring)).reshape(size, n * n)
         v = np.take(w, perm, axis=1, out=targets.reshape(size, n * n), mode="clip")
         y = _apply_groups(groups, v, next(ring).reshape(size, n * n))
         y = np.take(y, perm_inverse, axis=1, out=next(ring).reshape(size, n * n), mode="clip")
@@ -497,21 +500,21 @@ def domination_oracle(
 ) -> tuple[str, Optional[np.ndarray]]:
     """Brute-force check of the order on sampled cone elements of A.
 
-    Each trial draws H with cone(H, A) PSD by construction (H A + A* H for
-    the Lyapunov order, H - A H A* for Stein) and tests whether cone(H, B)
-    fails the PSD test outright ("no", beyond the tolerance band).  Returns
-    ("violation", H) at the first failure, otherwise ("consistent", None);
-    consistency is evidence, not proof.  cone(H, B) = Phi(W), Phi the
-    composite cone_B o cone_A^{-1}, is computed a batch at a time straight
-    from the targets W: no H and no dense B is formed.  A batch of two or
-    more that passes one batched Cholesky screen (linalg.psd_screen) holds
-    no "no" trial and is skipped; every other batch is PSD-tested per
+    Each trial draws H with cone(H, A) = g g*, a random extreme ray of the PSD
+    cone (H A + A* H for the Lyapunov order, H - A H A* for Stein), and tests
+    whether cone(H, B) fails the PSD test outright ("no", beyond the tolerance
+    band).  Returns ("violation", H) at the first failure, otherwise
+    ("consistent", None); consistency is evidence, not proof.  cone(H, B) =
+    Phi(W), Phi the composite cone_B o cone_A^{-1}, is computed a batch at a
+    time straight from the targets W: no H and no dense B is formed.  A batch
+    of two or more that passes one batched Cholesky screen (linalg.psd_screen)
+    holds no "no" trial and is skipped; every other batch is PSD-tested per
     trial, in order, so the first violation, its witness (pulled back from
-    that trial's target through inv(L_A)) and any NotHermitianError are
-    those of a per-trial loop.  Real-field trials run in float64 (setup.dtype);
-    the witness is complex128 either way.  setup is this order's
-    _jordan_setup, built (after the regularity check) when not given.  A
-    must be regular for the order, trials >= 1.
+    that trial's target through inv(L_A)) and any NotHermitianError are those
+    of a per-trial loop.  Real-field trials run in float64 (setup.dtype); the
+    witness is complex128 either way.  setup is this order's _jordan_setup,
+    built (after the regularity check) when not given.  A must be regular for
+    the order, trials >= 1.
     """
     _require_trials(trials)
     spec = prob.spec

@@ -134,8 +134,9 @@ def sample_lyapunov_solutions(
 ) -> list[np.ndarray]:
     """Draw Hermitian H with H A + A* H PSD, by pulling random PSD targets back.
 
-    Samples W = G G* with Gaussian G and solves the Lyapunov equation
-    H A + A* H = W; every returned H is symmetrized and owns its data.  The
+    Samples rank-one W = g g* with Gaussian g, a random extreme ray of the
+    PSD cone, and solves the Lyapunov equation H A + A* H = W; every
+    returned H is symmetrized and owns its data.  The
     draw is the oracle's (domination._cone_solutions), on A as one block
     whose n^2 x n^2 map is inverted by one dense solve, so A must be
     Lyapunov regular.

@@ -47,6 +47,7 @@ import reference
 from reference import (
     apply_map,
     closed_form_matricization,
+    gaussian,
     hill_pick_coeff,
     is_psd,
     matricization,
@@ -68,16 +69,14 @@ STEIN_FLIP = diag_problem([0.5, 1.0 / 3.0], [0.5, -1.0 / 3.0])
 
 
 def per_trial_solutions(prob, order, trials, seed):
-    """Reference sampler: one target and one n^2 x n^2 solve in A's own basis per trial."""
+    """Reference sampler: one target g g* and one n^2 x n^2 solve in A's own basis per trial."""
     spec = prob.spec
     n = spec.dim
     la = matricization(order, build_A(spec), spec.field).matrix
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        g = rng.standard_normal((n, n))
-        if spec.field == "complex":
-            g = g + 1j * rng.standard_normal((n, n))
-        h = unvec(np.linalg.solve(la, vec(g @ g.conj().T)), n, n)
+        g = gaussian(rng, n, spec.field)
+        h = unvec(np.linalg.solve(la, vec(np.outer(g, g.conj()))), n, n)
         yield (h + h.conj().T) / 2.0
 
 
@@ -101,9 +100,10 @@ def block_pair_solutions(dims, las, dtype, field, count, seed, congruence=None):
     """Reference for _cone_solutions: a fancy-index gather, solve and scatter per size pair.
 
     las holds (rows, cols, L_A) per pair of block kinds, L_A built by the
-    test (pair_maps).  Each block of W is gathered as W[:, r, c], solved as
-    inv(L_A) @ vec and scattered back, in fresh arrays per batch; the draw,
-    batch sizes and congruence are those of the oracle.
+    test (pair_maps).  Each trial's W = g g* is formed from its own
+    gaussian(rng, n, field) draw, moved by inv(S) @ g.  Each block of W is
+    gathered as W[:, r, c], solved as inv(L_A) @ vec and scattered back, in
+    fresh arrays per batch; the batch sizes and congruence are the oracle's.
     """
     n = sum(dims)
     offset = np.cumsum((0,) + tuple(dims))
@@ -118,10 +118,10 @@ def block_pair_solutions(dims, las, dtype, field, count, seed, congruence=None):
     done, batch = 0, 1
     while done < count:
         size = min(batch, count - done)
-        z = rng.standard_normal((size, 2 if field == "complex" else 1, n, n))
-        g = (z[:, 0] + 1j * z[:, 1] if field == "complex" else z[:, 0]).astype(dtype)
-        g = g if s_inv is None else s_inv @ g
-        w = g @ g.conj().swapaxes(-1, -2)
+        gs = [gaussian(rng, n, field) for _ in range(size)]
+        gs = [g.real if dtype == np.float64 else g for g in gs]
+        gs = gs if s_inv is None else [s_inv @ g for g in gs]
+        w = np.array([np.outer(g, g.conj()) for g in gs])
         y = np.empty_like(w)
         for r, c, inverse in inverses:
             t = w[:, r, c].swapaxes(-1, -2)  # t[i, k, l].ravel(): vec of block (k, l) of W_i
@@ -214,6 +214,66 @@ def with_similarity(rng, prob, order=LYAPUNOV):
     eigens = tuple(EigenBlock(e.eigenvalue / scale, e.sizes) for e in spec.eigens)
     p = np.eye(n) + 0.3 * g / np.sqrt(n)
     return LyapunovProblem(JordanSpec(spec.field, eigens, p), prob.element)
+
+
+def deciding_reads(prob, order):
+    """The verdict of the route that decides: Hill-Pick for Lyapunov, Choi for Stein."""
+    if order is LYAPUNOV:
+        return psd_report(hill_pick_matrix(prob).matrix, prob.tol)[0]
+    return psd_report(choi_matrix(_jordan_setup(prob, order).composite), prob.tol)[0]
+
+
+def bumped(element, bump, eps, keep=1.0):
+    """keep * element + eps * bump, coefficient by coefficient."""
+    return BicommElement(tuple(tuple(keep * a + eps * b for a, b in zip(row, extra))
+                               for row, extra in zip(element.coeffs, bump.coeffs)))
+
+
+def just_past_the_boundary(prob, order, inside, steps=30):
+    """prob with element (1 - s) D + s B, s within 2^-steps above where the verdict turns "no".
+
+    D (inside) does not read "no" on the deciding route and prob's element
+    B does.  Bisection keeps that: the returned problem reads "no" by a few
+    bands at most, so a rank-one target can land inside the band.
+    """
+    def at(s):
+        return LyapunovProblem(prob.spec, bumped(inside, prob.element, s, 1.0 - s), prob.tol)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if deciding_reads(at(mid), order) == "no" else (mid, hi)
+    return at(hi)
+
+
+def near_boundary_problems(family, count):
+    """(order, dominator, problem) with problem = dominator + eps * noise, eps in [1e-4, 1e-1].
+
+    diagonal: complex diagonal A, n = 3..8, t = lam + 1 (B = A + I).  jordan:
+    random_jordan_spec with P and a block of size > 1, rational_dominator.
+    stein: stein_jordan_spec, B = A^2 (stein_power_element).  The noise is
+    random_element; eps is log-uniform.
+    """
+    rng = np.random.default_rng({"diagonal": 41, "jordan": 42, "stein": 43}[family])
+    for _ in range(count):
+        if family == "diagonal":
+            n, lams = int(rng.integers(3, 9)), []
+            while len(lams) < n:
+                lam = complex(rng.uniform(0.4, 2.2), rng.uniform(-1.5, 1.5))
+                lams += [lam] if all(abs(lam - mu) > 0.05 for mu in lams) else []
+            spec = JordanSpec("complex", tuple(EigenBlock(lam, (1,)) for lam in lams))
+            order, inside = LYAPUNOV, BicommElement(tuple((lam + 1.0,) for lam in lams))
+        elif family == "jordan":
+            spec = random_jordan_spec(rng, max_dim=8, similarity=True)
+            while max(e.sizes[0] for e in spec.eigens) == 1:
+                spec = random_jordan_spec(rng, max_dim=8, similarity=True)
+            order, inside = LYAPUNOV, rational_dominator(rng, spec)
+        else:
+            spec = stein_jordan_spec(rng, max_dim=6, max_eigens=3)
+            order, inside = STEIN, stein_power_element(spec, 2)
+        eps = 10.0 ** rng.uniform(-4.0, -1.0)
+        problem = LyapunovProblem(spec, bumped(inside, random_element(rng, spec), eps))
+        yield order, LyapunovProblem(spec, inside), problem
 
 
 def support_indices(spec):
@@ -982,7 +1042,9 @@ class TestOracle:
     def test_screen_leaves_three_psd_reports_on_a_dominator(self, monkeypatch):
         # Hill-Pick, Choi and the single-trial first batch; every later batch
         # of a strict dominator passes the screen.  A non-dominator refuted
-        # past the first batch still takes its witness from psd_report.
+        # past the first batch still takes its witness from psd_report.  A
+        # rank-one target refutes most non-dominators at trial 0, so this one
+        # reads "no" by a few bands only: just past the boundary.
         spec = JordanSpec("complex", (EigenBlock(1 + 0.5j, (3, 2)), EigenBlock(2 - 0.3j, (2, 1))))
         verdicts = []
         real = domination.psd_report
@@ -999,9 +1061,9 @@ class TestOracle:
         assert (report.verdict, report.oracle_status) == ("dominates", "consistent")
         assert len(verdicts) == 3
         rng = np.random.default_rng(108)
-        near = zip(rational_dominator(rng, spec).coeffs, random_element(rng, spec).coeffs)
-        prob = LyapunovProblem(spec, BicommElement(tuple(
-            tuple(a + 0.3 * b for a, b in zip(row, bump)) for row, bump in near)))
+        inside = rational_dominator(rng, spec)
+        outside = LyapunovProblem(spec, bumped(inside, random_element(rng, spec), 0.3))
+        prob = just_past_the_boundary(outside, LYAPUNOV, inside)
         verdicts.clear()
         report = check_domination(prob, oracle_trials=1000, seed=0)
         assert report.oracle_status == "violation" and verdicts[-1] == "no"
@@ -1034,7 +1096,9 @@ class TestOracle:
         # composite without any H: each must be cone(H, B) of the reference
         # H, on every batch of 200 trials.  A violation past the first batch
         # must still return the per-trial witness, pulled back from its own
-        # target.
+        # target.  Rank-one targets refute these random B at trial 0, so the
+        # first non-dominator of each kind is also moved just past the
+        # boundary from a dominator (I for Lyapunov, I / 2 for Stein).
         seen, late = set(), 0
         for k, field, order, similar, prob in mixed_block_problems():
             maps = _jordan_setup(prob, order)
@@ -1047,15 +1111,36 @@ class TestOracle:
                 assert cones.dtype == maps.dtype and cones.shape == want.shape
                 assert targets.shape == (len(hs), prob.spec.dim ** 2)
                 np.testing.assert_allclose(cones, want, rtol=0, atol=1e-12 * np.abs(want).max())
-            index, expect = per_trial_violation(prob, order, 200, k)
-            if index is not None and index > 0:
-                status, h = domination_oracle(prob, trials=200, seed=k, order=order, setup=maps)
-                assert status == "violation"
-                np.testing.assert_allclose(h, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
-                late += 1
+            if (field, order.name, similar) not in seen and deciding_reads(prob, order) == "no":
+                inside = identity_element(prob.spec)
+                inside = inside if order is LYAPUNOV else bumped(inside, inside, -0.5)  # I / 2
+                near = just_past_the_boundary(prob, order, inside)
+                index, expect = per_trial_violation(near, order, 200, k)
+                if index is not None and index > 0:
+                    status, h = domination_oracle(near, trials=200, seed=k, order=order,
+                                                  setup=_jordan_setup(near, order))
+                    assert status == "violation"
+                    np.testing.assert_allclose(h, expect, rtol=0,
+                                               atol=1e-12 * np.abs(expect).max())
+                    late += 1
             seen.add((field, order.name, similar))
         assert len(seen) == 8
         assert late > 0
+
+    @pytest.mark.parametrize("family", ["diagonal", "jordan", "stein"])
+    def test_refutes_near_boundary_non_dominators(self, family):
+        # Dominators bumped by eps in [1e-4, 1e-1]: every bumped problem the
+        # deciding route reads "no" on is refuted within the default 1000
+        # trials, and every tenth dominator stays consistent.  Full-rank
+        # targets G G*, deep inside the PSD cone, miss most of these.
+        refuted = 0
+        for k, (order, dominator, prob) in enumerate(near_boundary_problems(family, 200)):
+            if k % 10 == 0:
+                assert domination_oracle(dominator, seed=k, order=order) == ("consistent", None)
+            if deciding_reads(prob, order) == "no":
+                assert domination_oracle(prob, seed=k, order=order)[0] == "violation", k
+                refuted += 1
+        assert refuted >= 30
 
     def test_witness_owns_its_data(self):
         # The witness is copied out of the oracle's workspace: a second call
