@@ -68,8 +68,13 @@ __all__ = [
 ]
 
 _VERDICT = {"yes": "dominates", "no": "not_dominates", "marginal": "marginal"}
-# Most oracle trials solved at once: a batch holds this many n x n targets.
-_MAX_BATCH = 64
+_BATCH_ENTRIES = 64 * 16 * 16  # oracle workspace per (size, n, n) buffer: 64 trials at n = 16
+
+
+def _batch_sizes(n: int, count: int) -> list[int]:
+    """One trial, so a refutation at trial 0 costs one, then full batches of n^2-scaled size."""
+    cap = max(64, _BATCH_ENTRIES // (n * n))
+    return [1] + [min(cap, count - done) for done in range(1, count, cap)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,28 +444,23 @@ def _cone_solutions(
     as H = S Y S*.  With composite the pairs apply L_B inv(L_A) instead
     (composite_groups), and the batch is cone(H, B) = Phi(W), not
     symmetrized; no H is formed.  Everything is of maps.dtype: float64 for
-    the real field, whose g is real.  Batches hold 1, 2, 4, ..., at most
-    _MAX_BATCH trials: a caller that stops at the first trial pays for one
-    small batch, and the cap bounds the workspace.  Each batch is one draw
-    from a single default_rng(seed) stream, in the order of per-trial
+    the real field, whose g is real.  Batches follow _batch_sizes, each one
+    draw from a single default_rng(seed) stream, in the order of per-trial
     gaussian(rng, n, field) draws, so trial k sees the same g however the
-    trials are grouped.  The workspace, made once per call, is two (size,
-    n) buffers for the g stages and four (size, n, n) buffers: one keeps
-    the gathered targets (size, n^2), for the witness, and each later stage
-    writes into the next of the other three.  A batch is yielded with two
-    scratch buffers and its targets, all valid only until the next
-    iteration, so a caller that keeps an H copies it.
+    trials are grouped.  The workspace, made once per call at the largest
+    batch size, is two (size, n) buffers for the g stages and four (size,
+    n, n) buffers: one keeps the gathered targets, for the witness, and
+    each later stage writes into the next of the other three.  A batch, its
+    two scratch buffers and its targets last until the next: copy H to keep.
     """
     n, k = sum(maps.dims), 2 if field == "complex" else 1
     perm, perm_inverse, groups = maps.plan
     groups = maps.composite_groups if composite else groups
     s, s_inv, s_star = congruence or (None, None, None)
-    rng = np.random.default_rng(seed)
-    work = np.empty((4, min(count, _MAX_BATCH), n, n), dtype=maps.dtype)
-    vecs = np.empty((2, min(count, _MAX_BATCH), n), dtype=maps.dtype)  # the g stages
-    done, batch = 0, 1
-    while done < count:
-        size = min(batch, count - done)
+    rng, sizes = np.random.default_rng(seed), _batch_sizes(n, count)
+    work = np.empty((4, max(sizes), n, n), dtype=maps.dtype)
+    vecs = np.empty((2, max(sizes), n), dtype=maps.dtype)  # the g stages
+    for size in sizes:
         targets, *bufs = work[:, :size]
         ring, pair = itertools.cycle(bufs), itertools.cycle(vecs[:, :size])
         g = next(pair)
@@ -485,8 +485,6 @@ def _cone_solutions(
             y += np.conjugate(t, out=t)
             y *= 0.5
         yield y, scratch, v
-        done += size
-        batch = min(2 * batch, _MAX_BATCH)
 
 
 def _require_trials(trials: int) -> None:
@@ -506,15 +504,16 @@ def domination_oracle(
     band).  Returns ("violation", H) at the first failure, otherwise
     ("consistent", None); consistency is evidence, not proof.  cone(H, B) =
     Phi(W), Phi the composite cone_B o cone_A^{-1}, is computed a batch at a
-    time straight from the targets W: no H and no dense B is formed.  A batch
-    of two or more that passes one batched Cholesky screen (linalg.psd_screen)
-    holds no "no" trial and is skipped; every other batch is PSD-tested per
-    trial, in order, so the first violation, its witness (pulled back from
-    that trial's target through inv(L_A)) and any NotHermitianError are those
-    of a per-trial loop.  Real-field trials run in float64 (setup.dtype); the
-    witness is complex128 either way.  setup is this order's _jordan_setup,
-    built (after the regularity check) when not given.  A must be regular for
-    the order, trials >= 1.
+    time straight from the targets W: no H and no dense B is formed, in
+    _cone_solutions' batches: one trial, then full batches.  A batch of two
+    or more that passes one batched Cholesky screen (linalg.psd_screen) holds
+    no "no" trial and is skipped; every other batch is PSD-tested per trial,
+    in order, up to its first "no", so the first violation, its witness
+    (pulled back from that trial's target through inv(L_A)) and any
+    NotHermitianError are those of a per-trial loop.  Real-field trials run
+    in float64 (setup.dtype); the witness is complex128 either way.  setup
+    is this order's _jordan_setup, built (after the regularity check) when
+    not given.  A must be regular for the order, trials >= 1.
     """
     _require_trials(trials)
     spec = prob.spec
@@ -544,15 +543,16 @@ def domination_oracle(
 def _decide(prob: LyapunovProblem, order: Order, trials: int, seed: int) -> DominationReport:
     """Either order's decision: each route once, then one agreement rule.
 
-    Trials, then regularity, the Hill-Pick route (Lyapunov only), one
-    _jordan_setup, the Choi route and the oracle.  The verdict is the first
-    matrix route's.  No route may read "yes" while another reads "no"; the
-    oracle reads "no" at a violation, nothing when consistent (evidence,
-    not proof).
+    Trials, then regularity (once: hill_pick_matrix checks it for
+    Lyapunov), the Hill-Pick route (Lyapunov only), one _jordan_setup, the
+    Choi route and the oracle.  The verdict is the first matrix route's.  No
+    route may read "yes" while another reads "no"; the oracle reads "no" at
+    a violation, nothing when consistent (evidence, not proof).
     """
     _require_trials(trials)
-    order.require_regular(prob.spec, prob.tol)
     hp = hill_pick_matrix(prob) if order is LYAPUNOV else None
+    if hp is None:  # hill_pick_matrix has checked Lyapunov regularity
+        order.require_regular(prob.spec, prob.tol)
     routes = [psd_report(hp.matrix, prob.tol)] if hp is not None else []
     setup = _jordan_setup(prob, order)
     routes.append(psd_report(choi_matrix(setup.composite), prob.tol))

@@ -149,6 +149,8 @@ def sample_lyapunov_solutions(
         dims=(n,), dtype=np.dtype(np.complex128),
         plan=(perm, np.argsort(perm),
               [(0, n * n, inverse.ravel() if n == 1 else inverse[None, None])]))
+    if int(count) < 1:  # _cone_solutions always runs its first trial
+        return []
     return [h.copy() for hs, *_ in _cone_solutions(one_block, field, int(count), seed) for h in hs]
 
 

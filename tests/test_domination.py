@@ -29,7 +29,7 @@ from lyaporder import (
     upsilon_selection,
 )
 from lyaporder import domination, jordan, linalg
-from lyaporder.domination import _jordan_setup
+from lyaporder.domination import Order, _jordan_setup
 from lyaporder.hill import hill_at_selection, matricization_blocks
 from lyaporder.jordan import build_bicomm_jordan, build_JA, inner_blocks
 from lyaporder.linalg import NotHermitianError, block_diag
@@ -115,9 +115,7 @@ def block_pair_solutions(dims, las, dtype, field, count, seed, congruence=None):
         inverses.append((r, c, np.linalg.solve(la, np.eye(la.shape[-1]))))
     s, s_inv, s_star = congruence or (None, None, None)
     rng = np.random.default_rng(seed)
-    done, batch = 0, 1
-    while done < count:
-        size = min(batch, count - done)
+    for size in domination._batch_sizes(n, count):
         gs = [gaussian(rng, n, field) for _ in range(size)]
         gs = [g.real if dtype == np.float64 else g for g in gs]
         gs = gs if s_inv is None else [s_inv @ g for g in gs]
@@ -129,8 +127,12 @@ def block_pair_solutions(dims, las, dtype, field, count, seed, congruence=None):
             y[:, r, c] = sol.transpose(3, 0, 1, 2).reshape(t.shape).swapaxes(-1, -2)
         y = y if s is None else s @ y @ s_star
         yield (y + y.conj().swapaxes(-1, -2)) / 2.0
-        done += size
-        batch = min(2 * batch, domination._MAX_BATCH)
+
+
+def past_the_cap(n):
+    """(count, cap): trials that run one trial, one full batch of cap and 9 more, at size n."""
+    cap = max(64, 64 * 16 * 16 // (n * n))  # the oracle's workspace budget, 64 trials at n = 16
+    return cap + 10, cap
 
 
 def pair_maps(setup, prob, order):
@@ -668,6 +670,26 @@ class TestCheckDomination:
             with pytest.raises(ValueError, match=message):
                 route(prob)
 
+    def test_regularity_checked_once_per_decision(self, monkeypatch):
+        # hill_pick_matrix checks it for the Lyapunov decision, _decide for
+        # Stein; a non-regular A still raises the same error.
+        calls = []
+        real = Order.require_regular
+        monkeypatch.setattr(Order, "require_regular",
+                            lambda self, spec, tol: calls.append(self.name) or real(self, spec, tol))
+        prob = diag_problem([0.5, 0.3 + 0.2j], [0.25, 0.4 + 0.1j])
+        check_domination(prob, oracle_trials=50)
+        assert calls == ["Lyapunov"]
+        calls.clear()
+        stein_domination(prob, oracle_trials=50)
+        assert calls == ["Stein"]
+        calls.clear()
+        with pytest.raises(ValueError, match="^not Lyapunov regular: "):
+            check_domination(diag_problem([1.0, -1.0], [1.0, 1.0]))
+        with pytest.raises(ValueError, match="^not Stein regular: "):
+            stein_domination(diag_problem([2.0, 0.5], [2.0, 0.5]))
+        assert calls == ["Lyapunov", "Stein"]
+
     @pytest.mark.parametrize("trials", [0, -5])
     def test_trial_count_below_one_rejected(self, trials):
         with pytest.raises(ValueError, match="trials must be at least 1"):
@@ -872,6 +894,7 @@ class TestSampling:
 
     def test_smaller_count_is_a_prefix(self):
         a = np.array([[1.0, 1.0], [0.0, 2.0]])
+        assert sample_lyapunov_solutions(a, count=0, seed=5) == []
         for k, m in ((1, 1), (3, 4), (5, 6)):
             short = sample_lyapunov_solutions(a, count=k, seed=5)
             long = sample_lyapunov_solutions(a, count=k + m, seed=5)
@@ -893,9 +916,13 @@ class TestSampling:
     @pytest.mark.parametrize("count", [20, 200])
     def test_samples_own_their_memory(self, count):
         # Each H is copied out of its batch's workspace, which the next batch
-        # of the same size overwrites (200 trials run two batches of 64).
-        rng = np.random.default_rng(12)
-        a = build_A(random_jordan_spec(rng, similarity=True, max_dim=5))
+        # of the same size overwrites: at n = 16, 200 trials run batches of
+        # 1, 64, 64, 64 and 7, so the batch cap is crossed.
+        spec = JordanSpec("complex", (EigenBlock(1.0 + 0.5j, (4, 3)), EigenBlock(2.0 - 0.3j, (5,)),
+                                      EigenBlock(0.8, (2, 1, 1))))
+        assert spec.dim == 16
+        a = build_A(with_similarity(np.random.default_rng(12), LyapunovProblem(
+            spec, identity_element(spec))).spec)
         hs = sample_lyapunov_solutions(a, count=count, seed=7)
         assert len(hs) == count
         assert not any(np.shares_memory(x, y) for k, x in enumerate(hs) for y in hs[k + 1:])
@@ -934,20 +961,21 @@ class TestOracle:
     @pytest.mark.parametrize("field", ["complex", "real"])
     @pytest.mark.parametrize("order", [LYAPUNOV, STEIN], ids=["lyapunov", "stein"])
     def test_every_trial_matches_per_trial_loop(self, monkeypatch, order, field):
-        # With every PSD test passing, all 200 trials run: batches of
-        # 1, 2, ..., 64, then 64 and 9, so the batch cap is crossed.  The
-        # batch screen is made to fail, so every cone reaches psd_report.
+        # With every PSD test passing, all trials run: one, a full batch and
+        # 9 more (past_the_cap), so the batch cap is crossed.  The batch
+        # screen is made to fail, so every cone reaches psd_report.
         rng = np.random.default_rng(31)
         spec = random_jordan_spec(rng, field=field, max_dim=6)
         prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
+        count, _ = past_the_cap(spec.dim)
         tested = []
         monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None: False)
         monkeypatch.setattr(domination, "psd_report",
                             lambda m, tol: tested.append(m.copy()) or ("yes", 1.0))
-        assert domination_oracle(prob, trials=200, seed=6, order=order) == ("consistent", None)
+        assert domination_oracle(prob, trials=count, seed=6, order=order) == ("consistent", None)
         b = build_bicomm_element(prob.spec, prob.element)
-        expect = np.array([order.cone(h, b) for h in per_trial_solutions(prob, order, 200, 6)])
-        assert len(tested) == 200
+        expect = np.array([order.cone(h, b) for h in per_trial_solutions(prob, order, count, 6)])
+        assert len(tested) == count
         np.testing.assert_allclose(np.array(tested), expect, rtol=0,
                                    atol=1e-12 * np.abs(expect).max())
 
@@ -1072,41 +1100,70 @@ class TestOracle:
         np.testing.assert_allclose(report.oracle_witness, expect, rtol=0,
                                    atol=1e-12 * np.abs(expect).max())
 
+    def test_late_refutation_inside_a_full_batch(self, monkeypatch):
+        # n = 8 runs one trial, then batches of 256.  This non-dominator, just
+        # past the boundary, is first refuted at trial 174, inside the first
+        # full batch: the screen declines that batch once, and psd_report
+        # tests trial 0 and then trials 1..174 of the batch, none after the
+        # first "no".
+        spec = JordanSpec("complex", (EigenBlock(1 + 0.5j, (3, 2)), EigenBlock(2 - 0.3j, (2, 1))))
+        rng = np.random.default_rng(108)
+        inside = rational_dominator(rng, spec)
+        outside = LyapunovProblem(spec, bumped(inside, random_element(rng, spec), 0.3))
+        prob = just_past_the_boundary(outside, LYAPUNOV, inside)
+        index, expect = per_trial_violation(prob, LYAPUNOV, 1000, 20)
+        sizes = domination._batch_sizes(spec.dim, 1000)
+        assert sizes[:2] == [1, 256] and 64 < index < 1 + 256
+        screens, reports = [], []
+        real_screen, real_report = domination.psd_screen, domination.psd_report
+        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None:
+                            screens.append(len(stack)) or real_screen(stack, tol, scratch))
+        monkeypatch.setattr(domination, "psd_report",
+                            lambda m, tol: reports.append(1) or real_report(m, tol))
+        status, h = domination_oracle(prob, trials=1000, seed=20)
+        assert status == "violation"
+        np.testing.assert_allclose(h, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+        assert screens == [256]
+        assert len(reports) == 1 + (index - 1 + 1)  # trial 0, then the batch from its start
+
     def test_solve_plan_matches_block_pair_reference(self):
-        # 200 trials run batches of 1, 2, ..., 64, then 64 and 9; every spec
-        # mixes 1 x 1 blocks with larger ones, so both kinds of size pair
-        # (a product, a stacked matmul) meet in one plan.
+        # The trials run batches of 1, then a full batch of the workspace
+        # cap and 9 more (past_the_cap); every spec mixes 1 x 1 blocks with
+        # larger ones, so both kinds of size pair (a product, a stacked
+        # matmul) meet in one plan.
         seen = set()
         for k, field, order, similar, prob in mixed_block_problems():
             maps = _jordan_setup(prob, order)
             congruence = oracle_congruence(prob, order, maps.dtype)
+            count, cap = past_the_cap(prob.spec.dim)
             sizes = []
-            for (hs, *_), want in zip(domination._cone_solutions(maps, field, 200, k, congruence),
-                                     setup_solutions(maps, prob, order, field, 200, k, congruence),
-                                     strict=True):
+            for (hs, *_), want in zip(
+                    domination._cone_solutions(maps, field, count, k, congruence),
+                    setup_solutions(maps, prob, order, field, count, k, congruence), strict=True):
                 assert hs.dtype == maps.dtype and hs.shape == want.shape
                 np.testing.assert_allclose(hs, want, rtol=0, atol=1e-12 * np.abs(want).max())
                 sizes.append(len(hs))
-            assert sizes == [1, 2, 4, 8, 16, 32, 64, 64, 9]
+            assert sizes == [1, cap, 9]
             seen.add((field, order.name, similar))
         assert len(seen) == 8
 
     def test_oracle_cones_match_block_pair_reference(self):
         # The oracle's cone stacks are Phi(W), formed from the targets by the
         # composite without any H: each must be cone(H, B) of the reference
-        # H, on every batch of 200 trials.  A violation past the first batch
-        # must still return the per-trial witness, pulled back from its own
-        # target.  Rank-one targets refute these random B at trial 0, so the
-        # first non-dominator of each kind is also moved just past the
-        # boundary from a dominator (I for Lyapunov, I / 2 for Stein).
+        # H, on every batch of past_the_cap's trials.  A violation past the
+        # first batch must still return the per-trial witness, pulled back
+        # from its own target.  Rank-one targets refute these random B at
+        # trial 0, so the first non-dominator of each kind is also moved just
+        # past the boundary from a dominator (I for Lyapunov, I / 2 for Stein).
         seen, late = set(), 0
         for k, field, order, similar, prob in mixed_block_problems():
             maps = _jordan_setup(prob, order)
             congruence = oracle_congruence(prob, order, maps.dtype)
             b = build_bicomm_element(prob.spec, prob.element)
+            count, _ = past_the_cap(prob.spec.dim)
             for (cones, _, targets), hs in zip(
-                    domination._cone_solutions(maps, field, 200, k, congruence, composite=True),
-                    setup_solutions(maps, prob, order, field, 200, k, congruence), strict=True):
+                    domination._cone_solutions(maps, field, count, k, congruence, composite=True),
+                    setup_solutions(maps, prob, order, field, count, k, congruence), strict=True):
                 want = order.cone(hs, b)
                 assert cones.dtype == maps.dtype and cones.shape == want.shape
                 assert targets.shape == (len(hs), prob.spec.dim ** 2)
@@ -1153,15 +1210,21 @@ class TestOracle:
             domination_oracle(prob, trials=1000, seed=2, order=order, setup=setup)
             np.testing.assert_array_equal(h, kept)
 
-    @pytest.mark.parametrize("case", ["stein-complex-16", "lyapunov-real-32"])
+    @pytest.mark.parametrize("case", ["stein-complex-16", "lyapunov-real-32",
+                                      "stein-complex-8", "stein-complex-4"])
     def test_traced_peak_of_a_dominator(self, case):
-        # All 1000 trials run.  The bounds are the traced peaks (bytes) of
-        # the per-batch arrays this workspace replaced, on the same calls:
-        # the workspace holds no more than they had alive at once.
-        if case == "stein-complex-16":
-            field, order, bound, seed = "complex", STEIN, 1_735_163, 16
-            eigens = (EigenBlock(0.5 + 0.2j, (3, 2)), EigenBlock(-0.4 + 0.1j, (2, 1, 1)),
-                      EigenBlock(0.3 - 0.5j, (4,)), EigenBlock(0.6j, (1, 1, 1)))
+        # All 1000 trials run.  The n = 16 and n = 32 bounds are the traced
+        # peaks (bytes) of the per-batch arrays this workspace replaced, on
+        # the same calls: the workspace holds no more than they had alive at
+        # once.  Smaller n run larger batches (256 trials at n = 8, 999 at
+        # n = 4) of no more entries than n = 16's 64, so they keep its bound.
+        stein = {16: (EigenBlock(0.5 + 0.2j, (3, 2)), EigenBlock(-0.4 + 0.1j, (2, 1, 1)),
+                      EigenBlock(0.3 - 0.5j, (4,)), EigenBlock(0.6j, (1, 1, 1))),
+                 8: (EigenBlock(0.5 + 0.2j, (3, 2)), EigenBlock(-0.4 + 0.1j, (2, 1))),
+                 4: (EigenBlock(0.5 + 0.2j, (2,)), EigenBlock(-0.4 + 0.1j, (1, 1)))}
+        if case.startswith("stein"):
+            field, order, bound, seed = "complex", STEIN, 1_735_163, int(case.split("-")[-1])
+            eigens = stein[seed]
             coeffs = [(e.eigenvalue ** 2, 2 * e.eigenvalue, 1.0, 0.0) for e in eigens]  # B = A^2
         else:
             field, order, bound, seed = "real", LYAPUNOV, 3_753_739, 32
@@ -1177,7 +1240,7 @@ class TestOracle:
         spec = JordanSpec(field, eigens, np.eye(n) + 0.3 * g / np.sqrt(n))
         prob = LyapunovProblem(spec, BicommElement(tuple(
             c[: e.sizes[0]] for c, e in zip(coeffs, eigens))))
-        assert n == (16 if field == "complex" else 32)
+        assert n == seed
         domination_oracle(prob, trials=20, seed=0, order=order)  # numpy's lazy set-up
         tracemalloc.start()
         try:
