@@ -13,10 +13,10 @@ factors (each lower shift on the Jordan blocks of one eigenvalue, at the
 selection down the first block column of its leading block).  For diagonal
 A it is the classical Pick matrix (conj(t_i) + t_j) / (conj(lam_i) + lam_j).
 
-Three routes are cross-validated: the Hill-Pick matrix (closed form, over
-the real field by complexification), the Choi PSD test of the composite,
-built in closed form from the order's operator in A's Jordan basis, and a
-sampling oracle that applies that composite to random cone elements' images.
+Three routes are cross-validated: the Hill-Pick matrix (by its displacement
+recursion, over the real field by complexification), the Choi PSD test of
+the composite, built in closed form from the order's operator in A's Jordan
+basis, and a sampling oracle that applies that composite to random cone elements' images.
 One body, _decide, runs the routes of either order and applies one
 agreement rule: no route reads "yes" while another reads "no".
 """
@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from math import comb
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -118,7 +117,7 @@ class DominationReport:
     """Everything the order decision produced, all routes included.
 
     verdict is derived from the Hill-Pick minimum eigenvalue (Choi for the
-    Stein order, where no closed-form Hill-Pick matrix is built); marginal
+    Stein order, which has no Hill-Pick route); marginal
     means that eigenvalue sits inside the psd_rel band around zero.
     choi_min_eig is that of the Jordan-basis Choi matrix on its support
     (BlockSeparableMap): it has the inertia of the Choi matrix in A's own
@@ -368,50 +367,48 @@ def upsilon_selection(spec: JordanSpec) -> tuple[tuple[int, int], ...]:
 def hill_pick_matrix(prob: LyapunovProblem) -> HillPickMatrix:
     """The Hill-Pick matrix: the composite map's Hill matrix at upsilon_selection.
 
-    It is assembled from closed-form coefficients over slot groups, each an
-    eigenvalue lam with coefficients t.  With d = lam_j + conj(lam_i), entry
-    ((i, a), (j, b)), for shifts a, b below the leading block sizes of
-    groups i and j, is
+    Over slot groups, each an eigenvalue lam with coefficients t, the complex
+    H_c solves J* H + H J = conj(t) E^T + E t^T: J is the direct sum of the
+    groups' leading Jordan blocks (lam on the diagonal, 1 above it), t stacks
+    their coefficient rows and E marks each group's first slot.  Entry
+    ((i, a), (j, b)), a and b below the leading sizes of groups i and j,
+    follows from the anti-diagonal above it (terms at a shift of -1 are zero):
 
-        sum_{k <= a} (-1)^(k+b) C(k+b, k) conj(t_i[a-k]) / d^(k+b+1)
-      + sum_{l <= b} (-1)^(a+b-l) C(a+b-l, a) t_j[l] / d^(a+b-l+1).
+        (conj(lam_i) + lam_j) H[(i, a), (j, b)] = conj(t_i[a]) [b = 0] + t_j[b] [a = 0]
+                                                  - H[(i, a - 1), (j, b)] - H[(i, a), (j, b - 1)].
 
     Over the real field this H_c is that of the complexified problem: a pair
     a + ib of leading size s gives the groups (lam, t) and (conj lam, conj t),
     both of size s; real eigenvalues stay as they are.  The real matrix is
     M* H_c M, with M[lam_k, 2k] = M[conj_k, 2k] = 1/2, M[lam_k, 2k + 1] = -i/2
-    and M[conj_k, 2k + 1] = i/2 on each pair's 2s real slots, and M the
-    identity on real eigenvalues: M = U / sqrt(2), U unitary.  The result is
-    PSD exactly when B Lyapunov dominates A.  A must be Lyapunov regular.
+    and M[conj_k, 2k + 1] = i/2 on each pair's 2s real slots (there M = U /
+    sqrt(2), U unitary), and M the identity on real eigenvalues.  The result
+    is PSD exactly when B Lyapunov dominates A.  A must be Lyapunov regular.
     """
     spec = prob.spec
     LYAPUNOV.require_regular(spec, prob.tol)
     sel = upsilon_selection(spec)
-    # Each eigenvalue's slice starts at its diagonal block position.
-    offsets = tuple(k for k, (row, col) in enumerate(sel) if row == col)
+    offsets = tuple(k for k, (row, col) in enumerate(sel) if row == col)  # diagonal blocks
     leads = leading_blocks(spec)
     r, top = len(leads), max(blk.size for blk in leads)
     # Slot a of eigenvalue j: group j (j + r: a pair's conjugate), shift, column of M.
     group, shift, col, paired = np.array([
         (j + r * (a >= blk.size), a % blk.size, off + (1 + blk.pair) * (a % blk.size), blk.pair)
         for j, (off, blk) in enumerate(zip(offsets, leads)) for a in range(blk.dim)]).T
-    # Group rows: lam, then t.  t and binom end in zeros, onto which negative
-    # indices wrap: the terms past a shift (k > a, l > b) vanish.
-    data = np.array([(e.eigenvalue,) + row + (0,) * (2 * top - len(row))
+    data = np.array([(e.eigenvalue,) + row + (0,) * (top - len(row))  # group rows: lam, then t
                      for e, row in zip(spec.eigens, prob.element.coeffs)])
     data = np.concatenate((data, data.conj()))
-    lam, t = data[group, 0], data[:, 1:]
+    lam, t, w = data[group, 0], data[group, 1 + shift], len(group)
+    up = np.where(shift > 0, np.arange(w) - 1, w)  # the slot one shift up; w: zeros
+    first = shift == 0  # E
+    rhs = np.outer(t.conj(), first) + np.outer(first, t)  # conj(t) E^T + E t^T
     denom = lam + lam.conj()[:, None]  # lam_j + conj(lam_i)
-    binom = np.zeros((3 * top, 2 * top))
-    binom[: 2 * top] = [[(-1) ** m * comb(m, k) for k in range(2 * top)] for m in range(2 * top)]
-    a, b = shift[:, None], shift
-    h = np.zeros(denom.shape, dtype=np.complex128)
-    for d in range(top):  # the two sums
-        h += binom[d + b, d] * t[group, shift - d].conj()[:, None] / denom ** (d + b + 1)
-    for l in range(top):
-        h += binom[a + b - l, a] * t[group, l] / denom ** (a + b - l + 1)
+    h = np.zeros((w + 1, w + 1), dtype=np.complex128)
+    for _ in range(2 * top - 1):  # on the whole matrix: sweep d settles a + b = d
+        h[:w, :w] = (rhs - h[up, :w] - h[:w, up]) / denom
+    h = h[:w, :w].copy()
     if spec.field == "real":  # fold back: M* H_c M
-        paired, rows = paired.astype(bool), np.arange(len(group))
+        paired, rows = paired.astype(bool), np.arange(w)
         m = np.zeros(h.shape, dtype=np.complex128)
         m[rows, col] = np.where(paired, 0.5, 1.0)
         m[rows[paired], col[paired] + 1] = np.where(group >= r, 0.5j, -0.5j)[paired]
@@ -594,8 +591,8 @@ def stein_domination(
 ) -> DominationReport:
     """Stein-order analogue of :func:`check_domination`.
 
-    The verdict is the Choi PSD test of the composite Stein map (no
-    closed-form Hill-Pick matrix is assembled for this order); the sampling
-    oracle draws H with H - A H A* PSD and tests H - B H B*.
+    The verdict is the Choi PSD test of the composite Stein map (this order
+    has no Hill-Pick route); the sampling oracle draws H with H - A H A* PSD
+    and tests H - B H B*.
     """
     return _decide(prob, STEIN, oracle_trials, seed)

@@ -48,8 +48,9 @@ __all__ = [
     "check_bicomm_membership",
 ]
 
-# Binomial coefficients in the closed-form pipeline stay exactly
-# representable in float64 for blocks up to this size.
+# The largest Jordan block accepted; domination sizes its shift tables (_E0,
+# _OFFSETS) by it.  Larger blocks mean little in float64: a perturbation of
+# relative size u moves a size-s block's eigenvalue by about u^(1/s), 0.3 at 30.
 MAX_BLOCK_SIZE = 30
 
 

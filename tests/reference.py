@@ -5,9 +5,11 @@ call.  The general tools below check the theorems those decisions rest on:
 Hill's representation of *-linear maps (``reconstruct_map``,
 ``hill_from_choi``, ``cp_via_hill``), the rank witnesses by which positivity
 and complete positivity coincide (``find_c1_witness``, ``find_c2_witness``,
-``positivity_equals_cp_certificate``), the scalar closed form of one
-Hill-Pick entry (``hill_pick_coeff``) and the composite map rebuilt from the
-Hill-Pick matrix (``closed_form_matricization``), an order's dense map on A
+``positivity_equals_cp_certificate``), the paper's closed form of one
+Hill-Pick entry (``hill_pick_coeff``) and of the whole matrix
+(``hill_pick_closed_form``), the Stein order's displacement recursion
+(``stein_pick_recursion``), the composite map rebuilt from the Hill-Pick
+matrix (``closed_form_matricization``), an order's dense map on A
 (``matricization``) and the Lyapunov-solution sampler
 (``sample_lyapunov_solutions``), plus small map and matrix utilities the
 tests build their inputs with.
@@ -39,6 +41,7 @@ import numpy as np
 
 from lyaporder.domination import (
     LYAPUNOV,
+    STEIN,
     LyapunovProblem,
     Order,
     _cone_solutions,
@@ -216,14 +219,19 @@ def positivity_sample_test(
     trials: int = 1000,
     seed: int = 0,
     tol: Tolerances | None = None,
+    block: int = 512,
 ):
     """Randomized refutation of positivity.
 
     Draws Gaussian pairs (z, x) and tests the quadratic form of the Choi
     matrix at z (x) x, i.e. the map evaluated on a rank-one PSD input.
-    Returns a violating pair (z, x) when the form drops below the psd_rel
-    band, and None otherwise: sampling can refute positivity, never certify
-    it.  Real-field maps are probed with real vectors only.
+    Returns the first violating pair (z, x) when the form drops below the
+    psd_rel band, and None otherwise: sampling can refute positivity, never
+    certify it.  Real-field maps are probed with real vectors only.  Trials
+    are drawn block at a time from one default_rng(seed) stream, as rows
+    (z re, z im, x re, x im) (real parts only over the real field): the
+    order of per-trial gaussian(rng, q, field), gaussian(rng, n, field)
+    draws, so the pair returned does not depend on block.
     """
     tol = tol or DEFAULT_TOLERANCES
     if not is_star_linear(m, tol):
@@ -233,14 +241,17 @@ def positivity_sample_test(
         return None
     spectral = float(np.abs(np.linalg.eigvalsh((c + c.conj().T) / 2.0)).max())
     floor = -tol.psd_rel * (1.0 + spectral)
-    rng = np.random.default_rng(seed)
-    for _ in range(int(trials)):
-        z = gaussian(rng, m.in_dim, m.field)
-        x = gaussian(rng, m.out_dim, m.field)
-        v = np.kron(z, x)
-        value = float((v.conj() @ c @ v).real)
-        if value < floor:
-            return z, x
+    rng, q, n, trials = np.random.default_rng(seed), m.in_dim, m.out_dim, int(trials)
+    k = 2 if m.field == "complex" else 1
+    for start in range(0, trials, block):
+        rows = rng.standard_normal((min(block, trials - start), k * (q + n)))
+        z, x = ((u[:, :d] + 1j * u[:, d:]) if k == 2 else u.astype(np.complex128)
+                for u, d in ((rows[:, : k * q], q), (rows[:, k * q:], n)))
+        v = (z[:, :, None] * x[:, None, :]).reshape(len(rows), q * n)
+        values = np.einsum("ti,ij,tj->t", v.conj(), c, v).real
+        bad = np.flatnonzero(values < floor)
+        if bad.size:
+            return z[bad[0]], x[bad[0]]
     return None
 
 
@@ -429,6 +440,21 @@ def extract_bicomm_coeffs(
     return result.element
 
 
+def _pick_entry(lam_i: complex, t_i, a: int, lam_j: complex, t_j, b: int) -> complex:
+    """The paper's closed form of the complex Hill-Pick entry ((i, a), (j, b)).
+
+    With d = lam_j + conj(lam_i):
+
+        sum_{k <= a} (-1)^(k+b) C(k+b, k) conj(t_i[a-k]) / d^(k+b+1)
+      + sum_{l <= b} (-1)^(a+b-l) C(a+b-l, a) t_j[l] / d^(a+b-l+1).
+    """
+    d = lam_j + lam_i.conjugate()
+    return (sum((-1) ** (k + b) * comb(k + b, k) * complex(t_i[a - k]).conjugate()
+                / d ** (k + b + 1) for k in range(a + 1))
+            + sum((-1) ** (a + b - l) * comb(a + b - l, a) * complex(t_j[l])
+                  / d ** (a + b - l + 1) for l in range(b + 1)))
+
+
 def hill_pick_coeff(
     prob: LyapunovProblem, eigen_j: int, shift_i: int, eigen_a: int, shift_c: int
 ) -> complex:
@@ -450,27 +476,89 @@ def hill_pick_coeff(
             raise ValueError(f"{name} out of range for eigenvalue {eigen}")
     lam_j = eigens[eigen_j].eigenvalue
     lam_a = eigens[eigen_a].eigenvalue
-    t_j = prob.element.coeffs[eigen_j]
-    t_a = prob.element.coeffs[eigen_a]
-    denom = lam_j + lam_a.conjugate()
-    if abs(denom) <= prob.tol.eq_rel * (abs(lam_j) + abs(lam_a)):
+    if abs(lam_j + lam_a.conjugate()) <= prob.tol.eq_rel * (abs(lam_j) + abs(lam_a)):
         LYAPUNOV.require_regular(prob.spec, prob.tol)  # raises: this pair is singular
-    total = 0.0 + 0.0j
-    for d in range(shift_c + 1):
-        total += (
-            comb(d + shift_i, d)
-            * (-1) ** (d + shift_i)
-            * t_a[shift_c - d].conjugate()
-            / denom ** (d + shift_i + 1)
-        )
-    for l in range(shift_i + 1):
-        total += (
-            comb(shift_c + shift_i - l, shift_c)
-            * (-1) ** (shift_i - l + shift_c)
-            * t_j[l]
-            / denom ** (shift_c + shift_i - l + 1)
-        )
-    return total
+    coeffs = prob.element.coeffs
+    return _pick_entry(lam_a, coeffs[eigen_a], shift_c, lam_j, coeffs[eigen_j], shift_i)
+
+
+def hill_pick_slots(prob: LyapunovProblem) -> tuple[list, np.ndarray]:
+    """The Hill-Pick matrix's slots (lam, t, a) over the complex field, and the fold M.
+
+    Slots follow upsilon_selection: each eigenvalue's leading-block shifts a.
+    Over the real field a pair lam of leading size s gives the slots of lam
+    with t, then those of conj(lam) with conj(t), and M takes them to the
+    pair's real slots 2a, 2a + 1 (M[a, 2a] = M[s + a, 2a] = 1/2,
+    M[a, 2a + 1] = -i/2, M[s + a, 2a + 1] = i/2); elsewhere M is the identity.
+    The matrix over the slots is H_c, and the Hill-Pick matrix is M* H_c M.
+    """
+    slots, blocks = [], []
+    for e, t in zip(prob.spec.eigens, prob.element.coeffs):
+        s, lam, t = e.sizes[0], e.eigenvalue, tuple(complex(c) for c in t)
+        slots += [(lam, t, a) for a in range(s)]
+        if prob.spec.field == "real" and lam.imag > 0:
+            slots += [(lam.conjugate(), tuple(c.conjugate() for c in t), a) for a in range(s)]
+            m = np.zeros((2 * s, 2 * s), dtype=np.complex128)
+            for a in range(s):
+                m[a, 2 * a: 2 * a + 2] = 0.5, -0.5j
+                m[s + a, 2 * a: 2 * a + 2] = 0.5, 0.5j
+            blocks.append(m)
+        else:
+            blocks.append(np.eye(s))
+    return slots, block_diag(*blocks)
+
+
+def slot_displacement(slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J, E, t) of the displacement equations over hill_pick_slots' slots.
+
+    J is the direct sum of the slot groups' leading Jordan blocks (lam on the
+    diagonal, 1 above it), E the indicator of each group's first slot and
+    t[k] = t_k[a_k] the stacked coefficient rows.
+    """
+    lam, t, shift = (np.array(x) for x in zip(*((lam, t[a], a) for lam, t, a in slots)))
+    return np.diag(lam) + np.diag((shift[1:] > 0).astype(float), 1), (shift == 0) * 1.0, t
+
+
+def hill_pick_closed_form(prob: LyapunovProblem) -> np.ndarray:
+    """The Hill-Pick matrix M* H_c M by the paper's closed form, entry by entry.
+
+    Reference for lyaporder.domination.hill_pick_matrix, which builds H_c by
+    its displacement recursion instead.  A must be Lyapunov regular.
+    """
+    LYAPUNOV.require_regular(prob.spec, prob.tol)
+    slots, m = hill_pick_slots(prob)
+    h = np.array([[_pick_entry(*row, *col) for col in slots] for row in slots])
+    return m.conj().T @ h @ m
+
+
+def stein_pick_recursion(prob: LyapunovProblem) -> np.ndarray:
+    """The solution of H - J* H J = E E^T - conj(t) t^T by its direct recursion.
+
+    J, E and t are slot_displacement's; over diagonal A, H is the Stein
+    Pick matrix (1 - conj(t_i) t_j) / (1 - conj(lam_i) lam_j).  Entry by
+    entry, in row-major order, with C = E E^T - conj(t) t^T and terms at a
+    shift of -1 zero:
+
+        (1 - conj(lam_i) lam_j) H[a, b] = C[a, b] + conj(lam_i) H[a, b-1]
+                                          + lam_j H[a-1, b] + H[a-1, b-1].
+
+    A reference for a Stein Hill-Pick route.  Complex field only; A must be
+    Stein regular.
+    """
+    if prob.spec.field != "complex":
+        raise ValueError("the Stein recursion covers the complex field only")
+    STEIN.require_regular(prob.spec, prob.tol)
+    slots, _ = hill_pick_slots(prob)
+    h = np.zeros((len(slots), len(slots)), dtype=np.complex128)
+    for k, (lam_i, t_i, a) in enumerate(slots):
+        for l, (lam_j, t_j, b) in enumerate(slots):
+            total = (a == b == 0) - t_i[a].conjugate() * t_j[b]
+            if b:
+                total += lam_i.conjugate() * h[k, l - 1]
+            if a:
+                total += lam_j * h[k - 1, l] + (h[k - 1, l - 1] if b else 0)
+            h[k, l] = total / (1 - lam_i.conjugate() * lam_j)
+    return h
 
 
 def closed_form_matricization(prob: LyapunovProblem) -> np.ndarray:

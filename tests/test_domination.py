@@ -48,10 +48,14 @@ from reference import (
     apply_map,
     closed_form_matricization,
     gaussian,
+    hill_pick_closed_form,
     hill_pick_coeff,
+    hill_pick_slots,
     is_psd,
     matricization,
     sample_lyapunov_solutions,
+    slot_displacement,
+    stein_pick_recursion,
     unvec,
     vec,
 )
@@ -500,6 +504,26 @@ class TestHillPickMatrix:
             with pytest.raises(ValueError, match="not Lyapunov regular"):
                 hill_pick_matrix(prob)
 
+    def test_recursion_matches_closed_form(self):
+        # The displacement recursion against the paper's closed form, and the
+        # equation J* H_c + H_c J = conj(t) E^T + E t^T that it solves, with
+        # H_c unfolded from M* H_c M over the real field.
+        fields = set()
+        for k, field, order, similar, prob in mixed_block_problems():
+            if order is not LYAPUNOV:
+                continue
+            got, want = hill_pick_matrix(prob).matrix, hill_pick_closed_form(prob)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+            slots, m = hill_pick_slots(prob)
+            j, e, t = slot_displacement(slots)
+            m_inv = np.linalg.inv(m)
+            h = m_inv.conj().T @ got @ m_inv
+            residual = j.conj().T @ h + h @ j - np.outer(t.conj(), e) - np.outer(e, t)
+            scale = np.abs(j).max() * np.abs(h).max() + np.abs(t).max()
+            assert np.abs(residual).max() <= 1e-13 * scale
+            fields.add(field)
+        assert fields == {"complex", "real"}
+
     def test_matches_pinned_hill_transpose(self):
         from lyaporder import nonminimal_hill
 
@@ -816,12 +840,12 @@ class TestCheckDomination:
 
     def test_setup_does_not_use_hill_pick(self, monkeypatch):
         # The Choi route stays independent of the Hill-Pick route: the setup
-        # calls neither hill_pick_matrix nor the selection, leading blocks and
-        # binomials the Hill-Pick matrix is built from.
+        # calls neither hill_pick_matrix nor the selection and leading blocks
+        # the Hill-Pick matrix is built from.
         def refuse(*args, **kwargs):
             raise AssertionError("the setup used the Hill-Pick route")
 
-        for name in ("hill_pick_matrix", "upsilon_selection", "leading_blocks", "comb"):
+        for name in ("hill_pick_matrix", "upsilon_selection", "leading_blocks"):
             monkeypatch.setattr(domination, name, refuse)
         seen = set()
         for k, field, order, similar, prob in itertools.islice(mixed_block_problems(), 16):
@@ -1276,6 +1300,25 @@ class TestStein:
                       lambda p: domination_oracle(p, order=STEIN)):
             with pytest.raises(ValueError, match="not Stein regular"):
                 route(prob)
+
+    def test_pick_recursion_matches_dense_solve(self):
+        # The reference Stein recursion solves H - J* H J = E E^T - conj(t) t^T.
+        rng = np.random.default_rng(43)
+        for k in range(60):
+            spec = stein_jordan_spec(rng)
+            power = 2 + k % 2
+            prob = LyapunovProblem(spec, stein_power_element(spec, power) if k % 3
+                                   else random_element(rng, spec))
+            j, e, t = slot_displacement(hill_pick_slots(prob)[0])
+            w = len(e)
+            c = np.outer(e, e) - np.outer(t.conj(), t)
+            dense = np.linalg.solve(np.eye(w * w) - np.kron(j.T, j.conj().T), c.ravel(order="F"))
+            dense = dense.reshape((w, w), order="F")
+            np.testing.assert_allclose(stein_pick_recursion(prob), dense, rtol=0,
+                                       atol=1e-13 * np.abs(dense).max())
+        lams, ts = np.array([0.5, -0.3 + 0.4j]), np.array([0.25, 0.7j])
+        pick = (1 - np.outer(ts.conj(), ts)) / (1 - np.outer(lams.conj(), lams))
+        assert np.allclose(stein_pick_recursion(diag_problem(lams, ts)), pick, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize(
         "a,b,expect",

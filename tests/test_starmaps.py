@@ -3,11 +3,13 @@ import pytest
 
 from lyaporder import LYAPUNOV, StarLinearMap, choi_matrix, is_star_linear, rank_tol
 from helpers import random_cp_map, random_star_linear
+from lyaporder.linalg import DEFAULT_TOLERANCES
 from reference import (
     apply_map,
     canonical_shuffle,
     compose,
     entry_symmetry_holds,
+    gaussian,
     identity_map,
     is_completely_positive,
     is_psd,
@@ -180,9 +182,47 @@ class TestPositivitySampling:
         assert positivity_sample_test(transpose_map(2), trials=10_000, seed=1) is None
 
     def test_real_field_uses_real_vectors(self):
+        # X -> X A + A^T X is not positive: sampling refutes it with real z, x
         a = np.array([[1.0, 1.0], [0.0, 2.0]])
         m = matricization(LYAPUNOV, a, field="real")
-        assert positivity_sample_test(m, trials=50, seed=2) is None or True
+        witness = positivity_sample_test(m, trials=50, seed=2)
+        assert witness is not None
+        z, x = witness
+        assert not z.imag.any() and not x.imag.any()
+        v = np.kron(z, x)
+        assert (v.conj() @ choi_matrix(m) @ v).real < 0
+
+    def test_blocks_match_per_trial_loop(self):
+        # The block draw returns the per-trial loop's first violating pair,
+        # bit for bit, wherever it falls relative to the blocks of 7.
+        def per_trial(m, trials, seed):
+            c = choi_matrix(m)
+            floor = -DEFAULT_TOLERANCES.psd_rel * (1.0 + np.abs(np.linalg.eigvalsh(c)).max())
+            rng = np.random.default_rng(seed)
+            for trial in range(trials):
+                z, x = gaussian(rng, m.in_dim, m.field), gaussian(rng, m.out_dim, m.field)
+                v = np.kron(z, x)
+                if (v.conj() @ c @ v).real < floor:
+                    return trial, z, x
+            return None
+
+        rng = np.random.default_rng(5)
+        first = []
+        for k in range(60):
+            # A CP map's Choi matrix shifted into one negative direction.
+            field, n, q = ("complex", "real")[k % 2], *(int(d) for d in rng.integers(1, 4, 2))
+            c = choi_matrix(random_cp_map(rng, n, q, field, terms=n * q))
+            ev = np.linalg.eigvalsh(c)
+            shift = ev[0] + rng.uniform(0.02, 1.0) * (ev[1] - ev[0] if len(ev) > 1 else 1.0)
+            m = map_from_choi(c - shift * np.eye(n * q), n, q, field)
+            want, got = per_trial(m, 200, k), positivity_sample_test(m, 200, seed=k, block=7)
+            if want is None:
+                assert got is None
+                continue
+            trial, z, x = want
+            assert np.array_equal(got[0], z) and np.array_equal(got[1], x)
+            first.append(trial)
+        assert len(first) >= 40 and max(first) >= 7 and len({t % 7 for t in first}) >= 4
 
 
 class TestCompose:
