@@ -24,6 +24,7 @@ agreement rule: no route reads "yes" while another reads "no".
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Callable, Iterator, Optional
@@ -439,16 +440,19 @@ def _cone_solutions(
     g g* is solved block pair by block pair (maps.plan: one gather, a
     product or a stacked matmul per size pair, one scatter), and maps back
     as H = S Y S*.  With composite the pairs apply L_B inv(L_A) instead
-    (composite_groups), and the batch is cone(H, B) = Phi(W), not
-    symmetrized; no H is formed.  Everything is of maps.dtype: float64 for
-    the real field, whose g is real.  Batches follow _batch_sizes, each one
-    draw from a single default_rng(seed) stream, in the order of per-trial
-    gaussian(rng, n, field) draws, so trial k sees the same g however the
-    trials are grouped.  The workspace, made once per call at the largest
-    batch size, is two (size, n) buffers for the g stages and four (size,
-    n, n) buffers: one keeps the gathered targets, for the witness, and
-    each later stage writes into the next of the other three.  A batch, its
-    two scratch buffers and its targets last until the next: copy H to keep.
+    (composite_groups) and the batch stays in A's Jordan basis: it is
+    Y = Phi_J(W') with W' = inv(S) W inv(S)*, so that cone(H, B) = S Y S*,
+    not symmetrized; no H is formed, and S is left to the caller.
+    Everything is of maps.dtype: float64 for the real field, whose g is
+    real.  Batches follow _batch_sizes, each one draw from a single
+    default_rng(seed) stream, in the order of per-trial gaussian(rng, n,
+    field) draws, so trial k sees the same g however the trials are
+    grouped.  The workspace, made once per call at the largest batch size,
+    is two (size, n) buffers for the g stages and four (size, n, n)
+    buffers: one keeps the gathered targets, for the witness, and each
+    later stage writes into the next of the other three.  A batch, its two
+    scratch buffers (the two of those three that it does not occupy) and
+    its targets last until the next: copy H to keep.
     """
     n, k = sum(maps.dims), 2 if field == "complex" else 1
     perm, perm_inverse, groups = maps.plan
@@ -473,7 +477,7 @@ def _cone_solutions(
         y = _apply_groups(groups, v, next(ring).reshape(size, n * n))
         y = np.take(y, perm_inverse, axis=1, out=next(ring).reshape(size, n * n), mode="clip")
         y = y.reshape(size, n, n)
-        if s is not None:
+        if s is not None and not composite:
             y = np.matmul(np.matmul(s, y, out=next(ring)), s_star, out=next(ring))
         scratch = next(ring), next(ring)
         if not composite:
@@ -482,6 +486,29 @@ def _cone_solutions(
             y += np.conjugate(t, out=t)
             y *= 0.5
         yield y, scratch, v
+
+
+def _congruence_scale(s: np.ndarray) -> tuple[float, float, float]:
+    """psd_screen's scale (hi, lo, rho) for the oracle's congruence S, n x n.
+
+    hi and lo bound ||S||_2^2 and sigma_min(S)^2 from the eigenvalues of
+    fl(S* S), which lie within slack = 4 n eps ||S||_F^2 of sigma(S)^2: the
+    product errs by at most gamma_{3n} ||S||_F^2 in norm and eigvalsh's
+    backward error is a small multiple of eps ||S* S||_2.  rho bounds the
+    rounding of the oracle's fl(fl(S Y) S*): each matmul errs entrywise by
+    at most g |S| |Y| (g = gamma_{3n} covers gamma_n in real and sqrt(2)
+    gamma_{2n} in complex arithmetic, Higham 2002, 3.6), so with f >=
+    ||S||_F the error is at most g f (2 ||S||_2 + g f) ||Y||_F.
+    """
+    n, eps = len(s), float(np.finfo(np.float64).eps)
+    gram = (s.conj().T @ s).astype(np.complex128, copy=False)  # psd_report's LAPACK path
+    squares = np.linalg.eigvalsh(gram)
+    fro2 = float(np.vdot(s, s).real) * (1.0 + n * n * eps)  # >= ||S||_F^2
+    slack = 4 * n * eps * fro2
+    hi, lo = float(squares[-1]) + slack, max(float(squares[0]) - slack, 0.0)
+    g = 1.5 * n * eps / (1.0 - 1.5 * n * eps)
+    f = math.sqrt(fro2)
+    return hi, lo, g * f * (2.0 * math.sqrt(hi) + g * f)
 
 
 def _require_trials(trials: int) -> None:
@@ -500,17 +527,25 @@ def domination_oracle(
     whether cone(H, B) fails the PSD test outright ("no", beyond the tolerance
     band).  Returns ("violation", H) at the first failure, otherwise
     ("consistent", None); consistency is evidence, not proof.  cone(H, B) =
-    Phi(W), Phi the composite cone_B o cone_A^{-1}, is computed a batch at a
-    time straight from the targets W: no H and no dense B is formed, in
-    _cone_solutions' batches: one trial, then full batches.  A batch of two
-    or more that passes one batched Cholesky screen (linalg.psd_screen) holds
-    no "no" trial and is skipped; every other batch is PSD-tested per trial,
-    in order, up to its first "no", so the first violation, its witness
-    (pulled back from that trial's target through inv(L_A)) and any
-    NotHermitianError are those of a per-trial loop.  Real-field trials run
-    in float64 (setup.dtype); the witness is complex128 either way.  setup
-    is this order's _jordan_setup, built (after the regularity check) when
-    not given.  A must be regular for the order, trials >= 1.
+    S Y S*, with Y = Phi_J(W') the composite cone_B o cone_A^{-1} applied in
+    A's Jordan basis, is computed a batch at a time straight from the
+    targets: no H and no dense B is formed, in _cone_solutions' batches:
+    one trial, then full batches.  A batch of two or more is screened in the
+    Jordan basis first (linalg.psd_screen with the congruence's scale, made
+    once per call, at the first such batch): by Sylvester's law of inertia
+    and the screen's rounding bound, a pass proves that psd_report would
+    read no "no" and raise nothing on any fl(fl(S Y) S*) of the batch, and
+    the batch is skipped.  Only the single first trial and a batch that
+    this screen declines have S Y S* formed (two matmuls into the batch's
+    scratch buffers); such a batch is then screened as it is, and if that
+    declines too, PSD-tested per trial, in order, up to its first "no", so
+    the first violation, its witness (pulled back from that trial's target
+    through inv(L_A)) and any NotHermitianError are those of a per-trial
+    loop.  Without P, S = I and Y is the cone itself: one screen, no
+    scale.  Real-field trials run in float64 (setup.dtype); the witness is
+    complex128 either way.  setup is this order's _jordan_setup, built
+    (after the regularity check) when not given.  A must be regular for the
+    order, trials >= 1.
     """
     _require_trials(trials)
     spec = prob.spec
@@ -522,10 +557,20 @@ def domination_oracle(
         s, s_inv = order.congruence(p, np.linalg.solve(p, np.eye(len(p))))
         s, s_inv = (s.real.copy(), s_inv.real.copy()) if setup.dtype == np.float64 else (s, s_inv)
         congruence = s, s_inv, s.conj().T
+    scale = None
     batches = _cone_solutions(setup, spec.field, int(trials), seed, congruence, composite=True)
-    for cones, scratch, targets in batches:
-        if len(cones) > 1 and psd_screen(cones, prob.tol, scratch):
-            continue
+    for ys, scratch, targets in batches:
+        if len(ys) > 1:
+            if congruence is not None and scale is None:
+                scale = _congruence_scale(congruence[0])
+            if psd_screen(ys, prob.tol, scratch, scale):
+                continue
+        cones = ys
+        if congruence is not None:  # S Y S* in A's basis, screened there too
+            cones = np.matmul(np.matmul(congruence[0], ys, out=scratch[0]), congruence[2],
+                              out=scratch[1])
+            if len(cones) > 1 and psd_screen(cones, prob.tol, (ys, scratch[0])):
+                continue
         for cone, target in zip(cones, targets):
             verdict, _ = psd_report(cone, prob.tol)
             if verdict == "no":  # this trial's H, pulled back from its target

@@ -24,6 +24,13 @@ def random_invertible(rng, n, field="complex", max_cond=50.0):
             return p
 
 
+def conditioned(rng, n, cond, field="complex"):
+    """U diag(sigma) V*, sigma log-spaced over [1 / cond, 1], U and V random (real for "real")."""
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)) + (
+        1j * rng.standard_normal((n, n)) if field == "complex" else 0.0))[0] for _ in range(2))
+    return (u * np.logspace(0.0, -np.log10(cond), n)) @ v.conj().T
+
+
 def random_partition(rng, total, max_parts=3):
     """Nonincreasing positive parts summing to total."""
     parts = []

@@ -36,6 +36,7 @@ from lyaporder.linalg import NotHermitianError, block_diag
 from lyaporder.starmaps import BlockSeparableMap, StarLinearMap
 from helpers import (
     a_element,
+    conditioned,
     identity_element,
     random_element,
     random_jordan_spec,
@@ -163,7 +164,11 @@ def setup_solutions(setup, prob, order, field, count, seed, congruence=None):
 
 
 def faulty_cones(fault):
-    """_cone_solutions with fault applied in place to each cone stack of two or more."""
+    """_cone_solutions with fault applied in place to each cone stack of two or more.
+
+    The stacks are in A's Jordan basis, where the oracle screens them first;
+    without P that is A's own basis, so the fault reaches psd_report as is.
+    """
     real = domination._cone_solutions
 
     def cone_solutions(*args, **kwargs):
@@ -220,6 +225,70 @@ def with_similarity(rng, prob, order=LYAPUNOV):
     eigens = tuple(EigenBlock(e.eigenvalue / scale, e.sizes) for e in spec.eigens)
     p = np.eye(n) + 0.3 * g / np.sqrt(n)
     return LyapunovProblem(JordanSpec(spec.field, eigens, p), prob.element)
+
+
+SIMILAR_EIGENS = {  # (field, n): Jordan data with blocks of several kinds
+    ("complex", 8): (EigenBlock(1 + 0.5j, (3, 2)), EigenBlock(2 - 0.3j, (2, 1))),
+    ("complex", 16): (EigenBlock(1 + 0.5j, (3, 2)), EigenBlock(2 - 0.3j, (2, 1)),
+                      EigenBlock(0.7, (4,)), EigenBlock(1.5 + 1j, (2, 1, 1))),
+    ("real", 8): (EigenBlock(1 + 0.5j, (2,)), EigenBlock(0.7, (2, 1)), EigenBlock(2.0, (1,))),
+    ("real", 16): (EigenBlock(1 + 0.5j, (2, 1)), EigenBlock(0.7, (3, 2)),
+                   EigenBlock(1.5 + 0.8j, (2,)), EigenBlock(2.0, (1,))),
+}
+
+
+def similar_dominator(rng, field, n, order):
+    """A dominator of size n under with_similarity's P: alpha I + beta A + gamma inv(A), or A^2.
+
+    For the Stein order the eigenvalues are divided by 3 first, into the unit disk.
+    """
+    eigens = SIMILAR_EIGENS[field, n]
+    if order is STEIN:
+        eigens = tuple(EigenBlock(e.eigenvalue / 3.0, e.sizes) for e in eigens)
+    spec = JordanSpec(field, eigens)
+    element = rational_dominator(rng, spec) if order is LYAPUNOV else stein_power_element(spec, 2)
+    return with_similarity(rng, LyapunovProblem(spec, element))
+
+
+def with_condition(rng, prob, cond):
+    """prob under a P of condition number cond (helpers.conditioned)."""
+    p = conditioned(rng, prob.spec.dim, cond, prob.spec.field)
+    return LyapunovProblem(JordanSpec(prob.spec.field, prob.spec.eigens, p), prob.element)
+
+
+def counting_oracle(monkeypatch, decline_jordan=False):
+    """Counts of the oracle's psd_report calls and of its screens in each basis.
+
+    Returns a dict, updated as calls happen: "report", "scale" (calls of
+    _congruence_scale), "jordan" and "jordan_passed" (screens given a scale),
+    "own" and "own_passed" (screens in A's basis).  With decline_jordan the
+    Jordan-basis screens decline without running: the oracle then does its
+    work in A's basis alone, one screen per batch and per-trial tests after a
+    decline.
+    """
+    counts = dict.fromkeys(("report", "scale", "jordan", "jordan_passed", "own", "own_passed"), 0)
+    report, screen = domination.psd_report, domination.psd_screen
+    scale = domination._congruence_scale
+
+    def counting_report(m, tol):
+        counts["report"] += 1
+        return report(m, tol)
+
+    def counting_screen(stack, tol, scratch=None, scale=None):
+        kind = "own" if scale is None else "jordan"
+        passed = not (decline_jordan and kind == "jordan") and screen(stack, tol, scratch, scale)
+        counts[kind] += 1
+        counts[kind + "_passed"] += passed
+        return passed
+
+    def counting_scale(s):
+        counts["scale"] += 1
+        return scale(s)
+
+    monkeypatch.setattr(domination, "psd_report", counting_report)
+    monkeypatch.setattr(domination, "psd_screen", counting_screen)
+    monkeypatch.setattr(domination, "_congruence_scale", counting_scale)
+    return counts
 
 
 def deciding_reads(prob, order):
@@ -993,7 +1062,8 @@ class TestOracle:
         prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
         count, _ = past_the_cap(spec.dim)
         tested = []
-        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None: False)
+        monkeypatch.setattr(domination, "psd_screen",
+                            lambda stack, tol, scratch=None, scale=None: False)
         monkeypatch.setattr(domination, "psd_report",
                             lambda m, tol: tested.append(m.copy()) or ("yes", 1.0))
         assert domination_oracle(prob, trials=count, seed=6, order=order) == ("consistent", None)
@@ -1033,7 +1103,8 @@ class TestOracle:
         error = (np.linalg.LinAlgError, "PSD test: non-finite entries in the matrix or a + a*")
         assert outcome() == error
         assert any(np.isnan(m).any() for m in seen)
-        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None: False)
+        monkeypatch.setattr(domination, "psd_screen",
+                            lambda stack, tol, scratch=None, scale=None: False)
         assert outcome() == error
 
     @pytest.mark.parametrize("similar", [False, True], ids=["jordan", "similar"])
@@ -1051,8 +1122,8 @@ class TestOracle:
         dtypes = []
         real = domination.psd_screen
         monkeypatch.setattr(domination, "psd_screen",
-                            lambda stack, tol, scratch=None:
-                            dtypes.append(stack.dtype) or real(stack, tol, scratch))
+                            lambda stack, tol, scratch=None, scale=None:
+                            dtypes.append(stack.dtype) or real(stack, tol, scratch, scale))
         refuted = 0
         for seed in range(4):
             element = identity_element(spec) if seed == 0 else random_element(rng, spec)
@@ -1140,8 +1211,8 @@ class TestOracle:
         assert sizes[:2] == [1, 256] and 64 < index < 1 + 256
         screens, reports = [], []
         real_screen, real_report = domination.psd_screen, domination.psd_report
-        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None:
-                            screens.append(len(stack)) or real_screen(stack, tol, scratch))
+        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None, scale=None:
+                            screens.append(len(stack)) or real_screen(stack, tol, scratch, scale))
         monkeypatch.setattr(domination, "psd_report",
                             lambda m, tol: reports.append(1) or real_report(m, tol))
         status, h = domination_oracle(prob, trials=1000, seed=20)
@@ -1149,6 +1220,47 @@ class TestOracle:
         np.testing.assert_allclose(h, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
         assert screens == [256]
         assert len(reports) == 1 + (index - 1 + 1)  # trial 0, then the batch from its start
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("order", [LYAPUNOV, STEIN], ids=["lyapunov", "stein"])
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_dominator_with_a_similarity_is_screened_in_the_jordan_basis(
+            self, monkeypatch, field, order, n):
+        # One psd_report (the single first trial), one Jordan-basis screen
+        # per batch of two or more, all passing, and one scale per call.
+        # With cond(P) = 1e6 the Jordan-basis screens decline, and the counts
+        # in A's basis equal those of the oracle's work in A's basis alone.
+        rng = np.random.default_rng(48 + n)
+        prob = similar_dominator(rng, field, n, order)
+        batches = len(domination._batch_sizes(n, 1000)) - 1
+        counts = counting_oracle(monkeypatch)
+        assert domination_oracle(prob, trials=1000, seed=1, order=order) == ("consistent", None)
+        assert counts == {"report": 1, "scale": 1, "jordan": batches, "jordan_passed": batches,
+                          "own": 0, "own_passed": 0}
+        ill = with_condition(rng, prob, 1e6)
+        outcomes = []
+        for decline_jordan in (True, False):
+            counts = counting_oracle(monkeypatch, decline_jordan)
+            try:
+                outcomes.append(domination_oracle(ill, trials=1000, seed=1, order=order)[0])
+            except ValueError as exc:  # NotHermitianError included
+                outcomes.append(type(exc))
+            outcomes.append({k: v for k, v in counts.items() if not k.startswith("jordan")})
+        assert outcomes[0:2] == outcomes[2:4]
+        assert outcomes[0] == "consistent" and outcomes[1]["report"] == 1
+        assert counts["jordan"] == counts["own"] == batches and counts["jordan_passed"] == 0
+
+    def test_no_scale_for_a_refutation_at_trial_zero(self, monkeypatch):
+        # The scale (an eigvalsh of S* S) is computed once per call, at the
+        # first batch of two or more: never when trial 0 refutes.
+        rng = np.random.default_rng(49)
+        spec = JordanSpec("complex", SIMILAR_EIGENS["complex", 16])
+        prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)))
+        counts = counting_oracle(monkeypatch)
+        report = check_domination(prob, oracle_trials=1000, seed=0)
+        assert report.oracle_status == "violation"
+        assert counts["scale"] == counts["jordan"] == counts["own"] == 0
+        assert counts["report"] == 3  # Hill-Pick, Choi, trial 0
 
     def test_solve_plan_matches_block_pair_reference(self):
         # The trials run batches of 1, then a full batch of the workspace
@@ -1172,9 +1284,10 @@ class TestOracle:
         assert len(seen) == 8
 
     def test_oracle_cones_match_block_pair_reference(self):
-        # The oracle's cone stacks are Phi(W), formed from the targets by the
-        # composite without any H: each must be cone(H, B) of the reference
-        # H, on every batch of past_the_cap's trials.  A violation past the
+        # The oracle's cone stacks are Y = Phi_J(W'), formed in A's Jordan
+        # basis from the targets by the composite without any H: each S Y S*
+        # (Y itself without P) must be cone(H, B) of the reference H, on
+        # every batch of past_the_cap's trials.  A violation past the
         # first batch must still return the per-trial witness, pulled back
         # from its own target.  Rank-one targets refute these random B at
         # trial 0, so the first non-dominator of each kind is also moved just
@@ -1191,6 +1304,8 @@ class TestOracle:
                 want = order.cone(hs, b)
                 assert cones.dtype == maps.dtype and cones.shape == want.shape
                 assert targets.shape == (len(hs), prob.spec.dim ** 2)
+                if congruence is not None:
+                    cones = congruence[0] @ cones @ congruence[2]
                 np.testing.assert_allclose(cones, want, rtol=0, atol=1e-12 * np.abs(want).max())
             if (field, order.name, similar) not in seen and deciding_reads(prob, order) == "no":
                 inside = identity_element(prob.spec)

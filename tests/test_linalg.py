@@ -15,6 +15,8 @@ from lyaporder.linalg import (
     psd_screen,
     rank_tol,
 )
+from lyaporder.domination import _congruence_scale
+from helpers import conditioned
 from reference import canonical_shuffle, is_psd, unvec, vec
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -218,6 +220,29 @@ class TestPsd:
                 assert float((witness.conj() @ m @ witness).real) < -band
 
 
+def band_edge_stacks(rng, n, count, psd_rel, dtype, low_band=-2.0):
+    """count n x n Hermitian matrices Q diag(eigs) Q* whose spectra straddle psd_report's -band.
+
+    Spectra have their top at `scale` (10^-6 .. 10^6), lambda_min in
+    [low_band, 0] psd_rel (1 + scale) and up to n - 2 more eigenvalues in
+    [lambda_min, 0]; low_band = 0 gives PSD stacks.  Q is complex for odd n
+    on complex128 stacks, real on float64 stacks.
+    """
+    scale = 10.0 ** rng.uniform(-6, 6, count)
+    lam_min = low_band * psd_rel * (1.0 + scale) * rng.uniform(0, 1, count)
+    eigs = scale[:, None] * rng.uniform(0, 1, (count, n))
+    low = np.arange(n) < rng.integers(1, n, count)[:, None]
+    eigs = np.where(low, lam_min[:, None] * rng.uniform(0, 1, (count, n)), eigs)
+    eigs[:, 0], eigs[:, -1] = lam_min, scale
+    g = rng.standard_normal((count, n, n))
+    if dtype == np.complex128:
+        g = g + 1j * rng.standard_normal((count, n, n)) * (n % 2)
+    q = np.linalg.qr(g)[0]
+    stack = (q * eigs[:, None, :]) @ q.conj().swapaxes(-1, -2)
+    assert stack.dtype == dtype
+    return stack
+
+
 class TestPsdScreen:
     @pytest.mark.parametrize("psd_rel", [1e-9, 1e-6, 1e-12])
     def test_rejects_every_stack_psd_report_calls_no(self, psd_rel):
@@ -229,37 +254,72 @@ class TestPsdScreen:
 
     @staticmethod
     def _check_rejects_every_stack_psd_report_calls_no(psd_rel, dtype):
-        # Spectra with their top at `scale`, lambda_min in [-2 band, 0] and
-        # up to n - 2 more eigenvalues in [lambda_min, 0], so that they
-        # straddle psd_report's "no" threshold at -band; Q is complex for odd
-        # n on complex128 stacks, real on float64 stacks.
+        # band_edge_stacks straddle psd_report's "no" threshold at -band.
+        # The identity's scale (hi = lo = 1, rho = 0) decides each one as
+        # the screen without a scale does.
         tol = Tolerances(psd_rel=psd_rel)
         rng = np.random.default_rng(int(-np.log10(psd_rel)))
         verdicts = {"no": 0, "marginal": 0, "passed": 0}
         for n in range(2, 41):
-            count = 77
-            scale = 10.0 ** rng.uniform(-6, 6, count)
-            lam_min = -2.0 * psd_rel * (1.0 + scale) * rng.uniform(0, 1, count)
-            eigs = scale[:, None] * rng.uniform(0, 1, (count, n))
-            low = np.arange(n) < rng.integers(1, n, count)[:, None]
-            eigs = np.where(low, lam_min[:, None] * rng.uniform(0, 1, (count, n)), eigs)
-            eigs[:, 0], eigs[:, -1] = lam_min, scale
-            g = rng.standard_normal((count, n, n))
-            if dtype == np.complex128:
-                g = g + 1j * rng.standard_normal((count, n, n)) * (n % 2)
-            q = np.linalg.qr(g)[0]
-            stack = (q * eigs[:, None, :]) @ q.conj().swapaxes(-1, -2)
-            assert stack.dtype == dtype
+            stack = band_edge_stacks(rng, n, 77, psd_rel, dtype)
             any_no = False
             for m in stack:
                 verdict = psd_report(m, tol)[0]
                 passed = psd_screen(m[None], tol)
                 assert not (verdict == "no" and passed)
+                assert psd_screen(m[None], tol, scale=(1.0, 1.0, 0.0)) == passed
                 any_no |= verdict == "no"
                 verdicts[verdict] += 1
                 verdicts["passed"] += passed
             assert not (any_no and psd_screen(stack, tol))
         assert min(verdicts.values()) > 100
+
+    @pytest.mark.parametrize("psd_rel", [1e-9, 1e-6, 1e-12])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_congruence_scale_is_sound(self, dtype, psd_rel):
+        # Y = inv(S) C inv(S)* from band-edge and PSD stacks C, with S of
+        # condition 1 to 1e6.  Whenever the screen passes Y with S's scale,
+        # psd_report on the oracle's fl(fl(S Y) S*) neither reads "no" nor
+        # raises.  At the default psd_rel it passes most PSD stacks for
+        # cond(S) <= 10.  At 1e6, where cond(S)^2 u outgrows psd_rel,
+        # Cholesky's backward error exceeds the shift on every cone of norm
+        # at least 1, where the band is relative: it declines them all.
+        tol = Tolerances(psd_rel=psd_rel)
+        rng = np.random.default_rng(46 + int(-np.log10(psd_rel)))
+        field = "complex" if dtype == np.complex128 else "real"
+        passed = {"psd": 0, "psd_tried": 0, "ill": 0, "ill_tried": 0}
+        for cond in (1.0, 3.0, 10.0, 1e2, 1e4, 1e6):
+            for n in (2, 3, 5, 8, 13, 21, 34):
+                s = conditioned(rng, n, cond, field) * 10.0 ** rng.uniform(-2, 2)
+                s_inv = np.linalg.inv(s)
+                scale = _congruence_scale(s)
+                for low_band in (-2.0, 0.0):
+                    stack = band_edge_stacks(rng, n, 24, psd_rel, dtype, low_band)
+                    ys = s_inv @ stack @ s_inv.conj().T
+                    cones = np.matmul(np.matmul(s, ys), s.conj().T)  # as the oracle forms them
+                    for y, cone, top in zip(ys, cones, np.linalg.eigvalsh(stack)[:, -1]):
+                        ok = psd_screen(y[None], tol, scale=scale)
+                        if ok:
+                            assert psd_report(cone, tol)[0] != "no"
+                        kind = "psd" if cond <= 10.0 and low_band == 0.0 else (
+                            "ill" if cond == 1e6 and top >= 1.0 else None)
+                        if kind:
+                            passed[kind] += ok
+                            passed[kind + "_tried"] += 1
+        if psd_rel == 1e-9:
+            assert passed["psd"] > 0.5 * passed["psd_tried"]
+        assert passed["ill"] == 0 and passed["ill_tried"] > 100
+
+    def test_declines_a_non_finite_scale(self):
+        rng = np.random.default_rng(47)
+        g = rng.standard_normal((16, 8, 8)) + 1j * rng.standard_normal((16, 8, 8))
+        w = g @ g.conj().swapaxes(-1, -2)
+        assert psd_screen(w, scale=(1.0, 1.0, 0.0)) and psd_screen(w, scale=(2.0, 0.5, 1e-14))
+        for bad in (np.nan, np.inf):
+            for k in range(3):
+                scale = [2.0, 0.5, 1e-14]
+                scale[k] = bad
+                assert not psd_screen(w, scale=tuple(scale))
 
     def test_passes_psd_stacks_and_declines_outside_its_range(self):
         rng = np.random.default_rng(44)
