@@ -4,78 +4,46 @@ The package decides whether B Lyapunov dominates A (every Hermitian H with
 H A + A* H PSD also has H B + B* H PSD) for Lyapunov-regular A given by its
 Jordan data and B in the bicommutant of A, via the Hill-Pick matrix,
 cross-validated by the Choi matrix of the composite map and a sampling
-oracle.  The ``lyapctl`` command line wraps the same pipelines.  The
-package exports what those pipelines call; the submodules hold the rest.
+oracle.  The ``lyapctl`` command line wraps the same pipelines.
+
+The package exports what poses and answers that question: the problem's
+data, the tolerances, the decisions and their reports.  The parts they are
+built from stay in the submodules that define them: ``linalg`` (PSD and rank
+tests), ``jordan`` (building A and B), ``starmaps`` (star-linear maps and
+Choi matrices), ``hill`` (Hill representations) and ``domination`` (order
+maps and the block selection).
 """
 
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    kron,
-    psd_report,
-    rank_tol,
-)
-from .jordan import (
-    BicommElement,
-    EigenBlock,
-    JordanSpec,
-    build_A,
-    build_bicomm_element,
-    build_bicomm_jordan,
-    build_JA,
-    check_bicomm_membership,
-)
-from .starmaps import StarLinearMap, choi_matrix, is_star_linear
-from .hill import HillRep, minimal_hill_from_blocks, nonminimal_hill
+from .linalg import DEFAULT_TOLERANCES, Tolerances
+from .jordan import BicommElement, EigenBlock, JordanSpec, check_bicomm_membership
 from .domination import (
     LYAPUNOV,
     STEIN,
     DominationReport,
     HillPickMatrix,
     LyapunovProblem,
-    Order,
     check_domination,
     domination_oracle,
     hill_pick_matrix,
-    lyapunov_order_map,
     stein_domination,
-    stein_order_map,
-    upsilon_selection,
 )
 
 __all__ = [
     "DEFAULT_TOLERANCES",
     "Tolerances",
-    "kron",
-    "psd_report",
-    "rank_tol",
     "BicommElement",
     "EigenBlock",
     "JordanSpec",
-    "build_A",
-    "build_bicomm_element",
-    "build_bicomm_jordan",
-    "build_JA",
     "check_bicomm_membership",
-    "StarLinearMap",
-    "choi_matrix",
-    "is_star_linear",
-    "HillRep",
-    "minimal_hill_from_blocks",
-    "nonminimal_hill",
     "LYAPUNOV",
     "STEIN",
     "DominationReport",
     "HillPickMatrix",
     "LyapunovProblem",
-    "Order",
     "check_domination",
     "domination_oracle",
     "hill_pick_matrix",
-    "lyapunov_order_map",
     "stein_domination",
-    "stein_order_map",
-    "upsilon_selection",
 ]
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

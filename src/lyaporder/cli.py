@@ -32,7 +32,6 @@ from .domination import (
     lyapunov_order_map,
     stein_order_map,
 )
-from .hill import minimal_hill_from_blocks, nonminimal_hill
 from .linalg import NotHermitianError, Tolerances, rank_tol
 from .problemfile import LoadedProblem, ProblemFileError, load_problem_file
 from .starmaps import choi_matrix
@@ -242,6 +241,8 @@ def _cmd_check(args) -> int:
 def _cmd_hill_pick(args) -> int:
     loaded = load_problem_file(args.path, _tolerances_from_flags(args))
     hp = hill_pick_matrix(loaded.problem)
+    if not np.isfinite(hp.matrix).all():  # JSON has no NaN or Infinity
+        raise np.linalg.LinAlgError("Hill-Pick matrix: non-finite entries")
     if args.json:
         out = dict(_problem_header(loaded))
         out["hill_pick"] = _hill_pick_json(hp)
@@ -273,6 +274,9 @@ def _parse_selection(text: str):
 
 
 def _cmd_hill(args) -> int:
+    # Only this subcommand loads the Hill-representation module.
+    from .hill import minimal_hill_from_blocks, nonminimal_hill
+
     loaded = load_problem_file(args.path, _tolerances_from_flags(args))
     tol = loaded.problem.tol
     if args.which_map == "lyapunov":

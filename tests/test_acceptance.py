@@ -16,16 +16,14 @@ from lyaporder import (
     EigenBlock,
     JordanSpec,
     LyapunovProblem,
-    choi_matrix,
     domination_oracle,
     hill_pick_matrix,
-    lyapunov_order_map,
-    minimal_hill_from_blocks,
-    nonminimal_hill,
-    psd_report,
-    rank_tol,
     stein_domination,
 )
+from lyaporder.domination import lyapunov_order_map
+from lyaporder.hill import minimal_hill_from_blocks, nonminimal_hill
+from lyaporder.linalg import psd_report, rank_tol
+from lyaporder.starmaps import choi_matrix
 from helpers import (
     a_element,
     problem_mix,

@@ -1,13 +1,19 @@
 """The package's public surface: what ``lyaporder`` exports, and what it imports."""
 
 import ast
+import importlib
 import os
 import re
+import subprocess
+import sys
+
+import pytest
 
 import lyaporder
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(TESTS), "src", "lyaporder")
+SRC_ROOT = os.path.join(os.path.dirname(TESTS), "src")
+SRC = os.path.join(SRC_ROOT, "lyaporder")
 
 PUBLIC = [
     "BicommElement",
@@ -15,34 +21,26 @@ PUBLIC = [
     "DominationReport",
     "EigenBlock",
     "HillPickMatrix",
-    "HillRep",
     "JordanSpec",
     "LYAPUNOV",
     "LyapunovProblem",
-    "Order",
     "STEIN",
-    "StarLinearMap",
     "Tolerances",
-    "build_A",
-    "build_JA",
-    "build_bicomm_element",
-    "build_bicomm_jordan",
     "check_bicomm_membership",
     "check_domination",
-    "choi_matrix",
     "domination_oracle",
     "hill_pick_matrix",
-    "is_star_linear",
-    "kron",
-    "lyapunov_order_map",
-    "minimal_hill_from_blocks",
-    "nonminimal_hill",
-    "psd_report",
-    "rank_tol",
     "stein_domination",
-    "stein_order_map",
-    "upsilon_selection",
 ]
+
+# The parts the decisions are built from, by the submodule that defines them.
+PARTS = {
+    "linalg": ["kron", "psd_report", "rank_tol"],
+    "jordan": ["build_A", "build_JA", "build_bicomm_element", "build_bicomm_jordan"],
+    "starmaps": ["StarLinearMap", "choi_matrix", "is_star_linear"],
+    "hill": ["HillRep", "minimal_hill_from_blocks", "nonminimal_hill"],
+    "domination": ["Order", "lyapunov_order_map", "stein_order_map", "upsilon_selection"],
+}
 
 
 def _tree(path):
@@ -57,6 +55,14 @@ def test_exports_are_pinned():
 def test_every_export_resolves():
     for name in lyaporder.__all__:
         assert getattr(lyaporder, name) is not None, name
+
+
+@pytest.mark.parametrize("module", sorted(PARTS))
+def test_parts_live_in_their_submodules(module):
+    mod = importlib.import_module(f"lyaporder.{module}")
+    for name in PARTS[module]:
+        assert getattr(mod, name).__module__ == mod.__name__, name
+        assert name not in lyaporder.__all__, name
 
 
 def test_no_export_is_a_test_reference():
@@ -74,6 +80,17 @@ def test_decision_core_does_not_import_hill():
     imported = {node.module for node in ast.walk(_tree(os.path.join(SRC, "domination.py")))
                 if isinstance(node, ast.ImportFrom)}
     assert not {"hill", "lyaporder.hill"} & imported
+    # Nor do the package and the CLI's other subcommands, in a fresh interpreter.
+    code = ("import sys, lyaporder, lyaporder.cli; "
+            "loaded = 'lyaporder.hill' in sys.modules; "
+            "lyaporder.cli.run(['check', 'problems/pick_boundary.json']); "
+            "print(loaded, 'lyaporder.hill' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC_ROOT] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=os.path.dirname(TESTS), env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False"
 
 
 def test_version_matches_pyproject():

@@ -105,6 +105,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("numerical error: PSD test: non-finite entries")
 
+    @pytest.mark.parametrize("command", ["check", "hill-pick"])
+    def test_overflowing_hill_pick_exits_70(self, tmp_path, capsys, command):
+        # Dividing by lam + conj lam = 2e-320 overflows to inf and nan, which
+        # hill-pick used to print as Infinity and NaN, not JSON.
+        doc = {"field": "complex", "eigenvalues": [{"lambda": [1e-320, 0.0], "sizes": [1]}],
+               "B": {"coeffs": [[1.0]]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run([command, "--json", write(tmp_path, json.dumps(doc))]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: ")
+
     def test_malformed_json(self, tmp_path, capsys):
         path = write(tmp_path, '{"field": "complex",')
         assert run(["check", path]) == 64

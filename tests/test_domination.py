@@ -15,29 +15,34 @@ from lyaporder import (
     JordanSpec,
     LyapunovProblem,
     Tolerances,
-    build_A,
-    build_bicomm_element,
     check_domination,
-    choi_matrix,
     domination_oracle,
     hill_pick_matrix,
-    lyapunov_order_map,
-    psd_report,
-    rank_tol,
     stein_domination,
+)
+from lyaporder import domination, jordan, linalg
+from lyaporder.domination import (
+    Order,
+    _jordan_setup,
+    lyapunov_order_map,
     stein_order_map,
     upsilon_selection,
 )
-from lyaporder import domination, jordan, linalg
-from lyaporder.domination import Order, _jordan_setup
 from lyaporder.hill import hill_at_selection, matricization_blocks
-from lyaporder.jordan import build_bicomm_jordan, build_JA, inner_blocks
-from lyaporder.linalg import NotHermitianError, block_diag
-from lyaporder.starmaps import BlockSeparableMap, StarLinearMap
+from lyaporder.jordan import (
+    build_A,
+    build_bicomm_element,
+    build_bicomm_jordan,
+    build_JA,
+    inner_blocks,
+)
+from lyaporder.linalg import NotHermitianError, block_diag, psd_report, rank_tol
+from lyaporder.starmaps import BlockSeparableMap, StarLinearMap, choi_matrix
 from helpers import (
     a_element,
     conditioned,
     identity_element,
+    problem_mix,
     random_element,
     random_jordan_spec,
     rational_dominator,
@@ -594,7 +599,7 @@ class TestHillPickMatrix:
         assert fields == {"complex", "real"}
 
     def test_matches_pinned_hill_transpose(self):
-        from lyaporder import nonminimal_hill
+        from lyaporder.hill import nonminimal_hill
 
         rng = np.random.default_rng(6)
         spec = random_jordan_spec(rng, max_dim=5)
@@ -1645,3 +1650,65 @@ class TestJordanBasis:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestScaling:
+    """Domination does not change under B -> cB (c > 0) or (A, B) -> (sA, sB)."""
+
+    LAMS = (1.0, 2.0 + 1j, 3.0)
+
+    @pytest.mark.parametrize("c", [
+        1.0,
+        1e-4,
+        # The Hill-Pick min eigenvalue scales with c (5.2e-11 and 5.2e-15 here)
+        # and falls inside psd_report's fixed band of 1e-9 * (1 + max|eig|).
+        pytest.param(1e-8, marks=pytest.mark.xfail(strict=True, reason="fixed band, B -> cB")),
+        pytest.param(1e-12, marks=pytest.mark.xfail(strict=True, reason="fixed band, B -> cB")),
+    ])
+    def test_scaled_dominator_dominates(self, c):
+        prob = diag_problem(self.LAMS, [c * (lam + 1.0) for lam in self.LAMS])
+        assert check_domination(prob).verdict == "dominates"
+
+    @pytest.mark.parametrize("s", [1e-8, 1e8])
+    def test_jointly_scaled_dominator_dominates(self, s):
+        prob = diag_problem([s * lam for lam in self.LAMS], [s * (lam + 1.0) for lam in self.LAMS])
+        assert check_domination(prob).verdict == "dominates"
+
+
+def invariant_population():
+    """(order, problem) pairs, with ids, for the hard invariants.
+
+    problem_mix on both fields with P; Stein data with B = A^2 or random B,
+    with and without a P; and the near-boundary problems of each family.
+    """
+    rng = np.random.default_rng(90)
+    for field in ("complex", "real"):
+        for k, prob in enumerate(problem_mix(rng, 36, field=field)):
+            yield pytest.param(LYAPUNOV, prob, id=f"mix-{field}-{k}")
+    rng = np.random.default_rng(91)
+    for k in range(18):
+        spec = stein_jordan_spec(rng)
+        for kind, elem in (("square", stein_power_element(spec, 2)),
+                           ("random", random_element(rng, spec))):
+            prob = LyapunovProblem(spec, elem)
+            yield pytest.param(STEIN, prob, id=f"stein-{kind}-{k}")
+            # with_similarity's default order keeps the eigenvalues, inside the unit disk.
+            yield pytest.param(STEIN, with_similarity(rng, prob), id=f"stein-{kind}-p-{k}")
+    for family in ("diagonal", "jordan", "stein"):
+        for k, (order, _, prob) in enumerate(near_boundary_problems(family, 24)):
+            yield pytest.param(order, prob, id=f"near-{family}-{k}")
+
+
+class TestHardInvariants:
+    """On a seeded population: no exception, no route conflict, no refuted "dominates".
+
+    A problem that breaks an invariant stays in the population as a strict
+    xfail, so that its fix has to flip it.
+    """
+
+    @pytest.mark.parametrize("order,prob", invariant_population())
+    def test_invariants(self, order, prob):
+        decide = check_domination if order is LYAPUNOV else stein_domination
+        report = decide(prob)
+        assert report.methods_agree
+        assert not (report.verdict == "dominates" and report.oracle_status == "violation")

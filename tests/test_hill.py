@@ -7,15 +7,11 @@ from lyaporder import (
     EigenBlock,
     JordanSpec,
     LyapunovProblem,
-    StarLinearMap,
-    choi_matrix,
-    kron,
-    lyapunov_order_map,
-    minimal_hill_from_blocks,
-    nonminimal_hill,
-    rank_tol,
 )
-from lyaporder.hill import HillRep
+from lyaporder.domination import lyapunov_order_map
+from lyaporder.hill import HillRep, minimal_hill_from_blocks, nonminimal_hill
+from lyaporder.linalg import kron, rank_tol
+from lyaporder.starmaps import StarLinearMap, choi_matrix
 from helpers import (
     random_cp_map,
     random_element,

@@ -7,15 +7,19 @@ from lyaporder import (
     BicommElement,
     EigenBlock,
     JordanSpec,
-    build_A,
-    build_bicomm_element,
-    build_JA,
     check_bicomm_membership,
-    rank_tol,
 )
 from lyaporder.domination import upsilon_selection
-from lyaporder.jordan import InnerBlock, bicomm_blocks, build_bicomm_jordan, inner_blocks
-from lyaporder.linalg import block_diag
+from lyaporder.jordan import (
+    InnerBlock,
+    bicomm_blocks,
+    build_A,
+    build_bicomm_element,
+    build_bicomm_jordan,
+    build_JA,
+    inner_blocks,
+)
+from lyaporder.linalg import block_diag, rank_tol
 from helpers import a_element, random_element, random_invertible, random_jordan_spec
 from reference import extract_bicomm_coeffs, matricization
 

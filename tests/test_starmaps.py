@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lyaporder import LYAPUNOV, StarLinearMap, choi_matrix, is_star_linear, rank_tol
+from lyaporder import DEFAULT_TOLERANCES, LYAPUNOV
+from lyaporder.linalg import rank_tol
+from lyaporder.starmaps import StarLinearMap, choi_matrix, is_star_linear
 from helpers import random_cp_map, random_star_linear
-from lyaporder.linalg import DEFAULT_TOLERANCES
 from reference import (
     apply_map,
     canonical_shuffle,
