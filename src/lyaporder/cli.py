@@ -241,8 +241,6 @@ def _cmd_check(args) -> int:
 def _cmd_hill_pick(args) -> int:
     loaded = load_problem_file(args.path, _tolerances_from_flags(args))
     hp = hill_pick_matrix(loaded.problem)
-    if not np.isfinite(hp.matrix).all():  # JSON has no NaN or Infinity
-        raise np.linalg.LinAlgError("Hill-Pick matrix: non-finite entries")
     if args.json:
         out = dict(_problem_header(loaded))
         out["hill_pick"] = _hill_pick_json(hp)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -328,6 +328,51 @@ class _PairMaps:
         return [(start, stop, maps.ravel() if maps.shape[-1] == 1 else maps)
                 for (start, stop, _), (_, _, maps) in zip(self.plan[2], self.composite.pairs)]
 
+    choi = cached_property(lambda self: choi_matrix(self.composite))  # C, the support Choi matrix
+
+    @cached_property
+    def certificate(self) -> Optional[tuple]:
+        """(delta, skew, norm, traces, blocks, gammas) for _choi_screen: Herm(C) >= -delta I.
+
+        For h = fl(C + C*), N x N, and beta = gamma_{3N+5}, a Cholesky of h +
+        s I, s = beta sum |h_ii| (or 8 times that, for the rounding of C's own
+        closed form), that succeeds gives R* R = h + s I + D with |D| <=
+        gamma_{N+1} |R*| |R| (sqrt(2) gamma_{2N+2} complex; Higham 2002, Thm
+        10.3) and ||R||_F^2 = tr(R* R): with the roundings of h and s, C + C*
+        >= -(s + beta (sum |h_ii| + N s)) I, and delta is half that bound.
+        None if both fail or a norm is not finite.  skew and norm are ||C -
+        C*||_F and ||C||_F; T = traces is block diagonal, T_I[u, v] = sum_a
+        C[(u, a), (v, a)], so tr Phi_J(g g*) = g^T T conj(g); blocks sums the
+        squares of a float view of g into each ||g_I||^2.
+        """
+        c, n = (self.choi.real if self.dtype == np.float64 else self.choi), sum(self.dims)
+        with np.errstate(invalid="ignore", over="ignore"):
+            h = c + c.conj().T
+            skew, norm = float(np.linalg.norm(c - c.conj().T)), float(np.linalg.norm(c))
+            diag = float(np.abs(h.diagonal()).sum())
+        beta, *gammas = [k / (2.0 ** 53 - k)  # gamma_k = k u / (1 - k u), u = 2^-53
+                         for k in (3 * len(c) + 5, 2 * max(self.dims) ** 2 + 8, 5 * n + 12)]
+        if not (math.isfinite(skew + norm + diag) and diag > 0.0):
+            return None
+        h_diag = h.diagonal().copy()
+        for shift in (beta * diag, 8.0 * beta * diag):
+            h.flat[:: len(c) + 1] = h_diag + shift
+            try:
+                np.linalg.cholesky(h)
+                break
+            except np.linalg.LinAlgError:
+                pass
+        else:
+            return None
+        traces, sq = np.zeros((n, n), dtype=self.dtype), np.array(self.dims) ** 2
+        for u, at, d in zip(np.cumsum((0,) + self.dims), np.cumsum(sq) - sq, self.dims):
+            blk = c[at : at + d * d, at : at + d * d].reshape(d, d, d, d)  # [u, a, v, b]
+            traces[u : u + d, u : u + d] = np.trace(blk, axis1=1, axis2=3)
+        blocks = np.eye(len(self.dims))[np.repeat(np.arange(len(self.dims)), self.dims)]
+        blocks = blocks if self.dtype == np.float64 else np.repeat(blocks, 2, axis=0)
+        delta = (shift + beta * (diag + len(c) * shift)) / 2.0
+        return delta, skew, norm, traces, blocks, (gammas[0], gammas[1] * max(self.dims) ** 0.5)
+
 
 def _jordan_setup(prob: LyapunovProblem, order: Order) -> _PairMaps:
     """One decision's Jordan-basis maps, shared by its routes; the caller checks regularity."""
@@ -384,7 +429,8 @@ def hill_pick_matrix(prob: LyapunovProblem) -> HillPickMatrix:
     M* H_c M, with M[lam_k, 2k] = M[conj_k, 2k] = 1/2, M[lam_k, 2k + 1] = -i/2
     and M[conj_k, 2k + 1] = i/2 on each pair's 2s real slots (there M = U /
     sqrt(2), U unitary), and M the identity on real eigenvalues.  The result
-    is PSD exactly when B Lyapunov dominates A.  A must be Lyapunov regular.
+    is PSD exactly when B Lyapunov dominates A.  A must be Lyapunov regular;
+    a non-finite entry (an overflowing division) raises numpy's LinAlgError.
     """
     spec = prob.spec
     LYAPUNOV.require_regular(spec, prob.tol)
@@ -405,15 +451,18 @@ def hill_pick_matrix(prob: LyapunovProblem) -> HillPickMatrix:
     rhs = np.outer(t.conj(), first) + np.outer(first, t)  # conj(t) E^T + E t^T
     denom = lam + lam.conj()[:, None]  # lam_j + conj(lam_i)
     h = np.zeros((w + 1, w + 1), dtype=np.complex128)
-    for _ in range(2 * top - 1):  # on the whole matrix: sweep d settles a + b = d
-        h[:w, :w] = (rhs - h[up, :w] - h[:w, up]) / denom
-    h = h[:w, :w].copy()
-    if spec.field == "real":  # fold back: M* H_c M
-        paired, rows = paired.astype(bool), np.arange(w)
-        m = np.zeros(h.shape, dtype=np.complex128)
-        m[rows, col] = np.where(paired, 0.5, 1.0)
-        m[rows[paired], col[paired] + 1] = np.where(group >= r, 0.5j, -0.5j)[paired]
-        h = (m.conj().T @ h @ m).real.astype(np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked below
+        for _ in range(2 * top - 1):  # on the whole matrix: sweep d settles a + b = d
+            h[:w, :w] = (rhs - h[up, :w] - h[:w, up]) / denom
+        h = h[:w, :w].copy()
+        if spec.field == "real":  # fold back: M* H_c M
+            paired, rows = paired.astype(bool), np.arange(w)
+            m = np.zeros(h.shape, dtype=np.complex128)
+            m[rows, col] = np.where(paired, 0.5, 1.0)
+            m[rows[paired], col[paired] + 1] = np.where(group >= r, 0.5j, -0.5j)[paired]
+            h = (m.conj().T @ h @ m).real.astype(np.complex128)
+    if not np.isfinite(h).all():  # JSON has no NaN or Infinity
+        raise np.linalg.LinAlgError("Hill-Pick matrix: non-finite entries")
     return HillPickMatrix(h, sel, offsets, spec.field)
 
 
@@ -430,7 +479,8 @@ def _apply_groups(groups, v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _cone_solutions(
-    maps: _PairMaps, field: str, count: int, seed: int, congruence=None, composite: bool = False
+    maps: _PairMaps, field: str, count: int, seed: int, congruence=None, composite: bool = False,
+    screen: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]]:
     """Yield batches of Hermitian H with cone(H, A) = W for random rank-one targets W = g g*.
 
@@ -442,28 +492,27 @@ def _cone_solutions(
     as H = S Y S*.  With composite the pairs apply L_B inv(L_A) instead
     (composite_groups) and the batch stays in A's Jordan basis: it is
     Y = Phi_J(W') with W' = inv(S) W inv(S)*, so that cone(H, B) = S Y S*,
-    not symmetrized; no H is formed, and S is left to the caller.
-    Everything is of maps.dtype: float64 for the real field, whose g is
-    real.  Batches follow _batch_sizes, each one draw from a single
-    default_rng(seed) stream, in the order of per-trial gaussian(rng, n,
-    field) draws, so trial k sees the same g however the trials are
-    grouped.  The workspace, made once per call at the largest batch size,
-    is two (size, n) buffers for the g stages and four (size, n, n)
-    buffers: one keeps the gathered targets, for the witness, and each
-    later stage writes into the next of the other three.  A batch, its two
-    scratch buffers (the two of those three that it does not occupy) and
-    its targets last until the next: copy H to keep.
+    not symmetrized; no H is formed, and S is left to the caller.  A batch
+    of two or more whose rows inv(S) g screen passes is neither formed nor
+    yielded.  Everything is of maps.dtype: float64 for the real field,
+    whose g is real.  Batches follow _batch_sizes, each one draw from a
+    single default_rng(seed) stream, in the order of per-trial gaussian(rng,
+    n, field) draws, so trial k sees the same g however the trials are
+    grouped or skipped.  Two (size, n) buffers hold the g stages; four
+    (size, n, n) buffers, made at the first batch formed (again if a larger
+    one follows), hold its stages: one keeps the gathered targets, for the
+    witness, and each later stage writes into the next of the other three.
+    A batch, its two scratch buffers (the two of those three that it does
+    not occupy) and its targets last until the next: copy H to keep.
     """
     n, k = sum(maps.dims), 2 if field == "complex" else 1
     perm, perm_inverse, groups = maps.plan
     groups = maps.composite_groups if composite else groups
     s, s_inv, s_star = congruence or (None, None, None)
-    rng, sizes = np.random.default_rng(seed), _batch_sizes(n, count)
-    work = np.empty((4, max(sizes), n, n), dtype=maps.dtype)
+    rng, sizes, work = np.random.default_rng(seed), _batch_sizes(n, count), None
     vecs = np.empty((2, max(sizes), n), dtype=maps.dtype)  # the g stages
     for size in sizes:
-        targets, *bufs = work[:, :size]
-        ring, pair = itertools.cycle(bufs), itertools.cycle(vecs[:, :size])
+        pair = itertools.cycle(vecs[:, :size])
         g = next(pair)
         z = g.view(np.float64).reshape(-1)[: size * k * n].reshape(size, k, n)
         rng.standard_normal(out=z)
@@ -471,6 +520,12 @@ def _cone_solutions(
             g = next(pair)
             g.real, g.imag = z[:, 0], z[:, 1] if k == 2 else 0.0
         g = g if s_inv is None else np.matmul(g, s_inv.T, out=next(pair))  # rows inv(S) g
+        if size > 1 and screen is not None and screen(g):
+            continue
+        if work is None or work.shape[1] < size:
+            work = np.empty((4, size, n, n), dtype=maps.dtype)
+        targets, *bufs = work[:, :size]
+        ring = itertools.cycle(bufs)
         g_conj = g if maps.dtype == np.float64 else np.conjugate(g, out=next(pair))
         w = np.multiply(g[:, :, None], g_conj[:, None], out=next(ring)).reshape(size, n * n)
         v = np.take(w, perm, axis=1, out=targets.reshape(size, n * n), mode="clip")
@@ -488,8 +543,58 @@ def _cone_solutions(
         yield y, scratch, v
 
 
+def _choi_screen(setup: _PairMaps, g: np.ndarray, scale, tol: Tolerances) -> bool:
+    """True only if psd_report would neither read "no" nor raise on any cone of the batch g.
+
+    g holds a batch's rows g' = inv(S) g; its cones, not formed here, are
+    fl(fl(S Y) S*) (fl(Y) without P) for Y = fl(Phi_J(g' g'*)) as formed by
+    _cone_solutions.  scale is _congruence_scale's (hi, lo, rho), (1, 1, 0)
+    without P.  With C the support Choi matrix, indexed (u, a), u and a in
+    one block I, Phi_J(g g*) = V* C V for V = (+)_I (conj g_I (x) I_{d_I}),
+    and V* V = (+)_I ||g_I||^2 I.  Per trial, with m = max_I ||g'_I||^2,
+    setup.certificate's (delta, skew, norm, T, .., (gy, gt)) and k = max d_I^2:
+
+        r   = gy m norm,  gy = gamma_{2k+8}   >= ||fl(Y) - V* C V||_F (fl(g' g'*),
+                                                 then products of k terms of C),
+        e   = rho (m norm + r)                >= the congruence's rounding,
+        tau = |Re g'^T T conj(g')| - gt n m norm <= |tr Herm(V* C V)| (gt =
+              sqrt(max d_I) gamma_{5n+12}), and f = max(lo tau / n - hi r - e, 0).
+
+    The batch passes when every trial meets (1) hi (m skew + 2 r) + 2 e <=
+    eq_rel (1 + f) / 2, (2) hi (m delta + r) + e <= b / 2 with b = psd_rel
+    (1 + f), and (3) hi (m norm + r) + e <= 2^499; psd_rel >= 8 n (n + 1)
+    eps.  Proof, by Ostrowski's theorem (S X S* has the eigenvalues of X,
+    each times a factor in [lo, hi]): V* Herm(C) V >= -m delta I, so the
+    cone's Hermitian part is >= -(hi (m delta + r) + e) I >= -b / 2 by (2).
+    Its max |lambda| >= lo |tr Herm(V* C V)| / n - hi r - e >= f, so
+    psd_report's band, psd_rel (1 + max |lambda|), is at least b up to its
+    rounding; as in psd_screen, forming the Hermitian part and eigvalsh
+    move eigenvalues by under an eighth of it: no "no".  The cone's ||X -
+    X*||_F <= hi (m skew + 2 r) + 2 e and ||X||_F >= f, so (1) leaves a
+    factor 2 under psd_report's Hermitian limit: no NotHermitianError; (3)
+    bounds ||X||_F: no overflow, no LinAlgError.  A non-finite term fails
+    its comparison; without a certificate, or with psd_rel < 8 n (n + 1)
+    eps, the screen declines.  False proves nothing.
+    """
+    n, (hi, lo, rho) = g.shape[-1], scale
+    cert = setup.certificate if tol.psd_rel >= 8 * n * (n + 1) * np.finfo(np.float64).eps else None
+    if cert is None or not math.isfinite(hi + lo + rho):
+        return False
+    delta, skew, norm, traces, blocks, (gamma_y, gamma_t) = cert
+    r, e = gamma_y * norm, rho * norm * (1.0 + gamma_y)  # r and e per unit of m
+    need = 2.0 * max((hi * (skew + 2.0 * r) + 2.0 * e) / tol.eq_rel,  # (1) and (2), over 1 + f
+                     (hi * (delta + r) + e) / tol.psd_rel)
+    with np.errstate(invalid="ignore", over="ignore"):
+        x = g.view(np.float64)  # Re g' g'* and Re g'^T T conj(g') are sums over (re, im) pairs
+        m = (np.square(x) @ blocks).max(axis=1)
+        f = lo / n * np.abs(((g @ traces).view(np.float64) * x).sum(axis=1)) - (
+            hi * r + e + lo * gamma_t * norm) * m
+        return bool(np.all(m * need <= 1.0 + np.maximum(f, 0.0))
+                    and m.max() * (hi * (norm + r) + e) <= 2.0 ** 499)
+
+
 def _congruence_scale(s: np.ndarray) -> tuple[float, float, float]:
-    """psd_screen's scale (hi, lo, rho) for the oracle's congruence S, n x n.
+    """_choi_screen's scale (hi, lo, rho) for the oracle's congruence S, n x n.
 
     hi and lo bound ||S||_2^2 and sigma_min(S)^2 from the eigenvalues of
     fl(S* S), which lie within slack = 4 n eps ||S||_F^2 of sigma(S)^2: the
@@ -528,21 +633,20 @@ def domination_oracle(
     band).  Returns ("violation", H) at the first failure, otherwise
     ("consistent", None); consistency is evidence, not proof.  cone(H, B) =
     S Y S*, with Y = Phi_J(W') the composite cone_B o cone_A^{-1} applied in
-    A's Jordan basis, is computed a batch at a time straight from the
-    targets: no H and no dense B is formed, in _cone_solutions' batches:
-    one trial, then full batches.  A batch of two or more is screened in the
-    Jordan basis first (linalg.psd_screen with the congruence's scale, made
-    once per call, at the first such batch): by Sylvester's law of inertia
-    and the screen's rounding bound, a pass proves that psd_report would
-    read no "no" and raise nothing on any fl(fl(S Y) S*) of the batch, and
-    the batch is skipped.  Only the single first trial and a batch that
-    this screen declines have S Y S* formed (two matmuls into the batch's
-    scratch buffers); such a batch is then screened as it is, and if that
-    declines too, PSD-tested per trial, in order, up to its first "no", so
-    the first violation, its witness (pulled back from that trial's target
-    through inv(L_A)) and any NotHermitianError are those of a per-trial
-    loop.  Without P, S = I and Y is the cone itself: one screen, no
-    scale.  Real-field trials run in float64 (setup.dtype); the witness is
+    A's Jordan basis to W' = g' g'*, g' = inv(S) g, in _cone_solutions'
+    batches: one trial, then full batches.  Each trial is a congruence of
+    the support Choi matrix C, Phi_J(g' g'*) = V(g')* C V(g'), so a batch
+    of two or more is passed from its draws alone when _choi_screen (C's
+    certificate from setup and the congruence's scale, each made once, at
+    the first such batch) proves that psd_report would read no "no" and
+    raise nothing on its cones; no Y is formed for it.  The first trial
+    and a batch that screen declines have Y and S Y S* formed (two matmuls
+    into the batch's scratch buffers), then screened as they are
+    (psd_screen), and if that declines too, PSD-tested per trial, in order,
+    up to the first "no", so the first violation, its witness (pulled back
+    from that trial's target through inv(L_A)) and any NotHermitianError
+    are those of a per-trial loop.  Without P, S = I and Y is the cone.
+    Real-field trials run in float64 (setup.dtype); the witness is
     complex128 either way.  setup is this order's _jordan_setup, built
     (after the regularity check) when not given.  A must be regular for the
     order, trials >= 1.
@@ -557,20 +661,17 @@ def domination_oracle(
         s, s_inv = order.congruence(p, np.linalg.solve(p, np.eye(len(p))))
         s, s_inv = (s.real.copy(), s_inv.real.copy()) if setup.dtype == np.float64 else (s, s_inv)
         congruence = s, s_inv, s.conj().T
-    scale = None
-    batches = _cone_solutions(setup, spec.field, int(trials), seed, congruence, composite=True)
+    scale = cache(lambda: _congruence_scale(congruence[0]) if congruence else (1.0, 1.0, 0.0))
+    batches = _cone_solutions(setup, spec.field, int(trials), seed, congruence, True,
+                              lambda g: _choi_screen(setup, g, scale(), prob.tol))
     for ys, scratch, targets in batches:
-        if len(ys) > 1:
-            if congruence is not None and scale is None:
-                scale = _congruence_scale(congruence[0])
-            if psd_screen(ys, prob.tol, scratch, scale):
-                continue
         cones = ys
-        if congruence is not None:  # S Y S* in A's basis, screened there too
+        if congruence is not None:  # S Y S* in A's basis
             cones = np.matmul(np.matmul(congruence[0], ys, out=scratch[0]), congruence[2],
                               out=scratch[1])
-            if len(cones) > 1 and psd_screen(cones, prob.tol, (ys, scratch[0])):
-                continue
+            scratch = ys, scratch[0]
+        if len(cones) > 1 and psd_screen(cones, prob.tol, scratch):
+            continue
         for cone, target in zip(cones, targets):
             verdict, _ = psd_report(cone, prob.tol)
             if verdict == "no":  # this trial's H, pulled back from its target
@@ -597,7 +698,7 @@ def _decide(prob: LyapunovProblem, order: Order, trials: int, seed: int) -> Domi
         order.require_regular(prob.spec, prob.tol)
     routes = [psd_report(hp.matrix, prob.tol)] if hp is not None else []
     setup = _jordan_setup(prob, order)
-    routes.append(psd_report(choi_matrix(setup.composite), prob.tol))
+    routes.append(psd_report(setup.choi, prob.tol))
     status, witness = domination_oracle(prob, trials, seed, order, setup)
     verdicts = {verdict for verdict, _ in routes} | ({"no"} if status == "violation" else set())
     return DominationReport(

@@ -14,9 +14,7 @@ callers can tell apart matrices whose smallest eigenvalue sits too close to
 zero to call either way; "marginal" means the minimum eigenvalue lies inside
 the ``psd_rel`` band around zero.  ``psd_screen`` proves with one batched
 Cholesky that ``psd_report`` would neither call a matrix of a stack "no"
-nor raise: of the stack as it is, or, given a congruence S's scale, of
-each S Y S* for the stack's Y, without forming it (Sylvester's law of
-inertia, with a bound on the congruence's rounding).
+nor raise.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-_EPS = float(np.finfo(np.float64).eps)
 
 
 class NotHermitianError(ValueError):
@@ -173,67 +170,20 @@ def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
     return "yes", lam_min
 
 
-def psd_screen(stack, tol: Tolerances | None = None, scratch=None, scale=None) -> bool:
-    """True only if psd_report would neither call a cone C of the stack "no" nor raise.
+def psd_screen(stack, tol: Tolerances | None = None, scratch=None) -> bool:
+    """True only if psd_report would neither call a matrix of the stack "no" nor raise.
 
-    Without scale each C is the stack's matrix.  With scale = (hi, lo, rho)
-    the stack holds Y and C = fl(fl(S Y) S*) for a congruence S that the
-    caller bounds: hi >= ||S||_2^2, 0 <= lo <= sigma_min(S)^2 and
-    ||C - S Y S*||_F <= rho ||Y||_F; C itself is never formed.  Real stacks
-    stay float64.  Per matrix, with h = fl(Y + Y*), n_h = ||h||_F, n_d =
-    ||Y - Y*||_F and u = eps / 2, the screen takes
-
-        e = rho (n_h + n_d) / 2           >= ||C - S Y S*||_F (the congruence's rounding),
-        f = lo n_h / 2 - e                <= ||C||_F and ||C + C*||_F / 2,
-        b = psd_rel (1 + f / sqrt(n))     <= psd_report's band on C (its lower bound),
-        s = b / hi                           (the shift, in Y's basis),
-
-    and passes when every matrix has f >= 0 (so s > 0) and meets
-
-        (1) hi n_d + 2 e <= eq_rel (1 + f) / 2      (half the Hermitian-deviation limit),
-        (2) hi beta (sqrt(n) n_h + n s) + 2 e <= b / 2,  beta = gamma_{3n+5},
-        (3) the Cholesky factorization of h + s I succeeds,
-
-    gamma_k = k u / (1 - k u).  The bounds on e and f use ||S X S*||_F
-    between sigma_min(S)^2 ||X||_F and ||S||_2^2 ||X||_F and ||Y||_F =
-    hypot(n_h, n_d) / 2.  Proof that a pass is safe:
-
-    - psd_report raises NotHermitianError when ||C - C*||_F exceeds eq_rel
-      (1 + ||C||_F).  Here ||C - C*||_F <= hi n_d + 2 e, so (1) leaves a
-      factor 2 for the rounding of both computed norms.
-    - If (3) runs to completion, R* R = h + s I + D with ||D||_2 <= beta
-      (sum |h_ii| + n s) <= beta (sqrt(n) n_h + n s): Cholesky's backward error
-      |D| <= g |R*| |R| (Higham, Accuracy and Stability of Numerical
-      Algorithms, 2nd ed., Thm 10.3, g = gamma_{n+1}, at most sqrt(2)
-      gamma_{2n+2} in complex arithmetic), where ||R||_F^2 = tr(R* R) gives
-      ||D||_2 <= g tr(h + s I) / (1 - g), plus the roundings of forming h and
-      adding s; gamma_{3n+5} covers all three.  So lambda_min((Y + Y*) / 2)
-      >= -(s + ||D||_2) / 2, and by Ostrowski's theorem (Sylvester's law of
-      inertia, with its constants) lambda_min(S (Y + Y*) S* / 2) >= -hi (s +
-      ||D||_2) / 2 = -b / 2 - hi ||D||_2 / 2.  C's Hermitian part differs
-      from that by at most e, so by (2) its lambda_min >= -3 b / 4.
-    - psd_report calls "no" when its computed lambda_min falls below
-      psd_rel (1 + max |lambda|), and ||(C + C*) / 2||_2 >= f / sqrt(n)
-      makes that band at least b up to its rounding.  Forming (C + C*) / 2
-      and eigvalsh move the eigenvalues by at most eta ||C + C*||_2 / 2
-      (backward stability, eta far below psd_rel / 8 once psd_rel >= 8 n
-      (n + 1) eps), under an eighth of the band: -3 b / 4 stays above it,
-      with room for the rounding of the screen's own norms and terms.
-
-    Without scale (S = I: hi = lo = 1, rho = 0, e = 0, f = n_h / 2) the
-    screen checks (1) and (3) alone: psd_rel >= 8 n (n + 1) eps implies (2)
-    for n >= 2 (b / 2 >= 4 sqrt(n) (n + 1) u n_h), and for n = 1, (3) is one
-    square root, exact up to the roundings of h and s.  So the screen
-    declines when psd_rel < 8 n (n + 1) eps, when f < 0, (1) or (2) fails,
-    when a norm or the scale is not finite (a non-finite entry, or squares
-    that overflow), and when hi (n_h + n_d) + 2 e, a bound on 2 ||C||_F,
-    exceeds 2^500, where C's entries or their squares could overflow.
-    False proves nothing.  The passes: a + a* and a - a* once each, into
-    scratch (two arrays like the stack) when given, one sum of squares for
-    each of their norms over a float view, s added to the diagonal in
-    place, and the Cholesky.  With a scale, f, both sides of (1) and (2),
-    the overflow bound and s are affine in (n_h, n_d): one (5, 2) product
-    with the stacked norms and one comparison give them all.
+    A batched Cholesky of each 2H + 2c I, H = (a + a*) / 2 the Hermitian part
+    and c = psd_rel * (1 + ||H||_F / sqrt(n)) / 2 at most half of
+    psd_report's band, proves lambda_min(H) > -band up to a backward error of
+    about n (n + 1) u ||H|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3).  So it declines when psd_rel < 8 n (n + 1) eps,
+    on a Hermitian deviation above half of psd_report's limit, and when a
+    norm is not finite (a non-finite entry, or squares that overflow).
+    False proves nothing.  Real stacks stay float64.  The passes: a + a*
+    and a - a* once each, into scratch (two arrays like the stack) when
+    given, one sum of squares for each of their norms over a float view, c
+    added to the diagonal in place, and the Cholesky.
     """
     tol = tol or DEFAULT_TOLERANCES
     a = np.asarray(stack)
@@ -241,31 +191,12 @@ def psd_screen(stack, tol: Tolerances | None = None, scratch=None, scale=None) -
     n = a.shape[-1]
     if tol.psd_rel < 8 * n * (n + 1) * np.finfo(np.float64).eps:
         return False
-    if scale is not None and not all(map(math.isfinite, scale)):
-        return False
     h, h_norm, skew = _hermitian_parts(a, scratch)  # h = 2H
     if not np.isfinite(h_norm + skew).all():
         return False
-    if scale is None:
-        if np.any(skew > tol.eq_rel * (1.0 + h_norm / 2.0) / 2.0):
-            return False
-        shift = tol.psd_rel * (1.0 + h_norm / (2.0 * np.sqrt(n)))  # 2c
-    else:
-        hi, lo, rho = scale
-        k = (3 * n + 5) * _EPS / 2.0
-        beta, root = k / (1.0 - k), math.sqrt(n)
-        f = ((lo - rho) / 2.0, -rho / 2.0)  # f = lo n_h / 2 - e
-        q = (0.5 - beta * n) * tol.psd_rel  # (2): 2 e + hi beta root n_h <= q (1 + f / root)
-        rows = np.array([  # -f, (1) and (2) less constants, 2 ||C||_F, s - psd_rel / hi
-            [-f[0], -f[1]],
-            [rho - tol.eq_rel / 2.0 * f[0], hi + rho - tol.eq_rel / 2.0 * f[1]],
-            [rho + hi * beta * root - q / root * f[0], rho - q / root * f[1]],
-            [hi + rho, hi + rho],
-            [tol.psd_rel / (root * hi) * f[0], tol.psd_rel / (root * hi) * f[1]]])
-        terms = rows @ np.stack((h_norm, skew))
-        if not np.all(terms[:4] <= [[0.0], [tol.eq_rel / 2.0], [q], [2.0 ** 500]]):
-            return False
-        shift = terms[4] + tol.psd_rel / hi
+    if np.any(skew > tol.eq_rel * (1.0 + h_norm / 2.0) / 2.0):
+        return False
+    shift = tol.psd_rel * (1.0 + h_norm / (2.0 * np.sqrt(n)))  # 2c
     h.reshape(-1, n * n)[:, :: n + 1] += shift.reshape(-1, 1)
     try:
         np.linalg.cholesky(h)

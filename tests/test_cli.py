@@ -91,7 +91,8 @@ class TestExitCodes:
 
     def test_overflowing_problem_exits_70(self, tmp_path, capsys):
         # Pick entries (t_i + t_j) / (lam_i + lam_j) overflow to inf; the PSD
-        # test used to give a verdict on them.
+        # test used to give a verdict on them.  hill_pick_matrix now refuses
+        # them itself, before any PSD test.
         doc = {
             "field": "complex",
             "eigenvalues": [{"lambda": [1.0, 0.0], "sizes": [1]},
@@ -103,7 +104,7 @@ class TestExitCodes:
             assert run(["check", write(tmp_path, json.dumps(doc))]) == 70
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("numerical error: PSD test: non-finite entries")
+        assert captured.err == "numerical error: Hill-Pick matrix: non-finite entries\n"
 
     @pytest.mark.parametrize("command", ["check", "hill-pick"])
     def test_overflowing_hill_pick_exits_70(self, tmp_path, capsys, command):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -168,19 +169,22 @@ def setup_solutions(setup, prob, order, field, count, seed, congruence=None):
     return block_pair_solutions(setup.dims, las, setup.dtype, field, count, seed, congruence)
 
 
-def faulty_cones(fault):
-    """_cone_solutions with fault applied in place to each cone stack of two or more.
+def faulty_maps(fault):
+    """_cone_solutions with fault applied in place to the composite's maps after the first trial.
 
-    The stacks are in A's Jordan basis, where the oracle screens them first;
-    without P that is A's own basis, so the fault reaches psd_report as is.
+    The first trial sees the maps as they are.  Every later batch, and the
+    support Choi matrix that the Choi screen certifies (built at the first
+    batch of two or more when the oracle is called without _decide), see
+    the fault, so it reaches both screens and psd_report.
     """
     real = domination._cone_solutions
 
-    def cone_solutions(*args, **kwargs):
-        for cones, scratch, targets in real(*args, **kwargs):
-            if len(cones) > 1:
-                fault(cones)
-            yield cones, scratch, targets
+    def cone_solutions(maps, *args, **kwargs):
+        batches = real(maps, *args, **kwargs)
+        yield next(batches)
+        for _, _, m in maps.composite.pairs:
+            fault(m)
+        yield from batches
 
     return cone_solutions
 
@@ -261,27 +265,25 @@ def with_condition(rng, prob, cond):
     return LyapunovProblem(JordanSpec(prob.spec.field, prob.spec.eigens, p), prob.element)
 
 
-def counting_oracle(monkeypatch, decline_jordan=False):
-    """Counts of the oracle's psd_report calls and of its screens in each basis.
+def counting_oracle(monkeypatch, decline_choi=False):
+    """Counts of the oracle's psd_report calls and of its screens.
 
     Returns a dict, updated as calls happen: "report", "scale" (calls of
-    _congruence_scale), "jordan" and "jordan_passed" (screens given a scale),
-    "own" and "own_passed" (screens in A's basis).  With decline_jordan the
-    Jordan-basis screens decline without running: the oracle then does its
-    work in A's basis alone, one screen per batch and per-trial tests after a
-    decline.
+    _congruence_scale), "choi" and "choi_passed" (Choi screens, from the
+    draws alone) and "own" and "own_passed" (psd_screen on formed cones, in
+    A's basis).  With decline_choi the Choi screens decline without
+    running: the oracle then does its work in A's basis alone, one screen
+    per batch and per-trial tests after a decline.
     """
-    counts = dict.fromkeys(("report", "scale", "jordan", "jordan_passed", "own", "own_passed"), 0)
-    report, screen = domination.psd_report, domination.psd_screen
+    counts = dict.fromkeys(("report", "scale", "choi", "choi_passed", "own", "own_passed"), 0)
+    report, screen, choi = domination.psd_report, domination.psd_screen, domination._choi_screen
     scale = domination._congruence_scale
 
     def counting_report(m, tol):
         counts["report"] += 1
         return report(m, tol)
 
-    def counting_screen(stack, tol, scratch=None, scale=None):
-        kind = "own" if scale is None else "jordan"
-        passed = not (decline_jordan and kind == "jordan") and screen(stack, tol, scratch, scale)
+    def counting(kind, passed):
         counts[kind] += 1
         counts[kind + "_passed"] += passed
         return passed
@@ -291,9 +293,18 @@ def counting_oracle(monkeypatch, decline_jordan=False):
         return scale(s)
 
     monkeypatch.setattr(domination, "psd_report", counting_report)
-    monkeypatch.setattr(domination, "psd_screen", counting_screen)
+    monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None:
+                        counting("own", screen(stack, tol, scratch)))
+    monkeypatch.setattr(domination, "_choi_screen", lambda setup, g, sc, tol:
+                        counting("choi", not decline_choi and choi(setup, g, sc, tol)))
     monkeypatch.setattr(domination, "_congruence_scale", counting_scale)
     return counts
+
+
+def no_screens(monkeypatch):
+    """Make both of the oracle's screens decline every batch."""
+    monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None: False)
+    monkeypatch.setattr(domination, "_choi_screen", lambda setup, g, scale, tol: False)
 
 
 def deciding_reads(prob, order):
@@ -612,6 +623,17 @@ class TestHillPickMatrix:
         rep = nonminimal_hill(jordan_map, upsilon_selection(spec))
         assert np.allclose(hill_pick_matrix(prob).matrix, rep.hill.T, atol=1e-9)
         assert rank_tol(rep.hill) == rank_tol(choi_matrix(jordan_map))
+
+    def test_overflow_raises_without_warnings(self):
+        # lam + conj(lam) = 2e-320: the division overflows to inf and nan.
+        # The matrix is refused as it is built, with no RuntimeWarning, and
+        # the decision that starts from it raises the same error.
+        prob = diag_problem([1e-320], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (hill_pick_matrix, check_domination):
+                with pytest.raises(np.linalg.LinAlgError, match="^Hill-Pick matrix: non-finite"):
+                    route(prob)
 
 
 class TestHillPickReal:
@@ -1060,15 +1082,14 @@ class TestOracle:
     @pytest.mark.parametrize("order", [LYAPUNOV, STEIN], ids=["lyapunov", "stein"])
     def test_every_trial_matches_per_trial_loop(self, monkeypatch, order, field):
         # With every PSD test passing, all trials run: one, a full batch and
-        # 9 more (past_the_cap), so the batch cap is crossed.  The batch
-        # screen is made to fail, so every cone reaches psd_report.
+        # 9 more (past_the_cap), so the batch cap is crossed.  Both batch
+        # screens are made to fail, so every cone reaches psd_report.
         rng = np.random.default_rng(31)
         spec = random_jordan_spec(rng, field=field, max_dim=6)
         prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
         count, _ = past_the_cap(spec.dim)
         tested = []
-        monkeypatch.setattr(domination, "psd_screen",
-                            lambda stack, tol, scratch=None, scale=None: False)
+        no_screens(monkeypatch)
         monkeypatch.setattr(domination, "psd_report",
                             lambda m, tol: tested.append(m.copy()) or ("yes", 1.0))
         assert domination_oracle(prob, trials=count, seed=6, order=order) == ("consistent", None)
@@ -1079,21 +1100,24 @@ class TestOracle:
                                    atol=1e-12 * np.abs(expect).max())
 
     def test_screened_batches_keep_the_hermitian_check(self, monkeypatch):
-        # The last cone of each batch of two or more is skewed beyond eq_rel
-        # while its Hermitian part stays positive definite, so only the
-        # screen's own Hermitian check sends it on to psd_report.
-        def skew(cones):
-            cones[-1] += 1e-6 * np.triu(cones[-1], 1)
+        # After the first trial, the composite's off-diagonal map is skewed:
+        # the support Choi matrix C and every later cone deviate from
+        # Hermitian beyond eq_rel, while their Hermitian parts stay positive
+        # definite.  So only the screens' Hermitian checks (C - C* in the
+        # Choi screen, the cones' own in psd_screen) send the batch on to
+        # psd_report.
+        def skew(maps):
+            maps[0, 1] *= 1.0 + 1e-6
 
-        monkeypatch.setattr(domination, "_cone_solutions", faulty_cones(skew))
+        monkeypatch.setattr(domination, "_cone_solutions", faulty_maps(skew))
         with pytest.raises(NotHermitianError):
             domination_oracle(B_IS_IDENTITY, trials=10, seed=0)
 
     def test_nan_cone_is_tested_as_per_trial(self, monkeypatch):
-        def with_nan(cones):
-            cones[-1, 1, 0] = np.nan
+        def with_nan(maps):  # the block (1, 0) of every later cone
+            maps[1, 0] = np.nan
 
-        monkeypatch.setattr(domination, "_cone_solutions", faulty_cones(with_nan))
+        monkeypatch.setattr(domination, "_cone_solutions", faulty_maps(with_nan))
         seen = []
         real = domination.psd_report
         monkeypatch.setattr(domination, "psd_report", lambda m, tol: seen.append(m) or real(m, tol))
@@ -1108,27 +1132,27 @@ class TestOracle:
         error = (np.linalg.LinAlgError, "PSD test: non-finite entries in the matrix or a + a*")
         assert outcome() == error
         assert any(np.isnan(m).any() for m in seen)
-        monkeypatch.setattr(domination, "psd_screen",
-                            lambda stack, tol, scratch=None, scale=None: False)
+        no_screens(monkeypatch)
         assert outcome() == error
 
     @pytest.mark.parametrize("similar", [False, True], ids=["jordan", "similar"])
     @pytest.mark.parametrize("order", [LYAPUNOV, STEIN], ids=["lyapunov", "stein"])
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_trials_run_in_the_problem_field(self, monkeypatch, field, order, similar):
-        # The screen sees float64 stacks on real-field problems and complex128
-        # ones otherwise; witnesses are complex128 and match the per-trial
-        # reference, which works in complex128 throughout.
+        # Both screens see float64 draws and stacks on real-field problems
+        # and complex128 ones otherwise; witnesses are complex128 and match
+        # the per-trial reference, which works in complex128 throughout.
         rng = np.random.default_rng(32)
         spec = random_jordan_spec(rng, field=field, max_dim=6)
         if order is STEIN:  # the Stein tests keep the spectrum inside the unit disk
             spec = JordanSpec(field, tuple(EigenBlock(e.eigenvalue / 3.0, e.sizes)
                                            for e in spec.eigens))
         dtypes = []
-        real = domination.psd_screen
-        monkeypatch.setattr(domination, "psd_screen",
-                            lambda stack, tol, scratch=None, scale=None:
-                            dtypes.append(stack.dtype) or real(stack, tol, scratch, scale))
+        screen, choi = domination.psd_screen, domination._choi_screen
+        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None:
+                            dtypes.append(stack.dtype) or screen(stack, tol, scratch))
+        monkeypatch.setattr(domination, "_choi_screen", lambda setup, g, scale, tol:
+                            dtypes.append(g.dtype) or choi(setup, g, scale, tol))
         refuted = 0
         for seed in range(4):
             element = identity_element(spec) if seed == 0 else random_element(rng, spec)
@@ -1216,8 +1240,8 @@ class TestOracle:
         assert sizes[:2] == [1, 256] and 64 < index < 1 + 256
         screens, reports = [], []
         real_screen, real_report = domination.psd_screen, domination.psd_report
-        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None, scale=None:
-                            screens.append(len(stack)) or real_screen(stack, tol, scratch, scale))
+        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None:
+                            screens.append(len(stack)) or real_screen(stack, tol, scratch))
         monkeypatch.setattr(domination, "psd_report",
                             lambda m, tol: reports.append(1) or real_report(m, tol))
         status, h = domination_oracle(prob, trials=1000, seed=20)
@@ -1231,41 +1255,45 @@ class TestOracle:
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_dominator_with_a_similarity_is_screened_in_the_jordan_basis(
             self, monkeypatch, field, order, n):
-        # One psd_report (the single first trial), one Jordan-basis screen
-        # per batch of two or more, all passing, and one scale per call.
-        # With cond(P) = 1e6 the Jordan-basis screens decline, and the counts
-        # in A's basis equal those of the oracle's work in A's basis alone.
+        # One psd_report (the single first trial), one Choi screen per batch
+        # of two or more, all passing, and one scale per call.  With cond(P)
+        # = 1e6 the Choi screens decline, and the counts in A's basis equal
+        # those of the oracle's work in A's basis alone.
         rng = np.random.default_rng(48 + n)
         prob = similar_dominator(rng, field, n, order)
         batches = len(domination._batch_sizes(n, 1000)) - 1
         counts = counting_oracle(monkeypatch)
         assert domination_oracle(prob, trials=1000, seed=1, order=order) == ("consistent", None)
-        assert counts == {"report": 1, "scale": 1, "jordan": batches, "jordan_passed": batches,
+        assert counts == {"report": 1, "scale": 1, "choi": batches, "choi_passed": batches,
                           "own": 0, "own_passed": 0}
         ill = with_condition(rng, prob, 1e6)
         outcomes = []
-        for decline_jordan in (True, False):
-            counts = counting_oracle(monkeypatch, decline_jordan)
+        for decline_choi in (True, False):
+            counts = counting_oracle(monkeypatch, decline_choi)
             try:
                 outcomes.append(domination_oracle(ill, trials=1000, seed=1, order=order)[0])
             except ValueError as exc:  # NotHermitianError included
                 outcomes.append(type(exc))
-            outcomes.append({k: v for k, v in counts.items() if not k.startswith("jordan")})
+            outcomes.append({k: v for k, v in counts.items() if not k.startswith("choi")})
         assert outcomes[0:2] == outcomes[2:4]
         assert outcomes[0] == "consistent" and outcomes[1]["report"] == 1
-        assert counts["jordan"] == counts["own"] == batches and counts["jordan_passed"] == 0
+        assert counts["choi"] == counts["own"] == batches and counts["choi_passed"] == 0
 
     def test_no_scale_for_a_refutation_at_trial_zero(self, monkeypatch):
-        # The scale (an eigvalsh of S* S) is computed once per call, at the
-        # first batch of two or more: never when trial 0 refutes.
+        # The scale (an eigvalsh of S* S) and the Choi matrix's certificate
+        # (a Cholesky) are made once per call, at the first batch of two or
+        # more: never when trial 0 refutes.
         rng = np.random.default_rng(49)
         spec = JordanSpec("complex", SIMILAR_EIGENS["complex", 16])
         prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)))
         counts = counting_oracle(monkeypatch)
         report = check_domination(prob, oracle_trials=1000, seed=0)
         assert report.oracle_status == "violation"
-        assert counts["scale"] == counts["jordan"] == counts["own"] == 0
+        assert counts["scale"] == counts["choi"] == counts["own"] == 0
         assert counts["report"] == 3  # Hill-Pick, Choi, trial 0
+        setup = _jordan_setup(prob, LYAPUNOV)
+        assert domination_oracle(prob, seed=0, setup=setup)[0] == "violation"
+        assert "choi" not in vars(setup) and "certificate" not in vars(setup)
 
     def test_solve_plan_matches_block_pair_reference(self):
         # The trials run batches of 1, then a full batch of the workspace
@@ -1357,21 +1385,23 @@ class TestOracle:
     @pytest.mark.parametrize("case", ["stein-complex-16", "lyapunov-real-32",
                                       "stein-complex-8", "stein-complex-4"])
     def test_traced_peak_of_a_dominator(self, case):
-        # All 1000 trials run.  The n = 16 and n = 32 bounds are the traced
-        # peaks (bytes) of the per-batch arrays this workspace replaced, on
-        # the same calls: the workspace holds no more than they had alive at
-        # once.  Smaller n run larger batches (256 trials at n = 8, 999 at
-        # n = 4) of no more entries than n = 16's 64, so they keep its bound.
+        # All 1000 trials run.  Every batch after the first passes the Choi
+        # screen, so the (4, size, n, n) workspace is made for the single
+        # first trial only.  The bounds are the traced peaks (bytes) of these
+        # calls with that workspace, plus at most 25%: 241,390, 809,702,
+        # 170,602 and 277,691 (numpy 2.4).
         stein = {16: (EigenBlock(0.5 + 0.2j, (3, 2)), EigenBlock(-0.4 + 0.1j, (2, 1, 1)),
                       EigenBlock(0.3 - 0.5j, (4,)), EigenBlock(0.6j, (1, 1, 1))),
                  8: (EigenBlock(0.5 + 0.2j, (3, 2)), EigenBlock(-0.4 + 0.1j, (2, 1))),
                  4: (EigenBlock(0.5 + 0.2j, (2,)), EigenBlock(-0.4 + 0.1j, (1, 1)))}
+        bound = {"stein-complex-16": 300_000, "lyapunov-real-32": 1_000_000,
+                 "stein-complex-8": 210_000, "stein-complex-4": 345_000}[case]
         if case.startswith("stein"):
-            field, order, bound, seed = "complex", STEIN, 1_735_163, int(case.split("-")[-1])
+            field, order, seed = "complex", STEIN, int(case.split("-")[-1])
             eigens = stein[seed]
             coeffs = [(e.eigenvalue ** 2, 2 * e.eigenvalue, 1.0, 0.0) for e in eigens]  # B = A^2
         else:
-            field, order, bound, seed = "real", LYAPUNOV, 3_753_739, 32
+            field, order, seed = "real", LYAPUNOV, 32
             eigens = (EigenBlock(1.0 + 0.5j, (2, 2)), EigenBlock(0.7, (3, 2, 1)),
                       EigenBlock(1.5 + 0.8j, (3, 1)), EigenBlock(2.0, (4,)),
                       EigenBlock(0.9 + 1.2j, (1, 1, 1)))
@@ -1400,6 +1430,180 @@ class TestOracle:
         scaled = BicommElement(tuple(tuple(1.7 * c for c in row) for row in a_element(spec).coeffs))
         prob = LyapunovProblem(spec, scaled)
         assert domination_oracle(prob, trials=500, seed=4)[0] == "consistent"
+
+
+def screened_batches(setup, prob, order, count, seed):
+    """(g', Y, congruence) for each of the oracle's batches of two or more, all formed.
+
+    The screen hook keeps each batch's rows g' = inv(S) g and declines, so
+    _cone_solutions forms Y = Phi_J(g' g'*) for every batch.
+    """
+    congruence = oracle_congruence(prob, order, setup.dtype)
+    rows = []
+    for ys, _, _ in domination._cone_solutions(setup, prob.spec.field, count, seed, congruence,
+                                               True, lambda g: rows.append(g.copy()) or False):
+        if len(ys) > 1:
+            yield rows[-1], ys, congruence
+
+
+def support_congruence(dims, g):
+    """V = (+)_I (conj g_I (x) I_{d_I}) per row of g, (size, N, n), in C's (u, a) indexing."""
+    n, sq = sum(dims), np.array(dims) ** 2
+    rows, cols, src = np.array([(at + u * d + a, o + a, o + u) for o, at, d in zip(
+        np.cumsum((0,) + tuple(dims)), np.cumsum(sq) - sq, dims)
+        for u in range(d) for a in range(d)]).T
+    v = np.zeros((len(g), sq.sum(), n), dtype=np.clongdouble)
+    v[:, rows, cols] = g[:, src].conj()
+    return v
+
+
+def gamma(k, eps=np.finfo(np.float64).eps):
+    return k * eps / 2.0 / (1.0 - k * eps / 2.0)
+
+
+def boundary_population():
+    """(order, problem) at or near the boundary, under P of condition 1 .. 1e6.
+
+    Per near_boundary_problems family, six dominators: each moved toward its
+    non-dominator by 1e-9, 1e-12 and 1e-15, B = A, and B scaled by 1e-8 and
+    1e8; then without P and under P of condition 1e2, 1e4 and 1e6, scaled
+    by 10^-3 .. 10^3.
+    """
+    rng = np.random.default_rng(51)
+    for family in ("diagonal", "jordan", "stein"):
+        for order, dominator, problem in itertools.islice(near_boundary_problems(family, 6), 6):
+            spec, inside = dominator.spec, dominator.element
+            elements = [bumped(inside, problem.element, s, 1.0 - s) for s in (1e-9, 1e-12, 1e-15)]
+            elements += [a_element(spec)] + [bumped(inside, inside, c - 1.0) for c in (1e-8, 1e8)]
+            for element in elements:
+                prob = LyapunovProblem(JordanSpec(spec.field, spec.eigens), element)
+                yield order, prob
+                for cond in (1e2, 1e4, 1e6):
+                    p = conditioned(rng, spec.dim, cond, spec.field) * 10.0 ** rng.uniform(-3, 3)
+                    yield order, LyapunovProblem(JordanSpec(spec.field, spec.eigens, p), element)
+
+
+class TestChoiScreen:
+    def test_trials_are_congruences_of_the_choi_matrix(self):
+        # Phi_J(g g*) = V* C V for the support Choi matrix C, on the oracle's
+        # own rows g' = inv(S) g: each formed Y lies within the Choi screen's
+        # rounding bound r = gamma_{2k+8} m ||C||_F of V* C V, which is
+        # evaluated in extended precision (plus its own rounding, for
+        # platforms without a wider type), on both orders and fields, with
+        # and without P.
+        u = float(np.finfo(np.longdouble).eps)
+        seen, worst = set(), 0.0
+        for k, field, order, similar, prob in mixed_block_problems():
+            setup = _jordan_setup(prob, order)
+            c, dims = setup.choi, setup.dims
+            norm, top = np.linalg.norm(c), max(dims) ** 2
+            for g, ys, _ in screened_batches(setup, prob, order, 20, k):
+                v = support_congruence(dims, g)
+                want = v.conj().swapaxes(-1, -2) @ c.astype(np.clongdouble) @ v
+                m = max((np.abs(g[:, o : o + d]) ** 2).sum(axis=1).max()
+                        for o, d in zip(np.cumsum((0,) + dims), dims))
+                bound = (gamma(2 * top + 8) + gamma(4 * len(c) + 8, u)) * m * norm
+                error = np.sqrt((np.abs(ys - want) ** 2).sum(axis=(1, 2))).max()
+                assert error <= bound
+                worst = max(worst, float(error / bound))
+            seen.add((field, order.name, similar))
+        assert len(seen) == 8 and worst > 0.0
+
+    @staticmethod
+    def screened_verdicts(order, prob, setup, seed):
+        """(passed, tried, refuted): the Choi screen on each batch of two or more.
+
+        Every batch it passes has its cones formed as the oracle forms them
+        and tested by psd_report, which must neither read "no" nor raise.
+        refuted counts the batches holding a cone that reads "no".
+        """
+        def verdict(cone, strict):
+            try:
+                return psd_report(cone, prob.tol)[0]
+            except ValueError:  # NotHermitianError and LinAlgError included
+                if strict:
+                    raise
+                return "raised"
+
+        passed = tried = refuted = 0
+        for g, ys, congruence in screened_batches(setup, prob, order, 65, seed):
+            scale = (1.0, 1.0, 0.0) if congruence is None else (
+                domination._congruence_scale(congruence[0]))
+            ok = domination._choi_screen(setup, g, scale, prob.tol)
+            cones = ys if congruence is None else np.matmul(
+                np.matmul(congruence[0], ys), congruence[2])
+            verdicts = [verdict(cone, ok) for cone in cones]
+            assert not (ok and "no" in verdicts)
+            passed, tried, refuted = passed + ok, tried + 1, refuted + ("no" in verdicts)
+        return passed, tried, refuted
+
+    def test_passes_only_what_psd_report_accepts(self):
+        # Wherever the Choi screen passes a batch, psd_report on each of its
+        # cones neither reads "no" nor raises (boundary_population: C
+        # singular or barely indefinite, and congruences up to cond(P)^2 =
+        # 1e12).  It passes most batches without P and declines every batch
+        # under cond(P) = 1e6, where the band is far below Cholesky's
+        # backward error times cond(P)^2.
+        counts = {"plain": [0, 0], "ill": [0, 0]}
+        for k, (order, prob) in enumerate(boundary_population()):
+            passed, tried, _ = self.screened_verdicts(order, prob, _jordan_setup(prob, order), k)
+            p = prob.spec.similarity
+            kind = "plain" if p is None else "ill" if np.linalg.cond(p) > 1e5 else None
+            if kind:
+                counts[kind] = [counts[kind][0] + passed, counts[kind][1] + tried]
+        assert counts["plain"][0] > 0.5 * counts["plain"][1]
+        assert counts["ill"][0] == 0 and counts["ill"][1] > 20
+
+    def test_is_sound_for_any_certificate(self, monkeypatch):
+        # The proof needs only Herm(C) >= -delta I.  With delta from C's own
+        # eigenvalues (lambda_min, less eigvalsh's backward error) a
+        # certificate exists for non-dominators too: near_boundary_problems'
+        # bumped problems, under P of condition 10 and 100 that makes the
+        # congruence large (sigma_min(S)^2 >= 1e4), so m delta is small and
+        # only the factor hi in hi m delta keeps their amplified negative
+        # directions out.  The screen still passes no batch holding a "no",
+        # and a quarter of these batches hold one.
+        rng = np.random.default_rng(52)
+        refuted = tried = 0
+        for family in ("diagonal", "jordan", "stein"):
+            for k, (order, _, problem) in enumerate(near_boundary_problems(family, 8)):
+                spec = problem.spec
+                grow = 1e3 if order is STEIN else 1e-3  # S = P for Stein, inv(P)* for Lyapunov
+                p = conditioned(rng, spec.dim, (10.0, 100.0)[k % 2], spec.field) * grow
+                prob = LyapunovProblem(JordanSpec(spec.field, spec.eigens, p), problem.element)
+                setup = _jordan_setup(prob, order)
+                c = setup.choi
+                eigs = np.linalg.eigvalsh((c + c.conj().T) / 2.0)
+                delta = max(0.0, -eigs[0]) + 8 * len(c) * np.finfo(float).eps * np.abs(eigs).max()
+                with monkeypatch.context() as patched:  # the certificate's other fields, for any C
+                    patched.setattr(np.linalg, "cholesky", lambda h: h)
+                    setup.certificate
+                setup.__dict__["certificate"] = (delta,) + setup.certificate[1:]
+                _, batches, no = self.screened_verdicts(order, prob, setup, k)
+                refuted, tried = refuted + no, tried + batches
+        assert refuted > 0.25 * tried
+
+    def test_declines_a_non_finite_scale(self):
+        # The scale enters every term of the screen: a NaN or an infinity
+        # in any of (hi, lo, rho) declines a batch that a finite scale passes.
+        setup = _jordan_setup(B_IS_IDENTITY, LYAPUNOV)
+        g = np.random.default_rng(47).standard_normal((16, 2)) + 0j
+        tol = B_IS_IDENTITY.tol
+        assert domination._choi_screen(setup, g, (1.0, 1.0, 0.0), tol)
+        assert domination._choi_screen(setup, g, (2.0, 0.5, 1e-14), tol)
+        for bad in (np.nan, np.inf):
+            for k in range(3):
+                scale = [2.0, 0.5, 1e-14]
+                scale[k] = bad
+                assert not domination._choi_screen(setup, g, tuple(scale), tol)
+
+    def test_declines_without_a_certificate(self):
+        # A non-dominator's C is indefinite beyond any rounding: its Cholesky
+        # fails, there is no certificate, and no batch passes.
+        setup = _jordan_setup(PICK_NOT_DOMINATED, LYAPUNOV)
+        g = np.random.default_rng(48).standard_normal((16, 2)) + 0j
+        assert setup.certificate is None
+        assert not domination._choi_screen(setup, g, (1.0, 1.0, 0.0), PICK_NOT_DOMINATED.tol)
 
 
 class TestStein:
