@@ -7,12 +7,13 @@ Subcommands:
   verify     sampling oracle only
 
 Exit codes: 0 dominates, 1 does not dominate, 2 marginal (the deciding
-eigenvalue sits inside the tolerance band), 64 input error, 70 numerical
-error (a failed factorization, or a matrix that should be Hermitian and is
-not).  Reports go to stdout (plain text, or one JSON object with --json);
-diagnostics to stderr.
-All randomness is seeded, so identical inputs and flags give byte-identical
-output.
+eigenvalue sits inside the tolerance band), 64 input error (hill's dense maps
+included, for n above HILL_MAX_DIM), 70 numerical error (a failed
+factorization, a matrix that should be Hermitian and is not, or a Hill
+representation whose greedy selection or ranks disagree with the Choi rank).
+Reports go to stdout (plain text, or one JSON object with --json);
+diagnostics to stderr.  All randomness is seeded, so identical inputs and
+flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .domination import (
 )
 from .linalg import NotHermitianError, Tolerances, rank_tol
 from .problemfile import LoadedProblem, ProblemFileError, load_problem_file
-from .starmaps import choi_matrix
 
 __all__ = ["main", "run"]
 
@@ -43,6 +43,7 @@ EXIT_NOT_DOMINATES = 1
 EXIT_MARGINAL = 2
 EXIT_INPUT_ERROR = 64
 EXIT_NUMERICAL_ERROR = 70
+HILL_MAX_DIM = 32  # hill --map lyapunov|stein: n^2 x n^2 dense matrices, 96 MiB traced at n = 32
 
 _VERDICT_EXIT = {
     "dominates": EXIT_DOMINATES,
@@ -254,20 +255,16 @@ def _cmd_hill_pick(args) -> int:
 
 
 def _parse_selection(text: str):
+    chunks = [chunk.strip() for chunk in text.split(";") if chunk.strip()]
+    if not chunks:
+        raise ProblemFileError("--selection: no block indices given")
     pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ProblemFileError(f"--selection: cannot parse pair {chunk!r}")
+    for chunk in chunks:
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            i, j = (int(part) for part in chunk.split(","))
         except ValueError as exc:
             raise ProblemFileError(f"--selection: cannot parse pair {chunk!r}") from exc
-    if not pairs:
-        raise ProblemFileError("--selection: no block indices given")
+        pairs.append((i, j))
     return pairs
 
 
@@ -276,7 +273,10 @@ def _cmd_hill(args) -> int:
     from .hill import minimal_hill_from_blocks, nonminimal_hill
 
     loaded = load_problem_file(args.path, _tolerances_from_flags(args))
-    tol = loaded.problem.tol
+    tol, dim = loaded.problem.tol, loaded.problem.spec.dim
+    if args.which_map != "raw" and dim > HILL_MAX_DIM:
+        raise ProblemFileError(f"--map {args.which_map}: n = {dim} is above the dense "
+                               f"composite's limit of {HILL_MAX_DIM}")
     if args.which_map == "lyapunov":
         target = lyapunov_order_map(loaded.problem)
     elif args.which_map == "stein":
@@ -285,18 +285,19 @@ def _cmd_hill(args) -> int:
         if loaded.raw_map is None:
             raise ProblemFileError("--map raw requires a \"map\" object in the problem file")
         target = loaded.raw_map
-    choi_rank = rank_tol(choi_matrix(target), tol)
     if args.selection is not None:
         rep = nonminimal_hill(target, _parse_selection(args.selection), tol)
     else:
         rep = minimal_hill_from_blocks(target, tol)
     hill_rank = rank_tol(rep.hill, tol)
+    if hill_rank != rep.choi_rank:  # equal in exact arithmetic, for every spanning selection
+        raise np.linalg.LinAlgError(f"rank(H) = {hill_rank} disagrees with rank(choi) = {rep.choi_rank}")
     if args.json:
         out = dict(_problem_header(loaded))
         out["map"] = args.which_map
         out["minimal"] = rep.minimal
         out["size"] = rep.size
-        out["choi_rank"] = choi_rank
+        out["choi_rank"] = rep.choi_rank
         out["hill_rank"] = hill_rank
         out["selection"] = [list(pair) for pair in rep.selection]
         out["hill_matrix"] = _json_matrix(rep.hill)
@@ -306,7 +307,7 @@ def _cmd_hill(args) -> int:
         p = args.precision
         kind = "minimal" if rep.minimal else "non-minimal"
         print(f"{kind} hill representation of the {args.which_map} map: "
-              f"r = {rep.size}, rank(choi) = {choi_rank}, rank(H) = {hill_rank}")
+              f"r = {rep.size}, rank(choi) = {rep.choi_rank}, rank(H) = {hill_rank}")
         print("selection (block row, block col):")
         print("  " + "; ".join(f"{r},{c}" for r, c in rep.selection))
         print("hill matrix:")

@@ -71,10 +71,12 @@ _VERDICT = {"yes": "dominates", "no": "not_dominates", "marginal": "marginal"}
 _BATCH_ENTRIES = 64 * 16 * 16  # oracle workspace per (size, n, n) buffer: 64 trials at n = 16
 
 
-def _batch_sizes(n: int, count: int) -> list[int]:
-    """One trial, so a refutation at trial 0 costs one, then full batches of n^2-scaled size."""
+def _batch_sizes(n: int, count: int) -> tuple[int, Iterator[int]]:
+    """The largest batch, and the batches: one trial, so a refutation at trial 0 costs
+    one, then full batches of n^2-scaled size.  Lazy: O(1) memory for any count."""
     cap = max(64, _BATCH_ENTRIES // (n * n))
-    return [1] + [min(cap, count - done) for done in range(1, count, cap)]
+    rest = (min(cap, count - done) for done in range(1, count, cap))
+    return min(cap, max(count - 1, 1)), itertools.chain((1,), rest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,8 +511,8 @@ def _cone_solutions(
     perm, perm_inverse, groups = maps.plan
     groups = maps.composite_groups if composite else groups
     s, s_inv, s_star = congruence or (None, None, None)
-    rng, sizes, work = np.random.default_rng(seed), _batch_sizes(n, count), None
-    vecs = np.empty((2, max(sizes), n), dtype=maps.dtype)  # the g stages
+    rng, (largest, sizes), work = np.random.default_rng(seed), _batch_sizes(n, count), None
+    vecs = np.empty((2, largest, n), dtype=maps.dtype)  # the g stages
     for size in sizes:
         pair = itertools.cycle(vecs[:, :size])
         g = next(pair)

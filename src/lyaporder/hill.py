@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jordan import JordanSpec, inner_blocks
-from .linalg import DEFAULT_TOLERANCES, Tolerances, rank_tol
-from .starmaps import StarLinearMap, choi_matrix, is_star_linear
+from .linalg import DEFAULT_TOLERANCES, Tolerances
+from .starmaps import StarLinearMap, is_star_linear
 
 __all__ = [
     "HillRep",
@@ -56,6 +56,7 @@ class HillRep:
     out_dim: int
     in_dim: int
     field: str = "complex"
+    choi_rank: int | None = None  # as the constructors below measure it; None when built by hand
 
     @property
     def size(self) -> int:
@@ -72,28 +73,25 @@ def matricization_blocks(m: StarLinearMap) -> np.ndarray:
     return m.matrix.reshape(n, n, q, q).transpose(0, 2, 1, 3)
 
 
-def _require_star_linear(m: StarLinearMap, tol: Tolerances) -> None:
+def _blocks_and_rank(m: StarLinearMap, tol: Tolerances) -> tuple[np.ndarray, float, int]:
+    """The blocks of a *-linear m (ValueError otherwise), then sigma_max and the rank of their
+    stack: a row and column permutation of the Choi matrix, so this one SVD is its rank."""
     if not is_star_linear(m, tol):
         raise ValueError("Hill representations require a *-linear map")
-
-
-def _greedy_selection(blocks: np.ndarray, n: int, q: int, rank_rel: float):
-    """Row-major scan keeping each block that grows the span (Gram-Schmidt guarded)."""
-    stacked = blocks.reshape(n * q, n * q)
-    svals = np.linalg.svd(stacked, compute_uv=False)
+    blocks, nq = matricization_blocks(m), m.out_dim * m.in_dim
+    svals = np.linalg.svd(blocks.reshape(nq, nq), compute_uv=False)
     sigma_max = float(svals[0]) if svals.size else 0.0
-    threshold = rank_rel * sigma_max
+    return blocks, sigma_max, int(np.count_nonzero(svals > tol.rank_rel * sigma_max))
+
+
+def _greedy_selection(blocks: np.ndarray, n: int, q: int, threshold: float):
+    """Row-major scan keeping each block whose residual (Gram-Schmidt) exceeds threshold."""
     selection: list[tuple[int, int]] = []
     ortho: list[np.ndarray] = []
-    if sigma_max == 0.0:
-        return selection
     for i in range(n):
         for j in range(q):
-            v = blocks[i, j].ravel()
-            r = v.copy()
-            for u in ortho:           # two passes for numerical orthogonality
-                r -= (u.conj() @ r) * u
-            for u in ortho:
+            r = blocks[i, j].flatten()
+            for u in ortho * 2:  # two passes for numerical orthogonality
                 r -= (u.conj() @ r) * u
             norm = float(np.linalg.norm(r))
             if norm > threshold:
@@ -102,19 +100,20 @@ def _greedy_selection(blocks: np.ndarray, n: int, q: int, rank_rel: float):
     return selection
 
 
-def _expansion_coefficients(blocks, selection, n, q, eq_rel):
+def _expansion_coefficients(blocks, selection, n, q, eq_rel, error=ValueError):
     """Least-squares expansion of every block over the selected ones, pinned.
 
     Returns alpha of shape (r, n*q) with column i*q+j holding the expansion of
     block (i, j); the column of each selected position is forced to the
     corresponding unit vector, which is always a valid expansion of itself.
+    A selection that does not span every block raises error.
     """
     r = len(selection)
     basis = np.array([blocks[i, j].ravel() for (i, j) in selection]).T  # (nq, r)
     targets = blocks.reshape(n * q, n * q).T                            # (nq, n*q)
     if r == 0:
         if float(np.abs(targets).max(initial=0.0)) > 0.0:
-            raise ValueError("empty selection cannot span a nonzero map")
+            raise error("empty selection cannot span a nonzero map")
         return np.zeros((0, n * q), dtype=np.complex128)
     alpha, *_ = np.linalg.lstsq(basis, targets, rcond=None)
     residual = basis @ alpha - targets
@@ -122,7 +121,7 @@ def _expansion_coefficients(blocks, selection, n, q, eq_rel):
     bad = np.linalg.norm(residual, axis=0) > eq_rel * (1.0 + norms)
     if np.any(bad):
         flat = int(np.flatnonzero(bad)[0])
-        raise ValueError(
+        raise error(
             f"selection does not span block ({flat // q}, {flat % q}) within tolerance"
         )
     for k, (i, j) in enumerate(selection):
@@ -149,26 +148,25 @@ def hill_at_selection(blocks: np.ndarray, selection) -> np.ndarray:
 def minimal_hill_from_blocks(m: StarLinearMap, tol: Tolerances | None = None) -> HillRep:
     """Minimal Hill representation from a greedy independent block selection.
 
-    Selects rank(choi)-many linearly independent blocks of the matricization
-    scanning row-major, expands every block over them, and reads the Hill
-    matrix directly off the matricization entries at the selected positions:
+    One SVD gives the Choi rank and the greedy's threshold rank_rel * sigma_max
+    (_blocks_and_rank).  The greedy, scanning row-major, must keep exactly rank-many
+    blocks, and they must span every block: either failing is numerical and
+    raises numpy's LinAlgError (a map that is not *-linear raises ValueError).
+    Every block is expanded over the kept ones, and the Hill matrix is read
+    directly off the matricization entries at the selected positions:
     H[k, l] is the (i_l, j_l) entry of the block at (i_k, j_k).
     """
     tol = tol or DEFAULT_TOLERANCES
-    _require_star_linear(m, tol)
+    blocks, sigma_max, rank = _blocks_and_rank(m, tol)
     n, q = m.out_dim, m.in_dim
-    blocks = matricization_blocks(m)
-    selection = _greedy_selection(blocks, n, q, tol.rank_rel)
-    rank_choi = rank_tol(choi_matrix(m), tol)
-    if len(selection) != rank_choi:
-        raise ValueError(
-            f"block span rank {len(selection)} disagrees with Choi rank {rank_choi}; "
-            "the map is not *-linear within tolerance or is numerically corrupted"
-        )
-    alpha = _expansion_coefficients(blocks, selection, n, q, tol.eq_rel)
+    selection = _greedy_selection(blocks, n, q, tol.rank_rel * sigma_max)
+    if len(selection) != rank:
+        raise np.linalg.LinAlgError(f"greedy block selection keeps {len(selection)} blocks, "
+                                    f"the Choi rank is {rank}")
+    alpha = _expansion_coefficients(blocks, selection, n, q, tol.eq_rel, np.linalg.LinAlgError)
     factors = _factors_from_alpha(alpha, n, q)
     h = hill_at_selection(blocks, selection)
-    return HillRep(factors, h, tuple(selection), True, n, q, m.field)
+    return HillRep(factors, h, tuple(selection), True, n, q, m.field, rank)
 
 
 def nonminimal_hill(
@@ -183,7 +181,7 @@ def nonminimal_hill(
     map is completely positive iff H is PSD.
     """
     tol = tol or DEFAULT_TOLERANCES
-    _require_star_linear(m, tol)
+    blocks, _, rank = _blocks_and_rank(m, tol)
     n, q = m.out_dim, m.in_dim
     selection = [(int(i), int(j)) for i, j in selection]
     for i, j in selection:
@@ -191,14 +189,12 @@ def nonminimal_hill(
             raise ValueError(f"block index ({i}, {j}) outside the {n}x{q} grid")
     if len(set(selection)) != len(selection):
         raise ValueError("selection must not repeat block positions")
-    blocks = matricization_blocks(m)
     alpha = _expansion_coefficients(blocks, selection, n, q, tol.eq_rel)
     factors = _factors_from_alpha(alpha, n, q)
     # Pinned coefficients: H[k, l] = conj(blocks[s_l][s_k]), equal to
     # blocks[s_k][s_l] for a *-linear map.
     h = hill_at_selection(blocks, selection).T.conj()
-    minimal = len(selection) == rank_tol(choi_matrix(m), tol)
-    return HillRep(factors, h, tuple(selection), minimal, n, q, m.field)
+    return HillRep(factors, h, tuple(selection), len(selection) == rank, n, q, m.field, rank)
 
 
 # --------------------------------------------------------------------------

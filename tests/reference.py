@@ -49,7 +49,6 @@ from lyaporder.domination import (
 )
 from lyaporder.hill import (
     HillRep,
-    _require_star_linear,
     _structured_candidate,
     minimal_hill_from_blocks,
 )
@@ -287,7 +286,8 @@ def hill_from_choi(m: StarLinearMap, ahat, tol: Tolerances | None = None) -> np.
     ker(Ahat) is not contained in ker(choi).
     """
     tol = tol or DEFAULT_TOLERANCES
-    _require_star_linear(m, tol)
+    if not is_star_linear(m, tol):
+        raise ValueError("Hill representations require a *-linear map")
     a = np.asarray(ahat, dtype=np.complex128)
     r = a.shape[0]
     if rank_tol(a, tol) != r:

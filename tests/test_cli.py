@@ -8,13 +8,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lyaporder import cli
+from lyaporder import cli, domination
 from lyaporder.cli import run
 from lyaporder.linalg import NotHermitianError
 from lyaporder.problemfile import ProblemFileError, load_problem_file, parse_problem
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(REPO, "problems")
+DATA = os.path.join(REPO, "tests", "data")
 
 
 def problem(name):
@@ -350,6 +351,58 @@ class TestHillCommand:
 
     def test_raw_map_missing(self, capsys):
         assert run(["hill", problem("pick_not_dominated.json"), "--map", "raw"]) == 64
+
+    @pytest.mark.parametrize("name", [
+        # Diagonal A, n = 14, B = 1 + 0.5 A + 0.3 inv(A): the greedy block selection
+        # keeps 12 blocks where the Choi rank is 10.
+        "hill_diagonal_dominator_n14.json",
+        # Real Jordan A with a P, n = 4: H's smallest singular value is 6e-11 of its
+        # largest, so rank(H) = 3 where the Choi rank is 4.
+        "hill_rank_mismatch_n4.json",
+    ])
+    def test_numerical_rank_failure_is_a_numerical_error(self, capsys, name):
+        code = run(["hill", "--json", os.path.join(DATA, name)])
+        assert code in (0, 70)
+        if code == 0:
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["hill_rank"] == doc["choi_rank"] == doc["size"]
+        else:
+            assert capsys.readouterr().err.startswith("numerical error: ")
+
+    def test_non_spanning_selection_is_an_input_error(self, capsys):
+        assert run(["hill", problem("pick_not_dominated.json"), "--selection", "0,0;0,1"]) == 64
+        assert "does not span" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["pick_not_dominated.json"],
+        ["pick_not_dominated.json", "--selection", "0,0;1,1;0,1"],
+        ["jordan_block_dominator.json"],
+        ["real_pair_matrix.json", "--map", "stein"],
+    ])
+    def test_one_choi_sized_svd(self, monkeypatch, capsys, argv):
+        # The composite of an n x n problem acts on n x n matrices (q = n): one SVD of
+        # an nq x nq matrix per call, a permutation of the Choi matrix.
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+        assert run(["hill", problem(argv[0]), *argv[1:]]) == 0
+        nq = load_problem_file(problem(argv[0])).problem.spec.dim ** 2
+        assert shapes.count((nq, nq)) == 1
+
+    @pytest.mark.parametrize("which", ["lyapunov", "stein"])
+    def test_dense_composite_is_capped(self, monkeypatch, tmp_path, capsys, which):
+        n = cli.HILL_MAX_DIM + 1
+        path = write(tmp_path, json.dumps({
+            "field": "complex",
+            "eigenvalues": [{"lambda": [1.0 + k, 0.0], "sizes": [1]} for k in range(n)],
+            "B": {"coeffs": [[[1.0 + k, 0.0]] for k in range(n)]},
+        }))
+
+        def order_map(*args):
+            raise AssertionError("the order map ran")
+        monkeypatch.setattr(domination, "_order_map", order_map)
+        assert run(["hill", path, "--map", which]) == 64
+        assert f"limit of {cli.HILL_MAX_DIM}" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import re
 import tracemalloc
 import warnings
@@ -126,7 +127,7 @@ def block_pair_solutions(dims, las, dtype, field, count, seed, congruence=None):
         inverses.append((r, c, np.linalg.solve(la, np.eye(la.shape[-1]))))
     s, s_inv, s_star = congruence or (None, None, None)
     rng = np.random.default_rng(seed)
-    for size in domination._batch_sizes(n, count):
+    for size in domination._batch_sizes(n, count)[1]:
         gs = [gaussian(rng, n, field) for _ in range(size)]
         gs = [g.real if dtype == np.float64 else g for g in gs]
         gs = gs if s_inv is None else [s_inv @ g for g in gs]
@@ -1055,6 +1056,27 @@ class TestSampling:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("n", [1, 8, 16, 40])
+    def test_batch_schedule(self, n):
+        # One trial, then batches of at most cap, as the list the schedule once was.
+        cap = max(64, 64 * 16 * 16 // (n * n))
+        for count in (1, 2, 63, 64, 65, 257, 1000):
+            largest, sizes = domination._batch_sizes(n, count)
+            expect = [1] + [min(cap, count - done) for done in range(1, count, cap)]
+            assert list(sizes) == expect and largest == max(expect)
+
+    def test_batch_schedule_of_a_huge_count_is_lazy(self):
+        # 10**12 trials would be a list of 1.6e10 sizes: the schedule and its
+        # largest batch take constant memory.  No oracle runs here.
+        tracemalloc.start()
+        try:
+            largest, sizes = domination._batch_sizes(16, 10**12)
+            head = list(itertools.islice(sizes, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert largest == 64 and head == [1, 64, 64] and peak < 10_000
+
     def test_consistent_for_dominator(self):
         prob = diag_problem([1.0, 2.0], [1.0, 0.5])
         assert domination_oracle(prob, trials=1000, seed=0)[0] == "consistent"
@@ -1236,8 +1258,8 @@ class TestOracle:
         outside = LyapunovProblem(spec, bumped(inside, random_element(rng, spec), 0.3))
         prob = just_past_the_boundary(outside, LYAPUNOV, inside)
         index, expect = per_trial_violation(prob, LYAPUNOV, 1000, 20)
-        sizes = domination._batch_sizes(spec.dim, 1000)
-        assert sizes[:2] == [1, 256] and 64 < index < 1 + 256
+        sizes = domination._batch_sizes(spec.dim, 1000)[1]
+        assert list(itertools.islice(sizes, 2)) == [1, 256] and 64 < index < 1 + 256
         screens, reports = [], []
         real_screen, real_report = domination.psd_screen, domination.psd_report
         monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None:
@@ -1261,7 +1283,7 @@ class TestOracle:
         # those of the oracle's work in A's basis alone.
         rng = np.random.default_rng(48 + n)
         prob = similar_dominator(rng, field, n, order)
-        batches = len(domination._batch_sizes(n, 1000)) - 1
+        batches = math.ceil(999 / domination._batch_sizes(n, 1000)[0])  # after the first trial
         counts = counting_oracle(monkeypatch)
         assert domination_oracle(prob, trials=1000, seed=1, order=order) == ("consistent", None)
         assert counts == {"report": 1, "scale": 1, "choi": batches, "choi_passed": batches,

@@ -8,6 +8,7 @@ from lyaporder import (
     JordanSpec,
     LyapunovProblem,
 )
+from lyaporder import hill
 from lyaporder.domination import lyapunov_order_map
 from lyaporder.hill import HillRep, minimal_hill_from_blocks, nonminimal_hill
 from lyaporder.linalg import kron, rank_tol
@@ -102,6 +103,19 @@ class TestMinimal:
             ahat = ahat_matrix(rep.factors, 2, 2)
             diff = null_projector(ahat) - null_projector(choi_matrix(m))
             assert np.linalg.norm(diff) <= 1e-8
+
+    @pytest.mark.parametrize("selection", [[(0, 0)], [(0, 0), (0, 1)]])
+    def test_greedy_failures_are_numerical(self, monkeypatch, selection):
+        # Choi rank 2, spanned by blocks (0, 0) and (1, 1).  A greedy selection of
+        # another size, or of rank-many blocks that do not span, raises LinAlgError;
+        # the same selection from a caller is a ValueError.
+        la = matricization(LYAPUNOV, np.diag([1.0, 2.0]))
+        monkeypatch.setattr(hill, "_greedy_selection", lambda *args: list(selection))
+        with pytest.raises(np.linalg.LinAlgError):
+            minimal_hill_from_blocks(la)
+        with pytest.raises(ValueError, match="span") as caller:
+            nonminimal_hill(la, selection)
+        assert not isinstance(caller.value, np.linalg.LinAlgError)
 
     def test_rejects_non_star_linear(self):
         rng = np.random.default_rng(3)
