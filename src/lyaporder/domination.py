@@ -237,9 +237,10 @@ def _expand(c: np.ndarray, shift: int) -> np.ndarray:
 class _PairMaps:
     """cone_A^{-1} and the composite cone_B o cone_A^{-1} on each block X_IJ, in closed form.
 
-    inverse and composite are BlockSeparableMaps, one (rows, cols, maps) per
-    pair (i, j) of block dims, made per pair of kinds (size, pair) for i <= j;
-    both maps are *-linear, which gives the (j, i) maps.  A real pair a + ib of
+    pairs holds one (rows, cols, inv(L_A), L_B inv(L_A)) per pair (i, j) of
+    block dims, made per pair of kinds (size, pair) for i <= j; both maps are
+    *-linear, which gives the (j, i) maps.  composite is the BlockSeparableMap
+    of the L_B inv(L_A) blocks, which the Choi route reads.  A real pair a + ib of
     size s is complexified by Q = I_s (x) _SPLIT[2] into (lam, t), (conj lam,
     conj t).  On a complex block pair L = mu I - K (Order.series), K nilpotent
     of index below s_r + s_c: inv(L_A) = sum_k K^k / mu^(k+1) (Horner), 1 / mu
@@ -276,8 +277,8 @@ class _PairMaps:
                     maps = maps[0][0] if len(lefts) == len(rights) == 1 else np.concatenate(
                         [np.concatenate(m, axis=2) for m in maps], axis=1)
                 done[i, j] = np.ascontiguousarray(maps)  # for BLAS in the oracle's matmuls
-        self.inverse, self.composite = (BlockSeparableMap(self.dims, [
-            (groups[i][0], groups[j][0], m[k]) for (i, j), m in done.items()]) for k in (0, 1))
+        self.pairs = [(groups[i][0], groups[j][0], *m) for (i, j), m in done.items()]
+        self.composite = BlockSeparableMap(self.dims, [(r, c, m) for r, c, _, m in self.pairs])
 
     def _pair(self, order: Order, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """(inv(L_A), L_B inv(L_A)), (2, R, C, d_r d_c, d_r d_c), from rows (k, 2, R|C, s)."""
@@ -304,31 +305,26 @@ class _PairMaps:
         return maps.reshape(2, n_r, n_c, k_r * s_r * k_c * s_c, -1)
 
     @cached_property
-    def plan(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, np.ndarray]]]:
-        """(perm, inverse perm, groups): the oracle's solve of cone(X, A) = W, W flat n x n.
+    def plan(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, tuple]]]:
+        """(perm, inverse perm, groups): the layout in which the oracle applies the pair maps.
 
         W.ravel()[perm] holds each pair's blocks contiguously, as the
         column-major vecs the maps act on, in the order of its stack; group
-        (start, stop, inv(L_A)) owns [start, stop), shaped (R, C, d_r d_c).
-        For 1 x 1 blocks inv(L_A) is flat (R C,): the solve is a product.
+        (start, stop, (inv(L_A), L_B inv(L_A))) owns [start, stop), each map
+        shaped (R, C, d_r d_c, d_r d_c), or flat (R C,) for 1 x 1 blocks,
+        where it is a product.
         """
         n, offset = sum(self.dims), np.cumsum((0,) + self.dims)
         perm, groups = [], []
-        for rows, cols, inverse in self.inverse.pairs:
+        for rows, cols, *maps in self.pairs:
             r = offset[rows][:, None, None, None] + np.arange(self.dims[rows[0]])[:, None]
             c = offset[cols][None, :, None, None] + np.arange(self.dims[cols[0]])
             start = sum(len(p) for p in perm)
             perm.append((r * n + c).swapaxes(-1, -2).ravel())
             groups.append((start, start + len(perm[-1]),
-                           inverse.ravel() if inverse.shape[-1] == 1 else inverse))
+                           tuple(m.ravel() if m.shape[-1] == 1 else m for m in maps)))
         perm = np.concatenate(perm)
         return perm, np.argsort(perm), groups
-
-    @cached_property
-    def composite_groups(self) -> list[tuple[int, int, np.ndarray]]:
-        """plan's groups with the composite's L_B inv(L_A) in place of inv(L_A)."""
-        return [(start, stop, maps.ravel() if maps.shape[-1] == 1 else maps)
-                for (start, stop, _), (_, _, maps) in zip(self.plan[2], self.composite.pairs)]
 
     choi = cached_property(lambda self: choi_matrix(self.composite))  # C, the support Choi matrix
 
@@ -468,9 +464,11 @@ def hill_pick_matrix(prob: LyapunovProblem) -> HillPickMatrix:
     return HillPickMatrix(h, sel, offsets, spec.field)
 
 
-def _apply_groups(groups, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Each group's matrices on its slice of the gathered vecs v (size, n^2), into out."""
+def _apply_groups(groups, which: int, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each group's map which (0: inv(L_A), 1: L_B inv(L_A)) on its slice of the gathered
+    vecs v (size, n^2), into out."""
     for start, stop, maps in groups:
+        maps = maps[which]
         if maps.ndim == 1:
             np.multiply(v[:, start:stop], maps, out=out[:, start:stop])
         else:  # maps @ vec on (R, C, d_r d_c, size) views
@@ -481,36 +479,32 @@ def _apply_groups(groups, v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _cone_solutions(
-    maps: _PairMaps, field: str, count: int, seed: int, congruence=None, composite: bool = False,
+    maps: _PairMaps, count: int, seed: int, s_inv: Optional[np.ndarray] = None,
     screen: Optional[Callable[[np.ndarray], bool]] = None,
 ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]]:
-    """Yield batches of Hermitian H with cone(H, A) = W for random rank-one targets W = g g*.
+    """Yield batches (Y, scratch, targets): Y = Phi_J(g' g'*) for random g, g' = inv(S) g.
 
-    g is n normals (2n, real parts first, for the complex field) per trial.
-    With (S, inv(S), S*) = congruence (S = I when None), cone(S Y S*, A) =
-    S cone(Y, diag(blocks)) S*: each g becomes inv(S) g (a matvec), its
-    g g* is solved block pair by block pair (maps.plan: one gather, a
-    product or a stacked matmul per size pair, one scatter), and maps back
-    as H = S Y S*.  With composite the pairs apply L_B inv(L_A) instead
-    (composite_groups) and the batch stays in A's Jordan basis: it is
-    Y = Phi_J(W') with W' = inv(S) W inv(S)*, so that cone(H, B) = S Y S*,
-    not symmetrized; no H is formed, and S is left to the caller.  A batch
-    of two or more whose rows inv(S) g screen passes is neither formed nor
-    yielded.  Everything is of maps.dtype: float64 for the real field,
-    whose g is real.  Batches follow _batch_sizes, each one draw from a
-    single default_rng(seed) stream, in the order of per-trial gaussian(rng,
-    n, field) draws, so trial k sees the same g however the trials are
-    grouped or skipped.  Two (size, n) buffers hold the g stages; four
-    (size, n, n) buffers, made at the first batch formed (again if a larger
-    one follows), hold its stages: one keeps the gathered targets, for the
-    witness, and each later stage writes into the next of the other three.
-    A batch, its two scratch buffers (the two of those three that it does
-    not occupy) and its targets last until the next: copy H to keep.
+    Phi_J is the composite cone_B o cone_A^{-1} in A's Jordan basis, so that
+    cone(H, B) = S Y S* for the H with cone(H, A) = g g*; no H is formed
+    (_pull_back makes it from targets).  g is n normals per trial, 2n (real
+    parts first) when maps.dtype is complex128; over the real field it is
+    float64 and so is everything else.  Each g becomes inv(S) g (a matvec;
+    g itself when s_inv is None), and its g' g'* has L_B inv(L_A) applied
+    block pair by block pair (maps.plan: one gather, a product or a stacked
+    matmul per size pair, one scatter).  A batch of two or more whose rows
+    g' screen passes is neither formed nor yielded.  Batches follow
+    _batch_sizes, each one draw from a single default_rng(seed) stream, in
+    the order of per-trial draws, so trial k sees the same g however the
+    trials are grouped or skipped.  Two (size, n) buffers hold the g
+    stages; four (size, n, n) buffers, made at the first batch formed
+    (again if a larger one follows), hold its stages: one keeps the
+    gathered targets (size, n^2), and each later stage writes into the
+    next of the other three.  A batch, its two scratch buffers (the two of
+    those three that Y does not occupy) and its targets last until the
+    next: copy what is kept.
     """
-    n, k = sum(maps.dims), 2 if field == "complex" else 1
+    n, k = sum(maps.dims), 1 if maps.dtype == np.float64 else 2
     perm, perm_inverse, groups = maps.plan
-    groups = maps.composite_groups if composite else groups
-    s, s_inv, s_star = congruence or (None, None, None)
     rng, (largest, sizes), work = np.random.default_rng(seed), _batch_sizes(n, count), None
     vecs = np.empty((2, largest, n), dtype=maps.dtype)  # the g stages
     for size in sizes:
@@ -518,9 +512,9 @@ def _cone_solutions(
         g = next(pair)
         z = g.view(np.float64).reshape(-1)[: size * k * n].reshape(size, k, n)
         rng.standard_normal(out=z)
-        if maps.dtype != np.float64:
+        if k == 2:
             g = next(pair)
-            g.real, g.imag = z[:, 0], z[:, 1] if k == 2 else 0.0
+            g.real, g.imag = z[:, 0], z[:, 1]
         g = g if s_inv is None else np.matmul(g, s_inv.T, out=next(pair))  # rows inv(S) g
         if size > 1 and screen is not None and screen(g):
             continue
@@ -528,21 +522,26 @@ def _cone_solutions(
             work = np.empty((4, size, n, n), dtype=maps.dtype)
         targets, *bufs = work[:, :size]
         ring = itertools.cycle(bufs)
-        g_conj = g if maps.dtype == np.float64 else np.conjugate(g, out=next(pair))
+        g_conj = g if k == 1 else np.conjugate(g, out=next(pair))
         w = np.multiply(g[:, :, None], g_conj[:, None], out=next(ring)).reshape(size, n * n)
         v = np.take(w, perm, axis=1, out=targets.reshape(size, n * n), mode="clip")
-        y = _apply_groups(groups, v, next(ring).reshape(size, n * n))
+        y = _apply_groups(groups, 1, v, next(ring).reshape(size, n * n))
         y = np.take(y, perm_inverse, axis=1, out=next(ring).reshape(size, n * n), mode="clip")
-        y = y.reshape(size, n, n)
-        if s is not None and not composite:
-            y = np.matmul(np.matmul(s, y, out=next(ring)), s_star, out=next(ring))
-        scratch = next(ring), next(ring)
-        if not composite:
-            t = scratch[0]
-            np.copyto(t, y.swapaxes(-1, -2))  # a copy, where a strided ufunc would take a buffer
-            y += np.conjugate(t, out=t)
-            y *= 0.5
-        yield y, scratch, v
+        yield y.reshape(size, n, n), (next(ring), next(ring)), v
+
+
+def _pull_back(maps: _PairMaps, targets: np.ndarray, s: Optional[np.ndarray] = None) -> np.ndarray:
+    """Hermitian H, (size, n, n) of maps.dtype, with cone(H, A) = S W S* per gathered target.
+
+    targets are rows W'.ravel()[perm] as _cone_solutions keeps them, W' = inv(S) W
+    inv(S)* (S = I when None): inv(L_A) is applied per block pair, the
+    permutation undone, then S Y S* and the Hermitian part are formed.
+    """
+    _, perm_inverse, groups = maps.plan
+    h = _apply_groups(groups, 0, targets, np.empty_like(targets))
+    h = h[:, perm_inverse].reshape((len(h),) + (sum(maps.dims),) * 2)
+    h = h if s is None else s @ h @ s.conj().T
+    return (h + h.conj().swapaxes(-1, -2)) * 0.5
 
 
 def _choi_screen(setup: _PairMaps, g: np.ndarray, scale, tol: Tolerances) -> bool:
@@ -645,11 +644,11 @@ def domination_oracle(
     and a batch that screen declines have Y and S Y S* formed (two matmuls
     into the batch's scratch buffers), then screened as they are
     (psd_screen), and if that declines too, PSD-tested per trial, in order,
-    up to the first "no", so the first violation, its witness (pulled back
-    from that trial's target through inv(L_A)) and any NotHermitianError
-    are those of a per-trial loop.  Without P, S = I and Y is the cone.
-    Real-field trials run in float64 (setup.dtype); the witness is
-    complex128 either way.  setup is this order's _jordan_setup, built
+    up to the first "no", so the first violation, its witness (_pull_back of
+    that trial's kept target, the one place inv(L_A) is applied) and any
+    NotHermitianError are those of a per-trial loop.  Without P, S = I and
+    Y is the cone.  Real-field trials run in float64 (setup.dtype); the
+    witness is complex128 either way.  setup is this order's _jordan_setup, built
     (after the regularity check) when not given.  A must be regular for the
     order, trials >= 1.
     """
@@ -658,30 +657,23 @@ def domination_oracle(
     if setup is None:
         order.require_regular(spec, prob.tol)
         setup = _jordan_setup(prob, order)
-    p, congruence = spec.similarity, None
+    p, s, s_inv = spec.similarity, None, None
     if p is not None:  # real S and inv(S) for the real field: float64 copies
         s, s_inv = order.congruence(p, np.linalg.solve(p, np.eye(len(p))))
         s, s_inv = (s.real.copy(), s_inv.real.copy()) if setup.dtype == np.float64 else (s, s_inv)
-        congruence = s, s_inv, s.conj().T
-    scale = cache(lambda: _congruence_scale(congruence[0]) if congruence else (1.0, 1.0, 0.0))
-    batches = _cone_solutions(setup, spec.field, int(trials), seed, congruence, True,
+    scale = cache(lambda: (1.0, 1.0, 0.0) if s is None else _congruence_scale(s))
+    batches = _cone_solutions(setup, int(trials), seed, s_inv,
                               lambda g: _choi_screen(setup, g, scale(), prob.tol))
     for ys, scratch, targets in batches:
         cones = ys
-        if congruence is not None:  # S Y S* in A's basis
-            cones = np.matmul(np.matmul(congruence[0], ys, out=scratch[0]), congruence[2],
-                              out=scratch[1])
+        if s is not None:  # S Y S* in A's basis
+            cones = np.matmul(np.matmul(s, ys, out=scratch[0]), s.conj().T, out=scratch[1])
             scratch = ys, scratch[0]
         if len(cones) > 1 and psd_screen(cones, prob.tol, scratch):
             continue
-        for cone, target in zip(cones, targets):
-            verdict, _ = psd_report(cone, prob.tol)
-            if verdict == "no":  # this trial's H, pulled back from its target
-                _, perm_inverse, inverses = setup.plan
-                h = _apply_groups(inverses, target[None], np.empty_like(target[None]))
-                h = h[0, perm_inverse].reshape(cone.shape)
-                h = h if congruence is None else congruence[0] @ h @ congruence[2]
-                return "violation", ((h + h.conj().T) * 0.5).astype(np.complex128)
+        for k, cone in enumerate(cones):
+            if psd_report(cone, prob.tol)[0] == "no":  # this trial's H, from its target
+                return "violation", _pull_back(setup, targets[k : k + 1], s)[0].astype(complex)
     return "consistent", None
 
 

@@ -64,6 +64,8 @@ class EigenBlock:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        if not np.isfinite(self.eigenvalue):  # NaN != NaN would pass the distinctness check
+            raise ValueError(f"eigenvalue must be finite, got {self.eigenvalue}")
         if not self.sizes:
             raise ValueError("eigenvalue needs at least one Jordan block")
         if any(s < 1 for s in self.sizes):
@@ -104,6 +106,8 @@ class JordanSpec:
                 raise ValueError(f"similarity must be {n}x{n}, got {p.shape}")
             if self.field == "real" and np.any(p.imag != 0):
                 raise ValueError("real field: similarity matrix must be real")
+            if not np.isfinite(p).all():
+                raise ValueError("similarity matrix has non-finite entries")
             if rank_tol(p) != n:
                 raise ValueError("similarity matrix is singular within tolerance")
             object.__setattr__(self, "similarity", p)
@@ -316,6 +320,8 @@ def check_bicomm_membership(
         raise ValueError(f"B must be {n}x{n}, got {b.shape}")
     if spec.field == "real" and np.any(b.imag != 0):
         raise ValueError("real field: B must have real entries")
+    if not np.isfinite(b).all():  # a NaN entry would pass no comparison, leaving no witness
+        raise ValueError("B has non-finite entries")
     p = spec.similarity
     bt = b if p is None else np.linalg.solve(p, b @ p)
     candidate = _read_coeffs(spec, bt)

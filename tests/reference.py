@@ -45,6 +45,7 @@ from lyaporder.domination import (
     LyapunovProblem,
     Order,
     _cone_solutions,
+    _pull_back,
     hill_pick_matrix,
 )
 from lyaporder.hill import (
@@ -138,22 +139,26 @@ def sample_lyapunov_solutions(
 
     Samples rank-one W = g g* with Gaussian g, a random extreme ray of the
     PSD cone, and solves the Lyapunov equation H A + A* H = W; every
-    returned H is symmetrized and owns its data.  The
-    draw is the oracle's (domination._cone_solutions), on A as one block
-    whose n^2 x n^2 map is inverted by one dense solve, so A must be
-    Lyapunov regular.
+    returned H is complex128, symmetrized and owns its data.  The draw is
+    the oracle's (domination._cone_solutions, float64 for the real field,
+    whose A must be real) and so is the solve (domination._pull_back), on
+    A as one block whose n^2 x n^2 map is inverted by one dense solve, so
+    A must be Lyapunov regular.  The block has no B: its composite slot
+    holds the same inverse, and the batches' Y go unused.
     """
     la = matricization(LYAPUNOV, a).matrix
     n = _square(a).shape[0]
     inverse = np.linalg.solve(la, np.eye(n * n))
+    inverse = inverse.real.copy() if field == "real" else inverse
+    inverse = inverse.ravel() if n == 1 else inverse[None, None]
     perm = np.arange(n * n).reshape(n, n).T.ravel()  # W.ravel()[perm] is vec(W)
-    one_block = SimpleNamespace(
-        dims=(n,), dtype=np.dtype(np.complex128),
-        plan=(perm, np.argsort(perm),
-              [(0, n * n, inverse.ravel() if n == 1 else inverse[None, None])]))
+    one_block = SimpleNamespace(dims=(n,), dtype=inverse.dtype,
+                                plan=(perm, np.argsort(perm), [(0, n * n, (inverse, inverse))]))
     if int(count) < 1:  # _cone_solutions always runs its first trial
         return []
-    return [h.copy() for hs, *_ in _cone_solutions(one_block, field, int(count), seed) for h in hs]
+    batches = _cone_solutions(one_block, int(count), seed)
+    return [h.astype(np.complex128) for _, _, targets in batches
+            for h in _pull_back(one_block, targets)]
 
 
 # --------------------------------------------------------------------------

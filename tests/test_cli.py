@@ -304,6 +304,14 @@ class TestHillCommand:
         out = capsys.readouterr().out
         assert "r = 2" in out and "rank(choi) = 2" in out
 
+    @pytest.mark.parametrize("name", sorted(os.listdir(PROBLEMS)))
+    def test_minimal_flag_is_the_default(self, capsys, name):
+        # --minimal names the default representation: the same output and exit code.
+        code = run(["hill", problem(name)])
+        plain = capsys.readouterr().out
+        assert (run(["hill", "--minimal", problem(name)]), capsys.readouterr().out) == (code, plain)
+        assert code == 0
+
     def test_selection_flag(self, capsys):
         assert run(["hill", problem("pick_not_dominated.json"), "--selection", "0,0;1,1;0,1"]) == 0
         out = capsys.readouterr().out

@@ -109,7 +109,7 @@ def per_trial_witness(prob, order, trials, seed):
 
 
 def block_pair_solutions(dims, las, dtype, field, count, seed, congruence=None):
-    """Reference for _cone_solutions: a fancy-index gather, solve and scatter per size pair.
+    """Reference for _cone_solutions and _pull_back: a gather, solve and scatter per size pair.
 
     las holds (rows, cols, L_A) per pair of block kinds, L_A built by the
     test (pair_maps).  Each trial's W = g g* is formed from its own
@@ -156,7 +156,7 @@ def pair_maps(setup, prob, order):
     a_blocks = jordan.jordan_blocks(prob.spec)
     b_blocks = jordan.bicomm_blocks(prob.spec, prob.element)
     out = []
-    for rows, cols, _ in setup.inverse.pairs:
+    for rows, cols, *_ in setup.pairs:
         la, lb = (order.two_sided(np.stack([blocks[i] for i in rows])[:, None],
                                   np.stack([blocks[j] for j in cols])[None, :])
                   for blocks in (a_blocks, b_blocks))
@@ -183,7 +183,7 @@ def faulty_maps(fault):
     def cone_solutions(maps, *args, **kwargs):
         batches = real(maps, *args, **kwargs)
         yield next(batches)
-        for _, _, m in maps.composite.pairs:
+        for *_, m in maps.pairs:
             fault(m)
         yield from batches
 
@@ -891,7 +891,7 @@ class TestCheckDomination:
             ((name, maps),) = log["built"]
             assert name == order.name and log["setup"] == [True]
             cover = np.zeros((len(maps.dims),) * 2, dtype=int)
-            for rows, cols, _ in maps.composite.pairs:
+            for rows, cols, *_ in maps.pairs:
                 cover[np.ix_(rows, cols)] += 1
             assert (cover == 1).all()
             assert (log["gather"], log["validate"], log["kron"], log["two_sided"]) == (0, 0, 0, [])
@@ -953,14 +953,13 @@ class TestCheckDomination:
 
 def assert_setup_matches_dense(setup, prob, order):
     """Each pair's composite and inverse within 1e-13 of the block's max-norm of dense solves."""
-    for (_, _, la, lb), (_, _, comp), (_, _, inv) in zip(
-            pair_maps(setup, prob, order), setup.composite.pairs, setup.plan[2], strict=True):
+    for (_, _, la, lb), (_, _, inv, comp) in zip(
+            pair_maps(setup, prob, order), setup.pairs, strict=True):
         assert comp.dtype == inv.dtype == setup.dtype
         want = np.linalg.solve(la.swapaxes(-1, -2), lb.swapaxes(-1, -2)).swapaxes(-1, -2)
         np.testing.assert_allclose(comp, want, rtol=0, atol=1e-13 * np.abs(want).max())
         la = la.real if setup.dtype == np.float64 else la
         want = np.linalg.solve(la, np.eye(la.shape[-1]))
-        want = want.ravel() if want.shape[-1] == 1 else want
         np.testing.assert_allclose(inv, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
@@ -1318,19 +1317,22 @@ class TestOracle:
         assert "choi" not in vars(setup) and "certificate" not in vars(setup)
 
     def test_solve_plan_matches_block_pair_reference(self):
-        # The trials run batches of 1, then a full batch of the workspace
-        # cap and 9 more (past_the_cap); every spec mixes 1 x 1 blocks with
-        # larger ones, so both kinds of size pair (a product, a stacked
-        # matmul) meet in one plan.
+        # _pull_back of each batch's kept targets is the reference's H.  The
+        # trials run batches of 1, then a full batch of the workspace cap and
+        # 9 more (past_the_cap); every spec mixes 1 x 1 blocks with larger
+        # ones, so both kinds of size pair (a product, a stacked matmul)
+        # meet in one plan.
         seen = set()
         for k, field, order, similar, prob in mixed_block_problems():
             maps = _jordan_setup(prob, order)
             congruence = oracle_congruence(prob, order, maps.dtype)
             count, cap = past_the_cap(prob.spec.dim)
+            s, s_inv = (None, None) if congruence is None else congruence[:2]
             sizes = []
-            for (hs, *_), want in zip(
-                    domination._cone_solutions(maps, field, count, k, congruence),
+            for (_, _, targets), want in zip(
+                    domination._cone_solutions(maps, count, k, s_inv),
                     setup_solutions(maps, prob, order, field, count, k, congruence), strict=True):
+                hs = domination._pull_back(maps, targets, s)
                 assert hs.dtype == maps.dtype and hs.shape == want.shape
                 np.testing.assert_allclose(hs, want, rtol=0, atol=1e-12 * np.abs(want).max())
                 sizes.append(len(hs))
@@ -1353,8 +1355,9 @@ class TestOracle:
             congruence = oracle_congruence(prob, order, maps.dtype)
             b = build_bicomm_element(prob.spec, prob.element)
             count, _ = past_the_cap(prob.spec.dim)
+            s_inv = None if congruence is None else congruence[1]
             for (cones, _, targets), hs in zip(
-                    domination._cone_solutions(maps, field, count, k, congruence, composite=True),
+                    domination._cone_solutions(maps, count, k, s_inv),
                     setup_solutions(maps, prob, order, field, count, k, congruence), strict=True):
                 want = order.cone(hs, b)
                 assert cones.dtype == maps.dtype and cones.shape == want.shape
@@ -1462,8 +1465,9 @@ def screened_batches(setup, prob, order, count, seed):
     """
     congruence = oracle_congruence(prob, order, setup.dtype)
     rows = []
-    for ys, _, _ in domination._cone_solutions(setup, prob.spec.field, count, seed, congruence,
-                                               True, lambda g: rows.append(g.copy()) or False):
+    s_inv = None if congruence is None else congruence[1]
+    for ys, _, _ in domination._cone_solutions(setup, count, seed, s_inv,
+                                               lambda g: rows.append(g.copy()) or False):
         if len(ys) > 1:
             yield rows[-1], ys, congruence
 
@@ -1928,8 +1932,10 @@ def invariant_population():
 class TestHardInvariants:
     """On a seeded population: no exception, no route conflict, no refuted "dominates".
 
-    A problem that breaks an invariant stays in the population as a strict
-    xfail, so that its fix has to flip it.
+    Every oracle witness H is checked against the order's definition in A's
+    own basis: cone(H, A) does not read "no" and cone(H, B) does.  A problem
+    that breaks an invariant stays in the population as a strict xfail, so
+    that its fix has to flip it.
     """
 
     @pytest.mark.parametrize("order,prob", invariant_population())
@@ -1938,3 +1944,8 @@ class TestHardInvariants:
         report = decide(prob)
         assert report.methods_agree
         assert not (report.verdict == "dominates" and report.oracle_status == "violation")
+        h = report.oracle_witness
+        if h is not None:
+            a, b = build_A(prob.spec), build_bicomm_element(prob.spec, prob.element)
+            assert psd_report(order.cone(h, a), prob.tol)[0] != "no"
+            assert psd_report(order.cone(h, b), prob.tol)[0] == "no"

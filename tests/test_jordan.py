@@ -120,6 +120,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             JordanSpec("real", (EigenBlock(1.0, (2,)),), np.eye(2) * (1 + 1j))
 
+    @pytest.mark.parametrize("lam", [np.nan, complex(1.0, np.nan), np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_eigenvalue_rejected(self, lam):
+        # Two NaN eigenvalues would pass the distinctness check (NaN != NaN)
+        # and the decision would end in a LinAlgError of the Hill-Pick route.
+        with pytest.raises(ValueError, match="eigenvalue must be finite") as info:
+            EigenBlock(lam, (1,))
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_similarity_rejected(self, bad):
+        # An input error, not the LinAlgError of rank_tol's SVD.
+        p = np.eye(2)
+        p[0, 1] = bad
+        with pytest.raises(ValueError, match="similarity matrix has non-finite") as info:
+            JordanSpec("complex", (EigenBlock(1.0, (2,)),), p)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
     def test_dim_counts_pairs_twice(self):
         spec = JordanSpec("real", (EigenBlock(1 + 1j, (2, 1)), EigenBlock(2.0, (1,))))
         assert spec.dim == 7
@@ -269,6 +286,15 @@ class TestMembership:
         spec = JordanSpec("complex", (EigenBlock(2.0, (1, 1)),))
         res = check_bicomm_membership(spec, np.diag([3.0, 4.0]))
         assert not res.member
+
+    @pytest.mark.parametrize("b", [[[1.0, np.nan], [0.0, 3.0]], np.diag([np.nan, 3.0]),
+                                   np.diag([np.inf, 3.0])], ids=["nan-off", "nan-diag", "inf"])
+    def test_non_finite_b_rejected(self, b):
+        # A NaN entry fails both diff <= scale and diff > scale, which left
+        # no witness entry to report (an IndexError).
+        spec = JordanSpec("complex", (EigenBlock(1.0, (1,)), EigenBlock(2.0, (1,))))
+        with pytest.raises(ValueError, match="B has non-finite entries"):
+            check_bicomm_membership(spec, np.array(b))
 
     def test_witness_is_first_violation(self):
         spec = JordanSpec("complex", (EigenBlock(1.0, (2,)),))
