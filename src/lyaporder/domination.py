@@ -68,15 +68,14 @@ __all__ = [
 ]
 
 _VERDICT = {"yes": "dominates", "no": "not_dominates", "marginal": "marginal"}
-_BATCH_ENTRIES = 64 * 16 * 16  # oracle workspace per (size, n, n) buffer: 64 trials at n = 16
+_BATCH_ENTRIES = 64 * 16 * 16  # entries per array of a formed oracle batch: 64 trials at n = 16
 
 
-def _batch_sizes(n: int, count: int) -> tuple[int, Iterator[int]]:
-    """The largest batch, and the batches: one trial, so a refutation at trial 0 costs
-    one, then full batches of n^2-scaled size.  Lazy: O(1) memory for any count."""
+def _batch_sizes(n: int, count: int) -> Iterator[int]:
+    """The oracle's batches: one trial, so a refutation at trial 0 costs one, then full
+    batches of n^2-scaled size.  Lazy: O(1) memory for any count."""
     cap = max(64, _BATCH_ENTRIES // (n * n))
-    rest = (min(cap, count - done) for done in range(1, count, cap))
-    return min(cap, max(count - 1, 1)), itertools.chain((1,), rest)
+    return itertools.chain((1,), (min(cap, count - done) for done in range(1, count, cap)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,53 +480,37 @@ def _apply_groups(groups, which: int, v: np.ndarray, out: np.ndarray) -> np.ndar
 def _cone_solutions(
     maps: _PairMaps, count: int, seed: int, s_inv: Optional[np.ndarray] = None,
     screen: Optional[Callable[[np.ndarray], bool]] = None,
-) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]]:
-    """Yield batches (Y, scratch, targets): Y = Phi_J(g' g'*) for random g, g' = inv(S) g.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield batches (Y, targets): Y = Phi_J(g' g'*) for random g, g' = inv(S) g.
 
     Phi_J is the composite cone_B o cone_A^{-1} in A's Jordan basis, so that
     cone(H, B) = S Y S* for the H with cone(H, A) = g g*; no H is formed
-    (_pull_back makes it from targets).  g is n normals per trial, 2n (real
-    parts first) when maps.dtype is complex128; over the real field it is
-    float64 and so is everything else.  Each g becomes inv(S) g (a matvec;
-    g itself when s_inv is None), and its g' g'* has L_B inv(L_A) applied
-    block pair by block pair (maps.plan: one gather, a product or a stacked
-    matmul per size pair, one scatter).  A batch of two or more whose rows
-    g' screen passes is neither formed nor yielded.  Batches follow
-    _batch_sizes, each one draw from a single default_rng(seed) stream, in
-    the order of per-trial draws, so trial k sees the same g however the
-    trials are grouped or skipped.  Two (size, n) buffers hold the g
-    stages; four (size, n, n) buffers, made at the first batch formed
-    (again if a larger one follows), hold its stages: one keeps the
-    gathered targets (size, n^2), and each later stage writes into the
-    next of the other three.  A batch, its two scratch buffers (the two of
-    those three that Y does not occupy) and its targets last until the
-    next: copy what is kept.
+    (_pull_back makes it from targets, the rows of g' g'* gathered by
+    maps.plan).  g is n normals per trial, 2n (real parts first) when
+    maps.dtype is complex128; over the real field it is float64 and so is
+    everything else.  Each g becomes inv(S) g (a matvec; g itself when s_inv
+    is None), and its g' g'* has L_B inv(L_A) applied block pair by block
+    pair (maps.plan: one gather, a product or a stacked matmul per size
+    pair, one scatter).  A batch of two or more whose rows g' screen passes
+    is neither formed nor yielded.  Batches follow _batch_sizes, each one
+    draw from a single default_rng(seed) stream, in the order of per-trial
+    draws, so trial k sees the same g however the trials are grouped or
+    skipped.  Every array of a formed batch is made for it: nothing is kept
+    from one batch to the next.
     """
     n, k = sum(maps.dims), 1 if maps.dtype == np.float64 else 2
     perm, perm_inverse, groups = maps.plan
-    rng, (largest, sizes), work = np.random.default_rng(seed), _batch_sizes(n, count), None
-    vecs = np.empty((2, largest, n), dtype=maps.dtype)  # the g stages
-    for size in sizes:
-        pair = itertools.cycle(vecs[:, :size])
-        g = next(pair)
-        z = g.view(np.float64).reshape(-1)[: size * k * n].reshape(size, k, n)
-        rng.standard_normal(out=z)
-        if k == 2:
-            g = next(pair)
-            g.real, g.imag = z[:, 0], z[:, 1]
-        g = g if s_inv is None else np.matmul(g, s_inv.T, out=next(pair))  # rows inv(S) g
+    rng = np.random.default_rng(seed)
+    for size in _batch_sizes(n, count):
+        z = rng.standard_normal((size, k, n)).swapaxes(1, 2)  # z[i, j]: g[i, j], or its (Re, Im)
+        g = np.ascontiguousarray(z).view(maps.dtype)[..., 0]
+        g = g if s_inv is None else g @ s_inv.T  # rows inv(S) g
         if size > 1 and screen is not None and screen(g):
             continue
-        if work is None or work.shape[1] < size:
-            work = np.empty((4, size, n, n), dtype=maps.dtype)
-        targets, *bufs = work[:, :size]
-        ring = itertools.cycle(bufs)
-        g_conj = g if k == 1 else np.conjugate(g, out=next(pair))
-        w = np.multiply(g[:, :, None], g_conj[:, None], out=next(ring)).reshape(size, n * n)
-        v = np.take(w, perm, axis=1, out=targets.reshape(size, n * n), mode="clip")
-        y = _apply_groups(groups, 1, v, next(ring).reshape(size, n * n))
-        y = np.take(y, perm_inverse, axis=1, out=next(ring).reshape(size, n * n), mode="clip")
-        yield y.reshape(size, n, n), (next(ring), next(ring)), v
+        targets = np.take((g[:, :, None] * g.conj()[:, None]).reshape(size, n * n), perm, axis=1)
+        y = _apply_groups(groups, 1, targets, np.empty_like(targets))
+        y = np.take(y, perm_inverse, axis=1).reshape(size, n, n)
+        yield y, targets
 
 
 def _pull_back(maps: _PairMaps, targets: np.ndarray, s: Optional[np.ndarray] = None) -> np.ndarray:
@@ -641,11 +624,11 @@ def domination_oracle(
     certificate from setup and the congruence's scale, each made once, at
     the first such batch) proves that psd_report would read no "no" and
     raise nothing on its cones; no Y is formed for it.  The first trial
-    and a batch that screen declines have Y and S Y S* formed (two matmuls
-    into the batch's scratch buffers), then screened as they are
+    and a batch that screen declines have Y and then S Y S* formed, in
+    arrays of their own (two matmuls), then screened as they are
     (psd_screen), and if that declines too, PSD-tested per trial, in order,
     up to the first "no", so the first violation, its witness (_pull_back of
-    that trial's kept target, the one place inv(L_A) is applied) and any
+    that trial's target, the one place inv(L_A) is applied) and any
     NotHermitianError are those of a per-trial loop.  Without P, S = I and
     Y is the cone.  Real-field trials run in float64 (setup.dtype); the
     witness is complex128 either way.  setup is this order's _jordan_setup, built
@@ -664,12 +647,9 @@ def domination_oracle(
     scale = cache(lambda: (1.0, 1.0, 0.0) if s is None else _congruence_scale(s))
     batches = _cone_solutions(setup, int(trials), seed, s_inv,
                               lambda g: _choi_screen(setup, g, scale(), prob.tol))
-    for ys, scratch, targets in batches:
-        cones = ys
-        if s is not None:  # S Y S* in A's basis
-            cones = np.matmul(np.matmul(s, ys, out=scratch[0]), s.conj().T, out=scratch[1])
-            scratch = ys, scratch[0]
-        if len(cones) > 1 and psd_screen(cones, prob.tol, scratch):
+    for ys, targets in batches:
+        cones = ys if s is None else s @ ys @ s.conj().T  # S Y S* in A's basis
+        if len(cones) > 1 and psd_screen(cones, prob.tol):
             continue
         for k, cone in enumerate(cones):
             if psd_report(cone, prob.tol)[0] == "no":  # this trial's H, from its target

@@ -19,6 +19,7 @@ against the pattern and their coefficients extracted.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -216,7 +217,8 @@ class BicommElement:
 
 
 def validate_bicomm_element(spec: JordanSpec, elem: BicommElement) -> None:
-    """Check the coefficient lists against the Jordan data's shape and field."""
+    """Check the coefficient lists against the Jordan data's shape and field, and that
+    every coefficient is finite."""
     if len(elem.coeffs) != len(spec.eigens):
         raise ValueError(
             f"expected coefficients for {len(spec.eigens)} eigenvalues, got {len(elem.coeffs)}"
@@ -226,6 +228,8 @@ def validate_bicomm_element(spec: JordanSpec, elem: BicommElement) -> None:
             raise ValueError(
                 f"eigenvalue {j}: expected {e.sizes[0]} coefficients, got {len(row)}"
             )
+        if not all(cmath.isfinite(c) for c in row):
+            raise ValueError(f"eigenvalue {j}: coefficients must be finite, got {row}")
         if spec.field == "real" and not spec._is_pair(e):
             if any(c.imag != 0 for c in row):
                 raise ValueError(f"eigenvalue {j}: real eigenvalue needs real coefficients")

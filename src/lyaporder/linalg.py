@@ -116,20 +116,18 @@ def rank_tol(m, tol: Tolerances | None = None) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
 
 
-def _hermitian_parts(a: np.ndarray, out=None):
+def _hermitian_parts(a: np.ndarray):
     """a + a* and the Frobenius norms of a + a* and a - a*, per matrix of a stack.
 
-    The two parts go into out (two arrays like a) or fresh arrays.  Each
-    norm is one sum of squares over a float view: a flat dot for a single
-    matrix, a stacked 1 x m by m x 1 matmul for a stack.  A non-finite entry
-    of a makes both norms non-finite, and so does overflow of the squares;
-    neither raises a RuntimeWarning.
+    Each norm is one sum of squares over a float view: a flat dot for a
+    single matrix, a stacked 1 x m by m x 1 matmul for a stack.  A
+    non-finite entry of a makes both norms non-finite, and so does overflow
+    of the squares; neither raises a RuntimeWarning.
     """
-    h, d = out if out is not None else (np.empty(a.shape, a.dtype), np.empty(a.shape, a.dtype))
+    d = a.swapaxes(-1, -2).copy()  # a copy, where a strided ufunc would take a buffer
     with np.errstate(invalid="ignore", over="ignore"):
-        np.copyto(d, a.swapaxes(-1, -2))  # a copy, where a strided ufunc would take a buffer
         np.conjugate(d, out=d)
-        np.add(a, d, out=h)
+        h = np.add(a, d, order="C")  # C order, for the float views below
         np.subtract(a, d, out=d)
         if a.ndim == 2:
             x, y = h.view(np.float64).ravel(), d.view(np.float64).ravel()  # (re, im) pairs
@@ -170,7 +168,7 @@ def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
     return "yes", lam_min
 
 
-def psd_screen(stack, tol: Tolerances | None = None, scratch=None) -> bool:
+def psd_screen(stack, tol: Tolerances | None = None) -> bool:
     """True only if psd_report would neither call a matrix of the stack "no" nor raise.
 
     A batched Cholesky of each 2H + 2c I, H = (a + a*) / 2 the Hermitian part
@@ -181,9 +179,9 @@ def psd_screen(stack, tol: Tolerances | None = None, scratch=None) -> bool:
     on a Hermitian deviation above half of psd_report's limit, and when a
     norm is not finite (a non-finite entry, or squares that overflow).
     False proves nothing.  Real stacks stay float64.  The passes: a + a*
-    and a - a* once each, into scratch (two arrays like the stack) when
-    given, one sum of squares for each of their norms over a float view, c
-    added to the diagonal in place, and the Cholesky.
+    and a - a* once each, into fresh arrays (the stack is not written), one
+    sum of squares for each of their norms over a float view, c added to
+    the diagonal in place, and the Cholesky.
     """
     tol = tol or DEFAULT_TOLERANCES
     a = np.asarray(stack)
@@ -191,7 +189,7 @@ def psd_screen(stack, tol: Tolerances | None = None, scratch=None) -> bool:
     n = a.shape[-1]
     if tol.psd_rel < 8 * n * (n + 1) * np.finfo(np.float64).eps:
         return False
-    h, h_norm, skew = _hermitian_parts(a, scratch)  # h = 2H
+    h, h_norm, skew = _hermitian_parts(a)  # h = 2H
     if not np.isfinite(h_norm + skew).all():
         return False
     if np.any(skew > tol.eq_rel * (1.0 + h_norm / 2.0) / 2.0):

@@ -157,7 +157,7 @@ def sample_lyapunov_solutions(
     if int(count) < 1:  # _cone_solutions always runs its first trial
         return []
     batches = _cone_solutions(one_block, int(count), seed)
-    return [h.astype(np.complex128) for _, _, targets in batches
+    return [h.astype(np.complex128) for _, targets in batches
             for h in _pull_back(one_block, targets)]
 
 

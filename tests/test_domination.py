@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 import re
 import tracemalloc
 import warnings
@@ -127,7 +126,7 @@ def block_pair_solutions(dims, las, dtype, field, count, seed, congruence=None):
         inverses.append((r, c, np.linalg.solve(la, np.eye(la.shape[-1]))))
     s, s_inv, s_star = congruence or (None, None, None)
     rng = np.random.default_rng(seed)
-    for size in domination._batch_sizes(n, count)[1]:
+    for size in domination._batch_sizes(n, count):
         gs = [gaussian(rng, n, field) for _ in range(size)]
         gs = [g.real if dtype == np.float64 else g for g in gs]
         gs = gs if s_inv is None else [s_inv @ g for g in gs]
@@ -143,7 +142,7 @@ def block_pair_solutions(dims, las, dtype, field, count, seed, congruence=None):
 
 def past_the_cap(n):
     """(count, cap): trials that run one trial, one full batch of cap and 9 more, at size n."""
-    cap = max(64, 64 * 16 * 16 // (n * n))  # the oracle's workspace budget, 64 trials at n = 16
+    cap = max(64, 64 * 16 * 16 // (n * n))  # the oracle's batch budget, 64 trials at n = 16
     return cap + 10, cap
 
 
@@ -294,8 +293,8 @@ def counting_oracle(monkeypatch, decline_choi=False):
         return scale(s)
 
     monkeypatch.setattr(domination, "psd_report", counting_report)
-    monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None:
-                        counting("own", screen(stack, tol, scratch)))
+    monkeypatch.setattr(domination, "psd_screen", lambda stack, tol:
+                        counting("own", screen(stack, tol)))
     monkeypatch.setattr(domination, "_choi_screen", lambda setup, g, sc, tol:
                         counting("choi", not decline_choi and choi(setup, g, sc, tol)))
     monkeypatch.setattr(domination, "_congruence_scale", counting_scale)
@@ -304,7 +303,7 @@ def counting_oracle(monkeypatch, decline_choi=False):
 
 def no_screens(monkeypatch):
     """Make both of the oracle's screens decline every batch."""
-    monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None: False)
+    monkeypatch.setattr(domination, "psd_screen", lambda stack, tol: False)
     monkeypatch.setattr(domination, "_choi_screen", lambda setup, g, scale, tol: False)
 
 
@@ -811,6 +810,19 @@ class TestCheckDomination:
             stein_domination(diag_problem([2.0, 0.5], [2.0, 0.5]))
         assert calls == ["Lyapunov", "Stein"]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_coefficients_are_an_input_error(self, bad):
+        # Rejected with the problem, not as a route's numerical failure
+        # (LinAlgError): A = diag(1, 2) for Lyapunov, A = 0.5 for Stein.
+        diagonal = JordanSpec("complex", (EigenBlock(1.0, (1,)), EigenBlock(2.0, (1,))))
+        scalar = JordanSpec("complex", (EigenBlock(0.5, (1,)),))
+        for decide, spec, coeffs in ((check_domination, diagonal, ((bad,), (1.0,))),
+                                     (stein_domination, scalar, ((bad,),))):
+            with pytest.raises(ValueError, match="^eigenvalue 0: coefficients must be finite") \
+                    as info:
+                decide(LyapunovProblem(spec, BicommElement(coeffs)))
+            assert not isinstance(info.value, np.linalg.LinAlgError)
+
     @pytest.mark.parametrize("trials", [0, -5])
     def test_trial_count_below_one_rejected(self, trials):
         with pytest.raises(ValueError, match="trials must be at least 1"):
@@ -1035,9 +1047,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("count", [20, 200])
     def test_samples_own_their_memory(self, count):
-        # Each H is copied out of its batch's workspace, which the next batch
-        # of the same size overwrites: at n = 16, 200 trials run batches of
-        # 1, 64, 64, 64 and 7, so the batch cap is crossed.
+        # Each H is an array of its own, not a view of its batch's targets:
+        # at n = 16, 200 trials run batches of 1, 64, 64, 64 and 7, so the
+        # batch cap is crossed.
         spec = JordanSpec("complex", (EigenBlock(1.0 + 0.5j, (4, 3)), EigenBlock(2.0 - 0.3j, (5,)),
                                       EigenBlock(0.8, (2, 1, 1))))
         assert spec.dim == 16
@@ -1057,24 +1069,42 @@ class TestSampling:
 class TestOracle:
     @pytest.mark.parametrize("n", [1, 8, 16, 40])
     def test_batch_schedule(self, n):
-        # One trial, then batches of at most cap, as the list the schedule once was.
+        # One trial, then batches of at most cap, as the list the schedule once was;
+        # the largest is the cap, or all the trials after the first.
         cap = max(64, 64 * 16 * 16 // (n * n))
         for count in (1, 2, 63, 64, 65, 257, 1000):
-            largest, sizes = domination._batch_sizes(n, count)
+            sizes = list(domination._batch_sizes(n, count))
             expect = [1] + [min(cap, count - done) for done in range(1, count, cap)]
-            assert list(sizes) == expect and largest == max(expect)
+            assert sizes == expect and max(sizes) == min(cap, max(count - 1, 1))
 
     def test_batch_schedule_of_a_huge_count_is_lazy(self):
-        # 10**12 trials would be a list of 1.6e10 sizes: the schedule and its
-        # largest batch take constant memory.  No oracle runs here.
+        # 10**12 trials would be a list of 1.6e10 sizes: the schedule takes
+        # constant memory.  No oracle runs here.
         tracemalloc.start()
         try:
-            largest, sizes = domination._batch_sizes(16, 10**12)
+            sizes = domination._batch_sizes(16, 10**12)
             head = list(itertools.islice(sizes, 3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert largest == 64 and head == [1, 64, 64] and peak < 10_000
+        assert head == [1, 64, 64] and peak < 10_000
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_formed_batches_share_no_memory(self, field):
+        # With a screen that declines every batch, past_the_cap's trials form
+        # batches of 1, cap and 9, and each yields a Y and targets of its own:
+        # no array of one batch is a view of, or shares a buffer with, another's.
+        rng = np.random.default_rng(34)
+        spec = JordanSpec(field, SIMILAR_EIGENS[field, 8])
+        prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)))
+        maps = _jordan_setup(prob, LYAPUNOV)
+        s_inv = oracle_congruence(prob, LYAPUNOV, maps.dtype)[1]
+        count, cap = past_the_cap(spec.dim)
+        batches = list(domination._cone_solutions(maps, count, 0, s_inv, lambda g: False))
+        assert [len(ys) for ys, _ in batches] == [1, cap, 9]
+        for k, batch in enumerate(batches):
+            for other in batches[k + 1:]:
+                assert not any(np.shares_memory(x, y) for x in batch for y in other)
 
     def test_consistent_for_dominator(self):
         prob = diag_problem([1.0, 2.0], [1.0, 0.5])
@@ -1170,8 +1200,8 @@ class TestOracle:
                                            for e in spec.eigens))
         dtypes = []
         screen, choi = domination.psd_screen, domination._choi_screen
-        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None:
-                            dtypes.append(stack.dtype) or screen(stack, tol, scratch))
+        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol:
+                            dtypes.append(stack.dtype) or screen(stack, tol))
         monkeypatch.setattr(domination, "_choi_screen", lambda setup, g, scale, tol:
                             dtypes.append(g.dtype) or choi(setup, g, scale, tol))
         refuted = 0
@@ -1257,12 +1287,12 @@ class TestOracle:
         outside = LyapunovProblem(spec, bumped(inside, random_element(rng, spec), 0.3))
         prob = just_past_the_boundary(outside, LYAPUNOV, inside)
         index, expect = per_trial_violation(prob, LYAPUNOV, 1000, 20)
-        sizes = domination._batch_sizes(spec.dim, 1000)[1]
+        sizes = domination._batch_sizes(spec.dim, 1000)
         assert list(itertools.islice(sizes, 2)) == [1, 256] and 64 < index < 1 + 256
         screens, reports = [], []
         real_screen, real_report = domination.psd_screen, domination.psd_report
-        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol, scratch=None:
-                            screens.append(len(stack)) or real_screen(stack, tol, scratch))
+        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol:
+                            screens.append(len(stack)) or real_screen(stack, tol))
         monkeypatch.setattr(domination, "psd_report",
                             lambda m, tol: reports.append(1) or real_report(m, tol))
         status, h = domination_oracle(prob, trials=1000, seed=20)
@@ -1282,7 +1312,7 @@ class TestOracle:
         # those of the oracle's work in A's basis alone.
         rng = np.random.default_rng(48 + n)
         prob = similar_dominator(rng, field, n, order)
-        batches = math.ceil(999 / domination._batch_sizes(n, 1000)[0])  # after the first trial
+        batches = len(list(domination._batch_sizes(n, 1000))) - 1  # after the first trial
         counts = counting_oracle(monkeypatch)
         assert domination_oracle(prob, trials=1000, seed=1, order=order) == ("consistent", None)
         assert counts == {"report": 1, "scale": 1, "choi": batches, "choi_passed": batches,
@@ -1329,7 +1359,7 @@ class TestOracle:
             count, cap = past_the_cap(prob.spec.dim)
             s, s_inv = (None, None) if congruence is None else congruence[:2]
             sizes = []
-            for (_, _, targets), want in zip(
+            for (_, targets), want in zip(
                     domination._cone_solutions(maps, count, k, s_inv),
                     setup_solutions(maps, prob, order, field, count, k, congruence), strict=True):
                 hs = domination._pull_back(maps, targets, s)
@@ -1356,7 +1386,7 @@ class TestOracle:
             b = build_bicomm_element(prob.spec, prob.element)
             count, _ = past_the_cap(prob.spec.dim)
             s_inv = None if congruence is None else congruence[1]
-            for (cones, _, targets), hs in zip(
+            for (cones, targets), hs in zip(
                     domination._cone_solutions(maps, count, k, s_inv),
                     setup_solutions(maps, prob, order, field, count, k, congruence), strict=True):
                 want = order.cone(hs, b)
@@ -1397,8 +1427,8 @@ class TestOracle:
         assert refuted >= 30
 
     def test_witness_owns_its_data(self):
-        # The witness is copied out of the oracle's workspace: a second call
-        # on the same setup leaves it as it was.
+        # The witness is an array of its own, not a view of its batch's
+        # targets: a second call on the same setup leaves it as it was.
         for prob, order in ((PICK_NOT_DOMINATED, LYAPUNOV), (STEIN_FLIP, STEIN)):
             setup = _jordan_setup(prob, order)
             status, h = domination_oracle(prob, trials=1000, seed=1, order=order, setup=setup)
@@ -1411,10 +1441,12 @@ class TestOracle:
                                       "stein-complex-8", "stein-complex-4"])
     def test_traced_peak_of_a_dominator(self, case):
         # All 1000 trials run.  Every batch after the first passes the Choi
-        # screen, so the (4, size, n, n) workspace is made for the single
-        # first trial only.  The bounds are the traced peaks (bytes) of these
-        # calls with that workspace, plus at most 25%: 241,390, 809,702,
-        # 170,602 and 277,691 (numpy 2.4).
+        # screen, so only the single first trial's arrays are formed.  The
+        # bounds are the traced peaks (bytes) of these calls when formed
+        # batches still wrote into a kept (4, size, n, n) workspace, plus at
+        # most 25%: 241,390, 809,702, 170,602 and 277,691.  With fresh arrays
+        # per formed batch they read 232,798, 801,406, 167,885 and 276,473
+        # (numpy 2.4).
         stein = {16: (EigenBlock(0.5 + 0.2j, (3, 2)), EigenBlock(-0.4 + 0.1j, (2, 1, 1)),
                       EigenBlock(0.3 - 0.5j, (4,)), EigenBlock(0.6j, (1, 1, 1))),
                  8: (EigenBlock(0.5 + 0.2j, (3, 2)), EigenBlock(-0.4 + 0.1j, (2, 1))),
@@ -1466,8 +1498,8 @@ def screened_batches(setup, prob, order, count, seed):
     congruence = oracle_congruence(prob, order, setup.dtype)
     rows = []
     s_inv = None if congruence is None else congruence[1]
-    for ys, _, _ in domination._cone_solutions(setup, count, seed, s_inv,
-                                               lambda g: rows.append(g.copy()) or False):
+    for ys, _ in domination._cone_solutions(setup, count, seed, s_inv,
+                                            lambda g: rows.append(g.copy()) or False):
         if len(ys) > 1:
             yield rows[-1], ys, congruence
 

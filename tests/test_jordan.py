@@ -248,6 +248,12 @@ class TestBicommBuild:
         with pytest.raises(ValueError):
             build_bicomm_element(spec, BicommElement(((1.0, 0.0), (2.0,))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_coeffs_rejected(self, bad):
+        spec = JordanSpec("real", (EigenBlock(1.0 + 0.5j, (2,)),))
+        with pytest.raises(ValueError, match="^eigenvalue 0: coefficients must be finite"):
+            build_bicomm_element(spec, BicommElement(((1.0, bad),)))
+
     def test_real_eigen_needs_real_coeffs(self):
         spec = JordanSpec("real", (EigenBlock(1.0, (2,)),))
         with pytest.raises(ValueError):
