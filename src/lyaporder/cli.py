@@ -10,7 +10,9 @@ Exit codes: 0 dominates, 1 does not dominate, 2 marginal (the deciding
 eigenvalue sits inside the tolerance band), 64 input error (hill's dense maps
 included, for n above HILL_MAX_DIM), 70 numerical error (a failed
 factorization, a matrix that should be Hermitian and is not, or a Hill
-representation whose greedy selection or ranks disagree with the Choi rank).
+representation from a selection that does not span, or rank(H) != rank(choi)).
+Only hill reads --tol-rank (the file's tolerances.rank_rel); check, verify and
+hill-pick ignore it, and the singular-P test of the Jordan data uses its default.
 Reports go to stdout (plain text, or one JSON object with --json);
 diagnostics to stderr.  All randomness is seeded, so identical inputs and
 flags give byte-identical output.

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jordan import JordanSpec, inner_blocks
-from .linalg import DEFAULT_TOLERANCES, Tolerances
+from .linalg import DEFAULT_TOLERANCES, Tolerances, rank_tol
 from .starmaps import StarLinearMap, is_star_linear
 
 __all__ = [
@@ -73,66 +73,26 @@ def matricization_blocks(m: StarLinearMap) -> np.ndarray:
     return m.matrix.reshape(n, n, q, q).transpose(0, 2, 1, 3)
 
 
-def _blocks_and_rank(m: StarLinearMap, tol: Tolerances) -> tuple[np.ndarray, float, int]:
-    """The blocks of a *-linear m (ValueError otherwise), then sigma_max and the rank of their
-    stack: a row and column permutation of the Choi matrix, so this one SVD is its rank."""
+def _blocks_and_rank(m: StarLinearMap, tol: Tolerances) -> tuple[np.ndarray, int]:
+    """The blocks of a *-linear m (ValueError otherwise) and the rank of their stack: a row
+    and column permutation of the Choi matrix, so this one SVD is its rank."""
     if not is_star_linear(m, tol):
         raise ValueError("Hill representations require a *-linear map")
     blocks, nq = matricization_blocks(m), m.out_dim * m.in_dim
-    svals = np.linalg.svd(blocks.reshape(nq, nq), compute_uv=False)
-    sigma_max = float(svals[0]) if svals.size else 0.0
-    return blocks, sigma_max, int(np.count_nonzero(svals > tol.rank_rel * sigma_max))
+    return blocks, rank_tol(blocks.reshape(nq, nq), tol)
 
 
-def _greedy_selection(blocks: np.ndarray, n: int, q: int, threshold: float):
-    """Row-major scan keeping each block whose residual (Gram-Schmidt) exceeds threshold."""
-    selection: list[tuple[int, int]] = []
-    ortho: list[np.ndarray] = []
-    for i in range(n):
-        for j in range(q):
-            r = blocks[i, j].flatten()
-            for u in ortho * 2:  # two passes for numerical orthogonality
-                r -= (u.conj() @ r) * u
-            norm = float(np.linalg.norm(r))
-            if norm > threshold:
-                selection.append((i, j))
-                ortho.append(r / norm)
-    return selection
-
-
-def _expansion_coefficients(blocks, selection, n, q, eq_rel, error=ValueError):
-    """Least-squares expansion of every block over the selected ones, pinned.
-
-    Returns alpha of shape (r, n*q) with column i*q+j holding the expansion of
-    block (i, j); the column of each selected position is forced to the
-    corresponding unit vector, which is always a valid expansion of itself.
-    A selection that does not span every block raises error.
-    """
-    r = len(selection)
-    basis = np.array([blocks[i, j].ravel() for (i, j) in selection]).T  # (nq, r)
-    targets = blocks.reshape(n * q, n * q).T                            # (nq, n*q)
-    if r == 0:
-        if float(np.abs(targets).max(initial=0.0)) > 0.0:
-            raise error("empty selection cannot span a nonzero map")
-        return np.zeros((0, n * q), dtype=np.complex128)
-    alpha, *_ = np.linalg.lstsq(basis, targets, rcond=None)
-    residual = basis @ alpha - targets
-    norms = np.linalg.norm(targets, axis=0)
-    bad = np.linalg.norm(residual, axis=0) > eq_rel * (1.0 + norms)
-    if np.any(bad):
-        flat = int(np.flatnonzero(bad)[0])
-        raise error(
-            f"selection does not span block ({flat // q}, {flat % q}) within tolerance"
-        )
-    for k, (i, j) in enumerate(selection):
-        alpha[:, i * q + j] = 0.0
-        alpha[k, i * q + j] = 1.0
-    return alpha
-
-
-def _factors_from_alpha(alpha, n, q):
-    # A_k[i, j] = conj(alpha_k for block (i, j)); columns are ordered i*q + j.
-    return [a.conj().reshape(n, q) for a in alpha]
+def _pivoted_selection(blocks: np.ndarray, rank: int) -> list[tuple[int, int]]:
+    """rank blocks by Gram-Schmidt, largest residual first, listed row-major."""
+    n, q = blocks.shape[:2]
+    residual, picked = blocks.reshape(n * q, -1).copy(), []
+    for _ in range(rank):
+        k = int(np.argmax(np.linalg.norm(residual, axis=1)))
+        u = residual[k] / np.linalg.norm(residual[k])
+        for _ in range(2):  # two passes for numerical orthogonality
+            residual -= np.outer(residual @ u.conj(), u)
+        picked.append(k)
+    return [divmod(k, q) for k in sorted(picked)]
 
 
 def hill_at_selection(blocks: np.ndarray, selection) -> np.ndarray:
@@ -145,56 +105,63 @@ def hill_at_selection(blocks: np.ndarray, selection) -> np.ndarray:
     return blocks[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
 
 
-def minimal_hill_from_blocks(m: StarLinearMap, tol: Tolerances | None = None) -> HillRep:
-    """Minimal Hill representation from a greedy independent block selection.
+def _hill(m: StarLinearMap, selection, tol: Tolerances | None, error) -> HillRep:
+    """Hill representation at a spanning block selection (None: a pivoted pick of rank(choi)).
 
-    One SVD gives the Choi rank and the greedy's threshold rank_rel * sigma_max
-    (_blocks_and_rank).  The greedy, scanning row-major, must keep exactly rank-many
-    blocks, and they must span every block: either failing is numerical and
-    raises numpy's LinAlgError (a map that is not *-linear raises ValueError).
-    Every block is expanded over the kept ones, and the Hill matrix is read
-    directly off the matricization entries at the selected positions:
-    H[k, l] is the (i_l, j_l) entry of the block at (i_k, j_k).
+    Every block is expanded over the selected ones by least squares, and the
+    column of each selected block is pinned to its unit vector; a block that
+    the selection does not span within eq_rel raises error.  The span test is
+    relative to min(1, largest block norm) + the block's norm, so it rejects
+    the same selections of c * m for every small c > 0.  With A_k[i, j] the
+    conjugate of block (i, j)'s k-th coefficient, H[k, l] = conj(blocks[s_l][s_k]),
+    which is blocks[s_k][s_l] for a *-linear map.
     """
     tol = tol or DEFAULT_TOLERANCES
-    blocks, sigma_max, rank = _blocks_and_rank(m, tol)
+    blocks, rank = _blocks_and_rank(m, tol)
     n, q = m.out_dim, m.in_dim
-    selection = _greedy_selection(blocks, n, q, tol.rank_rel * sigma_max)
-    if len(selection) != rank:
-        raise np.linalg.LinAlgError(f"greedy block selection keeps {len(selection)} blocks, "
-                                    f"the Choi rank is {rank}")
-    alpha = _expansion_coefficients(blocks, selection, n, q, tol.eq_rel, np.linalg.LinAlgError)
-    factors = _factors_from_alpha(alpha, n, q)
-    h = hill_at_selection(blocks, selection)
-    return HillRep(factors, h, tuple(selection), True, n, q, m.field, rank)
-
-
-def nonminimal_hill(
-    m: StarLinearMap, selection, tol: Tolerances | None = None
-) -> HillRep:
-    """Hill representation for an arbitrary spanning block selection.
-
-    The selection (distinct block positions, possibly with repeated values
-    and r > rank(choi)) must span all blocks of the matricization.  Expansion
-    coefficients are pinned so that each selected block expands as itself;
-    the resulting H is Hermitian with rank equal to the Choi rank, and the
-    map is completely positive iff H is PSD.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    blocks, _, rank = _blocks_and_rank(m, tol)
-    n, q = m.out_dim, m.in_dim
-    selection = [(int(i), int(j)) for i, j in selection]
-    for i, j in selection:
-        if not (0 <= i < n and 0 <= j < q):
-            raise ValueError(f"block index ({i}, {j}) outside the {n}x{q} grid")
-    if len(set(selection)) != len(selection):
-        raise ValueError("selection must not repeat block positions")
-    alpha = _expansion_coefficients(blocks, selection, n, q, tol.eq_rel)
-    factors = _factors_from_alpha(alpha, n, q)
-    # Pinned coefficients: H[k, l] = conj(blocks[s_l][s_k]), equal to
-    # blocks[s_k][s_l] for a *-linear map.
+    if selection is None:
+        selection = _pivoted_selection(blocks, rank)
+    stack = blocks.reshape(n * q, n * q)  # row i*q + j is block (i, j)
+    basis = stack[[i * q + j for i, j in selection]].T
+    alpha = np.linalg.lstsq(basis, stack.T, rcond=None)[0]
+    norms = np.linalg.norm(stack, axis=1)
+    bad = np.linalg.norm(basis @ alpha - stack.T, axis=0) > tol.eq_rel * (
+        min(1.0, norms.max(initial=0.0)) + norms)
+    if np.any(bad):
+        i, j = divmod(int(np.flatnonzero(bad)[0]), q)
+        raise error(f"selection does not span block ({i}, {j}) within tolerance")
+    for k, (i, j) in enumerate(selection):
+        alpha[:, i * q + j] = 0.0
+        alpha[k, i * q + j] = 1.0
+    factors = [a.conj().reshape(n, q) for a in alpha]
     h = hill_at_selection(blocks, selection).T.conj()
     return HillRep(factors, h, tuple(selection), len(selection) == rank, n, q, m.field, rank)
+
+
+def minimal_hill_from_blocks(m: StarLinearMap, tol: Tolerances | None = None) -> HillRep:
+    """Minimal Hill representation at a pivoted selection of rank(choi) blocks.
+
+    A selection that does not span every block is a numerical failure and
+    raises numpy's LinAlgError (a map that is not *-linear raises ValueError).
+    """
+    return _hill(m, None, tol, np.linalg.LinAlgError)
+
+
+def nonminimal_hill(m: StarLinearMap, selection, tol: Tolerances | None = None) -> HillRep:
+    """Hill representation for a caller's spanning block selection (ValueError otherwise).
+
+    The selection (distinct block positions, possibly with repeated values
+    and r > rank(choi)) must span all blocks of the matricization.  Pinned
+    expansion coefficients make H Hermitian with rank equal to the Choi rank,
+    and the map completely positive iff H is PSD.
+    """
+    selection = [(int(i), int(j)) for i, j in selection]
+    for i, j in selection:
+        if not (0 <= i < m.out_dim and 0 <= j < m.in_dim):
+            raise ValueError(f"block index ({i}, {j}) outside the {m.out_dim}x{m.in_dim} grid")
+    if len(set(selection)) != len(selection):
+        raise ValueError("selection must not repeat block positions")
+    return _hill(m, selection, tol, ValueError)
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,10 @@ import pytest
 
 from lyaporder import cli, domination
 from lyaporder.cli import run
+from lyaporder.hill import minimal_hill_from_blocks
 from lyaporder.linalg import NotHermitianError
 from lyaporder.problemfile import ProblemFileError, load_problem_file, parse_problem
+from reference import reconstruct_map
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(REPO, "problems")
@@ -361,21 +363,52 @@ class TestHillCommand:
         assert run(["hill", problem("pick_not_dominated.json"), "--map", "raw"]) == 64
 
     @pytest.mark.parametrize("name", [
-        # Diagonal A, n = 14, B = 1 + 0.5 A + 0.3 inv(A): the greedy block selection
-        # keeps 12 blocks where the Choi rank is 10.
+        # Diagonal A, n = 14, B = 1 + 0.5 A + 0.3 inv(A): a row-major block scan kept
+        # 12 blocks where the Choi rank is 10.
         "hill_diagonal_dominator_n14.json",
-        # Real Jordan A with a P, n = 4: H's smallest singular value is 6e-11 of its
-        # largest, so rank(H) = 3 where the Choi rank is 4.
+        # Real Jordan A with a P, n = 4: a row-major block scan gave an H whose smallest
+        # singular value is 6e-11 of its largest, so rank(H) = 3 where the Choi rank is 4.
         "hill_rank_mismatch_n4.json",
     ])
     def test_numerical_rank_failure_is_a_numerical_error(self, capsys, name):
-        code = run(["hill", "--json", os.path.join(DATA, name)])
-        assert code in (0, 70)
-        if code == 0:
-            doc = json.loads(capsys.readouterr().out)
-            assert doc["hill_rank"] == doc["choi_rank"] == doc["size"]
-        else:
-            assert capsys.readouterr().err.startswith("numerical error: ")
+        # The pivoted pick of rank(choi) blocks represents both; a failure would exit 70
+        # (tests/test_hill.py::TestMinimal::test_greedy_failures_are_numerical).
+        assert run(["hill", "--json", os.path.join(DATA, name)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["hill_rank"] == doc["choi_rank"] == doc["size"]
+
+    @pytest.mark.parametrize("index", range(7))
+    def test_pivoted_selection_represents_sweep_problems(self, tmp_path, capsys, index):
+        # Lyapunov problems of n = 8 and 10 (strict B, diagonal, Jordan, real-pair and
+        # real Jordan A, most with a P), drawn by perfbench/gen.py's make_doc from
+        # default_rng(11), on which a row-major block scan exited 70: its blocks did not
+        # span, or numbered other than rank(choi), or gave rank(H) != rank(choi).
+        with open(os.path.join(DATA, "hill_pivoted_sweep.json"), encoding="utf-8") as fh:
+            path = write(tmp_path, json.dumps(json.load(fh)[index]))
+        assert run(["hill", "--json", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["hill_rank"] == doc["choi_rank"] == doc["size"]
+        target = domination.lyapunov_order_map(load_problem_file(path).problem)
+        rep = minimal_hill_from_blocks(target)
+        assert [list(pair) for pair in rep.selection] == doc["selection"]
+        error = np.linalg.norm(reconstruct_map(rep).matrix - target.matrix)
+        assert error <= 1e-9 * np.linalg.norm(target.matrix)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-12])
+    def test_raw_selection_span_is_scale_free(self, tmp_path, capsys, scale):
+        # c times the Lyapunov map of diag(1, 2): block (0, 0) alone never spans it.
+        map_doc = {"matricization": (scale * np.diag([2.0, 3.0, 3.0, 4.0])).tolist(), "n": 2, "q": 2}
+        path = write(tmp_path, json.dumps({
+            "field": "complex",
+            "eigenvalues": [{"lambda": [1.0, 0.0], "sizes": [1]}],
+            "B": {"coeffs": [[[1.0, 0.0]]]},
+            "map": map_doc,
+        }))
+        assert run(["hill", "--map", "raw", "--selection", "0,0", path]) == 64
+        assert "does not span" in capsys.readouterr().err
+        assert run(["hill", "--map", "raw", "--json", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["selection"] == [[0, 0], [1, 1]] and doc["hill_rank"] == doc["choi_rank"] == 2
 
     def test_non_spanning_selection_is_an_input_error(self, capsys):
         assert run(["hill", problem("pick_not_dominated.json"), "--selection", "0,0;0,1"]) == 64

@@ -106,16 +106,40 @@ class TestMinimal:
 
     @pytest.mark.parametrize("selection", [[(0, 0)], [(0, 0), (0, 1)]])
     def test_greedy_failures_are_numerical(self, monkeypatch, selection):
-        # Choi rank 2, spanned by blocks (0, 0) and (1, 1).  A greedy selection of
-        # another size, or of rank-many blocks that do not span, raises LinAlgError;
-        # the same selection from a caller is a ValueError.
+        # Choi rank 2, spanned by blocks (0, 0) and (1, 1).  A pivoted selection that
+        # does not span (too few blocks, or rank-many of the wrong ones) raises
+        # LinAlgError; the same selection from a caller is a ValueError.
         la = matricization(LYAPUNOV, np.diag([1.0, 2.0]))
-        monkeypatch.setattr(hill, "_greedy_selection", lambda *args: list(selection))
+        monkeypatch.setattr(hill, "_pivoted_selection", lambda *args: list(selection))
         with pytest.raises(np.linalg.LinAlgError):
             minimal_hill_from_blocks(la)
         with pytest.raises(ValueError, match="span") as caller:
             nonminimal_hill(la, selection)
         assert not isinstance(caller.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-10, 1e-12])
+    def test_span_check_is_scale_free(self, scale):
+        # The span tolerance has no absolute floor: for the Lyapunov map of diag(1, 2)
+        # block (0, 0) alone leaves block (1, 1) unspanned at every scale.
+        la = matricization(LYAPUNOV, np.diag([1.0, 2.0]))
+        m = StarLinearMap(scale * la.matrix, 2, 2)
+        with pytest.raises(ValueError, match=r"does not span block \(1, 1\)"):
+            nonminimal_hill(m, [(0, 0)])
+        rep = minimal_hill_from_blocks(m)
+        assert rep.selection == ((0, 0), (1, 1))
+        assert np.linalg.norm(reconstruct_map(rep).matrix - m.matrix) <= 1e-12 * scale
+
+    def test_pivoted_selection_takes_largest_residual_first(self):
+        # Blocks (0, 0) = diag(1, 0), (0, 1) = diag(1, 1e-3), (1, 1) = diag(0, 1): rank 2.
+        # A row-major scan would keep (0, 0) and (0, 1), a pair of condition about 1e3;
+        # the pivoted pick keeps (0, 1), the largest, then (1, 1), whose residual is
+        # about 1 where that of (0, 0) is about 1e-3.
+        blocks = np.zeros((2, 2, 2, 2), dtype=complex)
+        blocks[0, 0] = np.diag([1.0, 0.0])
+        blocks[0, 1] = np.diag([1.0, 1e-3])
+        blocks[1, 1] = np.diag([0.0, 1.0])
+        assert hill._pivoted_selection(blocks, 2) == [(0, 1), (1, 1)]
+        assert hill._pivoted_selection(blocks, 1) == [(0, 1)]
 
     def test_rejects_non_star_linear(self):
         rng = np.random.default_rng(3)
