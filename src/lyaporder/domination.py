@@ -47,7 +47,6 @@ from .linalg import (
     Tolerances,
     kron,
     psd_report,
-    psd_screen,
 )
 from .starmaps import BlockSeparableMap, StarLinearMap, choi_matrix
 
@@ -479,7 +478,7 @@ def _apply_groups(groups, which: int, v: np.ndarray, out: np.ndarray) -> np.ndar
 
 def _cone_solutions(
     maps: _PairMaps, count: int, seed: int, s_inv: Optional[np.ndarray] = None,
-    screen: Optional[Callable[[np.ndarray], bool]] = None,
+    screen: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield batches (Y, targets): Y = Phi_J(g' g'*) for random g, g' = inv(S) g.
 
@@ -491,12 +490,14 @@ def _cone_solutions(
     everything else.  Each g becomes inv(S) g (a matvec; g itself when s_inv
     is None), and its g' g'* has L_B inv(L_A) applied block pair by block
     pair (maps.plan: one gather, a product or a stacked matmul per size
-    pair, one scatter).  A batch of two or more whose rows g' screen passes
-    is neither formed nor yielded.  Batches follow _batch_sizes, each one
-    draw from a single default_rng(seed) stream, in the order of per-trial
-    draws, so trial k sees the same g however the trials are grouped or
-    skipped.  Every array of a formed batch is made for it: nothing is kept
-    from one batch to the next.
+    pair, one scatter).  screen takes a batch's rows g' and returns one
+    bool per trial: of a batch of two or more, only the trials it declines
+    (False) are formed and yielded, in trial order, and nothing when it
+    passes them all.  Batches follow _batch_sizes, each one draw from a
+    single default_rng(seed) stream, in the order of per-trial draws, so
+    trial k sees the same g however the trials are grouped or skipped.
+    Every array of a formed batch is made for it: nothing is kept from one
+    batch to the next.
     """
     n, k = sum(maps.dims), 1 if maps.dtype == np.float64 else 2
     perm, perm_inverse, groups = maps.plan
@@ -505,11 +506,13 @@ def _cone_solutions(
         z = rng.standard_normal((size, k, n)).swapaxes(1, 2)  # z[i, j]: g[i, j], or its (Re, Im)
         g = np.ascontiguousarray(z).view(maps.dtype)[..., 0]
         g = g if s_inv is None else g @ s_inv.T  # rows inv(S) g
-        if size > 1 and screen is not None and screen(g):
+        if size > 1 and screen is not None:
+            g = g[~screen(g)]  # the trials that screen declines, in order
+        if not len(g):
             continue
-        targets = np.take((g[:, :, None] * g.conj()[:, None]).reshape(size, n * n), perm, axis=1)
+        targets = np.take((g[:, :, None] * g.conj()[:, None]).reshape(len(g), n * n), perm, axis=1)
         y = _apply_groups(groups, 1, targets, np.empty_like(targets))
-        y = np.take(y, perm_inverse, axis=1).reshape(size, n, n)
+        y = np.take(y, perm_inverse, axis=1).reshape(len(g), n, n)
         yield y, targets
 
 
@@ -527,8 +530,8 @@ def _pull_back(maps: _PairMaps, targets: np.ndarray, s: Optional[np.ndarray] = N
     return (h + h.conj().swapaxes(-1, -2)) * 0.5
 
 
-def _choi_screen(setup: _PairMaps, g: np.ndarray, scale, tol: Tolerances) -> bool:
-    """True only if psd_report would neither read "no" nor raise on any cone of the batch g.
+def _choi_screen(setup: _PairMaps, g: np.ndarray, scale, tol: Tolerances) -> np.ndarray:
+    """One bool per trial: True only if psd_report would neither read "no" nor raise on its cone.
 
     g holds a batch's rows g' = inv(S) g; its cones, not formed here, are
     fl(fl(S Y) S*) (fl(Y) without P) for Y = fl(Phi_J(g' g'*)) as formed by
@@ -544,26 +547,31 @@ def _choi_screen(setup: _PairMaps, g: np.ndarray, scale, tol: Tolerances) -> boo
         tau = |Re g'^T T conj(g')| - gt n m norm <= |tr Herm(V* C V)| (gt =
               sqrt(max d_I) gamma_{5n+12}), and f = max(lo tau / n - hi r - e, 0).
 
-    The batch passes when every trial meets (1) hi (m skew + 2 r) + 2 e <=
-    eq_rel (1 + f) / 2, (2) hi (m delta + r) + e <= b / 2 with b = psd_rel
-    (1 + f), and (3) hi (m norm + r) + e <= 2^499; psd_rel >= 8 n (n + 1)
-    eps.  Proof, by Ostrowski's theorem (S X S* has the eigenvalues of X,
-    each times a factor in [lo, hi]): V* Herm(C) V >= -m delta I, so the
-    cone's Hermitian part is >= -(hi (m delta + r) + e) I >= -b / 2 by (2).
-    Its max |lambda| >= lo |tr Herm(V* C V)| / n - hi r - e >= f, so
+    A trial passes when it meets (1) hi (m skew + 2 r) + 2 e <= eq_rel
+    (1 + f) / 2, (2) hi (m delta + r) + e <= b / 2 with b = psd_rel (1 + f),
+    and (3) hi (m norm + r) + e <= 2^499; psd_rel >= 8 n (n + 1) eps.
+    Proof, by Ostrowski's theorem (S X S* has the eigenvalues of X, each
+    times a factor in [lo, hi]): V* Herm(C) V >= -m delta I, so the cone's
+    Hermitian part is >= -(hi (m delta + r) + e) I >= -b / 2 by (2).  Its
+    max |lambda| >= lo |tr Herm(V* C V)| / n - hi r - e >= f, so
     psd_report's band, psd_rel (1 + max |lambda|), is at least b up to its
-    rounding; as in psd_screen, forming the Hermitian part and eigvalsh
-    move eigenvalues by under an eighth of it: no "no".  The cone's ||X -
-    X*||_F <= hi (m skew + 2 r) + 2 e and ||X||_F >= f, so (1) leaves a
-    factor 2 under psd_report's Hermitian limit: no NotHermitianError; (3)
-    bounds ||X||_F: no overflow, no LinAlgError.  A non-finite term fails
-    its comparison; without a certificate, or with psd_rel < 8 n (n + 1)
-    eps, the screen declines.  False proves nothing.
+    rounding.  psd_report rounds each entry of a + a* once, and eigvalsh
+    is backward stable: its eigenvalues are those of a matrix within about
+    n (n + 1) u ||H||_2 of H (Householder reduction, then QR; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 19).  As
+    psd_rel >= 8 n (n + 1) eps = 16 n (n + 1) u, the two move eigenvalues
+    by under an eighth of the band: no "no".  The cone's ||X - X*||_F <=
+    hi (m skew + 2 r) + 2 e and ||X||_F >= f, so (1) leaves a factor 2
+    under psd_report's Hermitian limit: no NotHermitianError; (3) bounds
+    ||X||_F: no overflow, no LinAlgError.  A non-finite term fails its
+    comparison.  Without a certificate, with a non-finite scale or with
+    psd_rel < 8 n (n + 1) eps, every trial is declined.  False proves
+    nothing.
     """
     n, (hi, lo, rho) = g.shape[-1], scale
     cert = setup.certificate if tol.psd_rel >= 8 * n * (n + 1) * np.finfo(np.float64).eps else None
     if cert is None or not math.isfinite(hi + lo + rho):
-        return False
+        return np.zeros(len(g), dtype=bool)
     delta, skew, norm, traces, blocks, (gamma_y, gamma_t) = cert
     r, e = gamma_y * norm, rho * norm * (1.0 + gamma_y)  # r and e per unit of m
     need = 2.0 * max((hi * (skew + 2.0 * r) + 2.0 * e) / tol.eq_rel,  # (1) and (2), over 1 + f
@@ -573,8 +581,7 @@ def _choi_screen(setup: _PairMaps, g: np.ndarray, scale, tol: Tolerances) -> boo
         m = (np.square(x) @ blocks).max(axis=1)
         f = lo / n * np.abs(((g @ traces).view(np.float64) * x).sum(axis=1)) - (
             hi * r + e + lo * gamma_t * norm) * m
-        return bool(np.all(m * need <= 1.0 + np.maximum(f, 0.0))
-                    and m.max() * (hi * (norm + r) + e) <= 2.0 ** 499)
+        return (m * need <= 1.0 + np.maximum(f, 0.0)) & (m * (hi * (norm + r) + e) <= 2.0 ** 499)
 
 
 def _congruence_scale(s: np.ndarray) -> tuple[float, float, float]:
@@ -619,21 +626,20 @@ def domination_oracle(
     S Y S*, with Y = Phi_J(W') the composite cone_B o cone_A^{-1} applied in
     A's Jordan basis to W' = g' g'*, g' = inv(S) g, in _cone_solutions'
     batches: one trial, then full batches.  Each trial is a congruence of
-    the support Choi matrix C, Phi_J(g' g'*) = V(g')* C V(g'), so a batch
-    of two or more is passed from its draws alone when _choi_screen (C's
-    certificate from setup and the congruence's scale, each made once, at
-    the first such batch) proves that psd_report would read no "no" and
-    raise nothing on its cones; no Y is formed for it.  The first trial
-    and a batch that screen declines have Y and then S Y S* formed, in
-    arrays of their own (two matmuls), then screened as they are
-    (psd_screen), and if that declines too, PSD-tested per trial, in order,
-    up to the first "no", so the first violation, its witness (_pull_back of
-    that trial's target, the one place inv(L_A) is applied) and any
-    NotHermitianError are those of a per-trial loop.  Without P, S = I and
-    Y is the cone.  Real-field trials run in float64 (setup.dtype); the
-    witness is complex128 either way.  setup is this order's _jordan_setup, built
-    (after the regularity check) when not given.  A must be regular for the
-    order, trials >= 1.
+    the support Choi matrix C, Phi_J(g' g'*) = V(g')* C V(g'), so a trial
+    of a batch of two or more is passed from its draw alone when
+    _choi_screen (C's certificate from setup and the congruence's scale,
+    each made once, at the first such batch) proves that psd_report would
+    read no "no" and raise nothing on its cone; no Y is formed for it.  The
+    first trial and each trial that screen declines have Y and then S Y S*
+    formed, in arrays of their own (two matmuls), and are PSD-tested, in
+    trial order, up to the first "no", so the first violation, its witness
+    (_pull_back of that trial's target, the one place inv(L_A) is applied)
+    and any NotHermitianError are those of a per-trial loop.  Without P,
+    S = I and Y is the cone.  Real-field trials run in float64
+    (setup.dtype); the witness is complex128 either way.  setup is this
+    order's _jordan_setup, built (after the regularity check) when not
+    given.  A must be regular for the order, trials >= 1.
     """
     _require_trials(trials)
     spec = prob.spec
@@ -649,8 +655,6 @@ def domination_oracle(
                               lambda g: _choi_screen(setup, g, scale(), prob.tol))
     for ys, targets in batches:
         cones = ys if s is None else s @ ys @ s.conj().T  # S Y S* in A's basis
-        if len(cones) > 1 and psd_screen(cones, prob.tol):
-            continue
         for k, cone in enumerate(cones):
             if psd_report(cone, prob.tol)[0] == "no":  # this trial's H, from its target
                 return "violation", _pull_back(setup, targets[k : k + 1], s)[0].astype(complex)

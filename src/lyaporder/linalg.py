@@ -1,7 +1,7 @@
 """Dense linear algebra helpers shared by the whole package.
 
-Everything operates on plain numpy arrays with complex128 entries, except
-that psd_screen keeps float64 stacks as they are; vectors are 1-D arrays.
+Everything operates on plain numpy arrays with complex128 entries; vectors
+are 1-D arrays.
 The vectorization convention is column stacking throughout, so vec of
 an m-by-n unit matrix with its 1 in position (l, k) is the standard basis
 vector of index (k-1)*m + l (1-based), and
@@ -12,9 +12,7 @@ Rank and positive-semidefiniteness tests are tolerance-aware.
 ``psd_report`` returns a three-way verdict ("yes" / "no" / "marginal") so
 callers can tell apart matrices whose smallest eigenvalue sits too close to
 zero to call either way; "marginal" means the minimum eigenvalue lies inside
-the ``psd_rel`` band around zero.  ``psd_screen`` proves with one batched
-Cholesky that ``psd_report`` would neither call a matrix of a stack "no"
-nor raise.
+the ``psd_rel`` band around zero.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ __all__ = [
     "frob",
     "rank_tol",
     "psd_report",
-    "psd_screen",
 ]
 
 
@@ -117,23 +114,19 @@ def rank_tol(m, tol: Tolerances | None = None) -> int:
 
 
 def _hermitian_parts(a: np.ndarray):
-    """a + a* and the Frobenius norms of a + a* and a - a*, per matrix of a stack.
+    """a + a* and the Frobenius norms of a + a* and a - a*, for a square matrix a.
 
-    Each norm is one sum of squares over a float view: a flat dot for a
-    single matrix, a stacked 1 x m by m x 1 matmul for a stack.  A
-    non-finite entry of a makes both norms non-finite, and so does overflow
-    of the squares; neither raises a RuntimeWarning.
+    Each norm is one flat dot over a float view.  A non-finite entry of a
+    makes both norms non-finite, and so does overflow of the squares;
+    neither raises a RuntimeWarning.
     """
-    d = a.swapaxes(-1, -2).copy()  # a copy, where a strided ufunc would take a buffer
+    d = a.T.copy()  # a copy, where a strided ufunc would take a buffer
     with np.errstate(invalid="ignore", over="ignore"):
         np.conjugate(d, out=d)
         h = np.add(a, d, order="C")  # C order, for the float views below
         np.subtract(a, d, out=d)
-        if a.ndim == 2:
-            x, y = h.view(np.float64).ravel(), d.view(np.float64).ravel()  # (re, im) pairs
-            return h, math.sqrt(np.dot(x, x)), math.sqrt(np.dot(y, y))
-        rows = [x.reshape(*x.shape[:-2], 1, -1).view(np.float64) for x in (h, d)]
-        return h, *(np.sqrt((x @ x.swapaxes(-1, -2))[..., 0, 0]) for x in rows)
+        x, y = h.view(np.float64).ravel(), d.view(np.float64).ravel()  # (re, im) pairs
+        return h, math.sqrt(np.dot(x, x)), math.sqrt(np.dot(y, y))
 
 
 def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
@@ -166,38 +159,3 @@ def psd_report(m, tol: Tolerances | None = None) -> tuple[str, float]:
     if lam_min <= band:
         return "marginal", lam_min
     return "yes", lam_min
-
-
-def psd_screen(stack, tol: Tolerances | None = None) -> bool:
-    """True only if psd_report would neither call a matrix of the stack "no" nor raise.
-
-    A batched Cholesky of each 2H + 2c I, H = (a + a*) / 2 the Hermitian part
-    and c = psd_rel * (1 + ||H||_F / sqrt(n)) / 2 at most half of
-    psd_report's band, proves lambda_min(H) > -band up to a backward error of
-    about n (n + 1) u ||H|| (Higham, Accuracy and Stability of Numerical
-    Algorithms, Thm 10.3).  So it declines when psd_rel < 8 n (n + 1) eps,
-    on a Hermitian deviation above half of psd_report's limit, and when a
-    norm is not finite (a non-finite entry, or squares that overflow).
-    False proves nothing.  Real stacks stay float64.  The passes: a + a*
-    and a - a* once each, into fresh arrays (the stack is not written), one
-    sum of squares for each of their norms over a float view, c added to
-    the diagonal in place, and the Cholesky.
-    """
-    tol = tol or DEFAULT_TOLERANCES
-    a = np.asarray(stack)
-    a = a if a.dtype == np.float64 else a.astype(np.complex128, copy=False)
-    n = a.shape[-1]
-    if tol.psd_rel < 8 * n * (n + 1) * np.finfo(np.float64).eps:
-        return False
-    h, h_norm, skew = _hermitian_parts(a)  # h = 2H
-    if not np.isfinite(h_norm + skew).all():
-        return False
-    if np.any(skew > tol.eq_rel * (1.0 + h_norm / 2.0) / 2.0):
-        return False
-    shift = tol.psd_rel * (1.0 + h_norm / (2.0 * np.sqrt(n)))  # 2c
-    h.reshape(-1, n * n)[:, :: n + 1] += shift.reshape(-1, 1)
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    return True

@@ -222,4 +222,6 @@ def load_problem_file(path, tol_override: Mapping[str, float] | None = None) -> 
         raise ProblemFileError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # json.load recurses once per level of nesting
+        raise ProblemFileError(f"{path}: JSON nested too deeply") from exc
     return parse_problem(doc, tol_override)

@@ -10,6 +10,7 @@ import pytest
 
 from lyaporder import cli, domination
 from lyaporder.cli import run
+from lyaporder.jordan import MAX_BLOCK_SIZE
 from lyaporder.hill import minimal_hill_from_blocks
 from lyaporder.linalg import NotHermitianError
 from lyaporder.problemfile import ProblemFileError, load_problem_file, parse_problem
@@ -22,6 +23,48 @@ DATA = os.path.join(REPO, "tests", "data")
 
 def problem(name):
     return os.path.join(PROBLEMS, name)
+
+
+BASE = {"field": "complex", "eigenvalues": [{"lambda": [1.0, 0.0], "sizes": [1]}],
+        "B": {"coeffs": [[1.0]]}}  # a valid 1 x 1 problem
+
+REJECTED = [  # (JSON path, part of the message, document): one per rejection branch
+    pytest.param("top level", "expected a JSON object", [BASE], id="not-an-object"),
+    pytest.param("field", "must be", {**BASE, "field": "quaternion"}, id="field"),
+    pytest.param("eigenvalues", "nonempty array", {**BASE, "eigenvalues": []}, id="no-eigenvalues"),
+    pytest.param("eigenvalues[0]", "expected an object", {**BASE, "eigenvalues": [5]},
+                 id="eigenvalue-not-an-object"),
+    pytest.param("eigenvalues[0]", "unknown keys ['size']",
+                 {**BASE, "eigenvalues": [{"lambda": 1.0, "sizes": [1], "size": 1}]},
+                 id="eigenvalue-unknown-key"),
+    pytest.param("eigenvalues[0].lambda", "expected a number or an [re, im] pair",
+                 {**BASE, "eigenvalues": [{"lambda": "1", "sizes": [1]}]}, id="lambda"),
+    pytest.param("eigenvalues[0].sizes", "nonempty array of positive integers",
+                 {**BASE, "eigenvalues": [{"lambda": 1.0, "sizes": 1}]}, id="sizes"),
+    pytest.param("eigenvalues[0].sizes[0]", "expected a positive integer",
+                 {**BASE, "eigenvalues": [{"lambda": 1.0, "sizes": [0]}]}, id="size"),
+    pytest.param("eigenvalues[0]", f"block sizes above {MAX_BLOCK_SIZE} are not supported",
+                 {**BASE, "eigenvalues": [{"lambda": 1.0, "sizes": [MAX_BLOCK_SIZE + 1]}]},
+                 id="block-size-cap"),
+    pytest.param("P", "expected a nested array of rows", {**BASE, "P": 1.0}, id="P"),
+    pytest.param("P[1]", "row has 1 entries, expected 2", {**BASE, "P": [[1.0, 0.0], [0.0]]},
+                 id="P-ragged"),
+    pytest.param("jordan data", "similarity must be 1x1, got (2, 2)",
+                 {**BASE, "P": [[1.0, 0.0], [0.0, 1.0]]}, id="similarity-shape"),
+    pytest.param("tolerances", "expected an object", {**BASE, "tolerances": 1e-9},
+                 id="tolerances"),
+    pytest.param("B", "expected exactly one of", {**BASE, "B": {"coeffs": [[1.0]], "matrix": [[1.0]]}},
+                 id="B"),
+    pytest.param("B.matrix", "real field requires real entries",
+                 {**BASE, "field": "real", "B": {"matrix": [[[1.0, 0.5]]]}}, id="B-matrix-field"),
+    pytest.param("B.coeffs[0]", "expected an array of scalars", {**BASE, "B": {"coeffs": [1.0]}},
+                 id="B-coeffs-row"),
+    pytest.param("seed", "expected a nonnegative integer", {**BASE, "seed": -1}, id="seed"),
+    pytest.param("map", "expected {", {**BASE, "map": {"matricization": [[1.0]]}}, id="map"),
+    pytest.param("map", "matricization must be 4x4, got (1, 1)",
+                 {**BASE, "map": {"matricization": [[1.0]], "n": 2, "q": 2}},
+                 id="matricization-shape"),
+]
 
 
 def write(tmp_path, text, name="problem.json"):
@@ -229,6 +272,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {where}: expected ")
 
+    @pytest.mark.parametrize("where, message, doc", REJECTED)
+    def test_rejected_document_is_an_input_error(self, tmp_path, capsys, where, message, doc):
+        assert run(["check", write(tmp_path, json.dumps(doc))]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {where}: ") and message in captured.err
+
+    def test_deeply_nested_file_is_an_input_error(self, tmp_path, capsys):
+        # json.load recurses once per level of nesting: a deep array used to
+        # raise RecursionError, a traceback and exit 1, the not_dominates code.
+        doc = json.dumps({**BASE, "eigenvalues": [{"lambda": "@", "sizes": [1]}]})
+        path = write(tmp_path, doc.replace('"@"', "[" * 100_000 + "1" + "]" * 100_000))
+        assert run(["check", path]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: JSON nested too deeply\n"
+
     @pytest.mark.parametrize("command", ["check", "hill-pick", "hill", "verify"])
     def test_negative_precision_rejected(self, command, capsys):
         assert run([command, problem("pick_not_dominated.json"), "--precision", "-1"]) == 64
@@ -298,6 +358,17 @@ class TestHillPickCommand:
     def test_real_field(self, capsys):
         assert run(["hill-pick", problem("real_pair_matrix.json")]) == 0
         assert "field real" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["jordan_block_dominator.json", "real_pair_matrix.json"])
+    def test_json_matches_hill_pick_matrix(self, capsys, name):
+        assert run(["hill-pick", "--json", problem(name)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        hp = domination.hill_pick_matrix(load_problem_file(problem(name)).problem)
+        matrix = np.array(doc["hill_pick"]["matrix"])
+        np.testing.assert_array_equal(matrix[..., 0] + 1j * matrix[..., 1], hp.matrix)
+        assert doc["hill_pick"]["upsilon"] == [list(pair) for pair in hp.upsilon]
+        assert doc["hill_pick"]["block_offsets"] == list(hp.block_offsets)
+        assert doc["field"] == hp.field and len(doc["block_sizes"]) == len(doc["eigenvalues"])
 
 
 class TestHillCommand:
@@ -409,6 +480,27 @@ class TestHillCommand:
         assert run(["hill", "--map", "raw", "--json", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["selection"] == [[0, 0], [1, 1]] and doc["hill_rank"] == doc["choi_rank"] == 2
+
+    @pytest.mark.parametrize("selection, message", [
+        (" ; ", "--selection: no block indices given"),
+        ("0,0;0,0,1", "--selection: cannot parse pair '0,0,1'"),
+        ("0,0;1,x", "--selection: cannot parse pair '1,x'"),
+        ("0,0;2,1", "block index (2, 1) outside the 2x2 grid"),
+    ])
+    def test_malformed_selection_is_an_input_error(self, capsys, selection, message):
+        assert run(["hill", problem("pick_not_dominated.json"), "--selection", selection]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_rank_mismatch_is_a_numerical_error(self, monkeypatch, capsys):
+        # rank(H) = rank(choi) for every spanning selection in exact arithmetic;
+        # a disagreement is reported, not printed as a representation.
+        rank = cli.rank_tol
+        monkeypatch.setattr(cli, "rank_tol", lambda m, tol: rank(m, tol) - 1)
+        assert run(["hill", problem("pick_not_dominated.json")]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical error: rank(H) = 1 disagrees with rank(choi) = 2\n"
 
     def test_non_spanning_selection_is_an_input_error(self, capsys):
         assert run(["hill", problem("pick_not_dominated.json"), "--selection", "0,0;0,1"]) == 64

@@ -175,7 +175,7 @@ def faulty_maps(fault):
     The first trial sees the maps as they are.  Every later batch, and the
     support Choi matrix that the Choi screen certifies (built at the first
     batch of two or more when the oracle is called without _decide), see
-    the fault, so it reaches both screens and psd_report.
+    the fault, so it reaches the screen and psd_report.
     """
     real = domination._cone_solutions
 
@@ -266,26 +266,27 @@ def with_condition(rng, prob, cond):
 
 
 def counting_oracle(monkeypatch, decline_choi=False):
-    """Counts of the oracle's psd_report calls and of its screens.
+    """Counts of the oracle's psd_report calls and of its Choi screens.
 
     Returns a dict, updated as calls happen: "report", "scale" (calls of
-    _congruence_scale), "choi" and "choi_passed" (Choi screens, from the
-    draws alone) and "own" and "own_passed" (psd_screen on formed cones, in
-    A's basis).  With decline_choi the Choi screens decline without
-    running: the oracle then does its work in A's basis alone, one screen
-    per batch and per-trial tests after a decline.
+    _congruence_scale), "choi" (Choi screens, one per batch of two or more,
+    from the draws alone), and "choi_trials" and "choi_passed" (the trials
+    they see and pass).  With decline_choi the Choi screens decline every
+    trial without running: the oracle then tests every trial by psd_report.
     """
-    counts = dict.fromkeys(("report", "scale", "choi", "choi_passed", "own", "own_passed"), 0)
-    report, screen, choi = domination.psd_report, domination.psd_screen, domination._choi_screen
+    counts = dict.fromkeys(("report", "scale", "choi", "choi_trials", "choi_passed"), 0)
+    report, choi = domination.psd_report, domination._choi_screen
     scale = domination._congruence_scale
 
     def counting_report(m, tol):
         counts["report"] += 1
         return report(m, tol)
 
-    def counting(kind, passed):
-        counts[kind] += 1
-        counts[kind + "_passed"] += passed
+    def counting_choi(setup, g, sc, tol):
+        passed = decline(g) if decline_choi else choi(setup, g, sc, tol)
+        counts["choi"] += 1
+        counts["choi_trials"] += len(passed)
+        counts["choi_passed"] += int(passed.sum())
         return passed
 
     def counting_scale(s):
@@ -293,18 +294,36 @@ def counting_oracle(monkeypatch, decline_choi=False):
         return scale(s)
 
     monkeypatch.setattr(domination, "psd_report", counting_report)
-    monkeypatch.setattr(domination, "psd_screen", lambda stack, tol:
-                        counting("own", screen(stack, tol)))
-    monkeypatch.setattr(domination, "_choi_screen", lambda setup, g, sc, tol:
-                        counting("choi", not decline_choi and choi(setup, g, sc, tol)))
+    monkeypatch.setattr(domination, "_choi_screen", counting_choi)
     monkeypatch.setattr(domination, "_congruence_scale", counting_scale)
     return counts
 
 
-def no_screens(monkeypatch):
-    """Make both of the oracle's screens decline every batch."""
-    monkeypatch.setattr(domination, "psd_screen", lambda stack, tol: False)
-    monkeypatch.setattr(domination, "_choi_screen", lambda setup, g, scale, tol: False)
+def decline(g):
+    """A screen's verdict that declines every trial of the batch g."""
+    return np.zeros(len(g), dtype=bool)
+
+
+def no_screen(monkeypatch):
+    """Make the oracle's Choi screen decline every trial."""
+    monkeypatch.setattr(domination, "_choi_screen", lambda setup, g, scale, tol: decline(g))
+
+
+def patterned_screen(passes):
+    """A screen that passes trial k, numbered over the whole call, exactly when passes(k).
+
+    It numbers the trials of each batch it sees from 1, the first trial
+    (never screened) being trial 0.
+    """
+    start = 1
+
+    def screen(g):
+        nonlocal start
+        k = np.arange(start, start + len(g))
+        start += len(g)
+        return passes(k)
+
+    return screen
 
 
 def deciding_reads(prob, order):
@@ -1091,7 +1110,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_formed_batches_share_no_memory(self, field):
-        # With a screen that declines every batch, past_the_cap's trials form
+        # With a screen that declines every trial, past_the_cap's trials form
         # batches of 1, cap and 9, and each yields a Y and targets of its own:
         # no array of one batch is a view of, or shares a buffer with, another's.
         rng = np.random.default_rng(34)
@@ -1100,7 +1119,7 @@ class TestOracle:
         maps = _jordan_setup(prob, LYAPUNOV)
         s_inv = oracle_congruence(prob, LYAPUNOV, maps.dtype)[1]
         count, cap = past_the_cap(spec.dim)
-        batches = list(domination._cone_solutions(maps, count, 0, s_inv, lambda g: False))
+        batches = list(domination._cone_solutions(maps, count, 0, s_inv, decline))
         assert [len(ys) for ys, _ in batches] == [1, cap, 9]
         for k, batch in enumerate(batches):
             for other in batches[k + 1:]:
@@ -1133,14 +1152,15 @@ class TestOracle:
     @pytest.mark.parametrize("order", [LYAPUNOV, STEIN], ids=["lyapunov", "stein"])
     def test_every_trial_matches_per_trial_loop(self, monkeypatch, order, field):
         # With every PSD test passing, all trials run: one, a full batch and
-        # 9 more (past_the_cap), so the batch cap is crossed.  Both batch
-        # screens are made to fail, so every cone reaches psd_report.
+        # 9 more (past_the_cap), so the batch cap is crossed.  The Choi
+        # screen is made to decline every trial, so every cone reaches
+        # psd_report.
         rng = np.random.default_rng(31)
         spec = random_jordan_spec(rng, field=field, max_dim=6)
         prob = with_similarity(rng, LyapunovProblem(spec, random_element(rng, spec)), order)
         count, _ = past_the_cap(spec.dim)
         tested = []
-        no_screens(monkeypatch)
+        no_screen(monkeypatch)
         monkeypatch.setattr(domination, "psd_report",
                             lambda m, tol: tested.append(m.copy()) or ("yes", 1.0))
         assert domination_oracle(prob, trials=count, seed=6, order=order) == ("consistent", None)
@@ -1154,9 +1174,8 @@ class TestOracle:
         # After the first trial, the composite's off-diagonal map is skewed:
         # the support Choi matrix C and every later cone deviate from
         # Hermitian beyond eq_rel, while their Hermitian parts stay positive
-        # definite.  So only the screens' Hermitian checks (C - C* in the
-        # Choi screen, the cones' own in psd_screen) send the batch on to
-        # psd_report.
+        # definite.  So only the Choi screen's Hermitian check (of C - C*)
+        # sends the trials on to psd_report, which raises on the first.
         def skew(maps):
             maps[0, 1] *= 1.0 + 1e-6
 
@@ -1183,25 +1202,26 @@ class TestOracle:
         error = (np.linalg.LinAlgError, "PSD test: non-finite entries in the matrix or a + a*")
         assert outcome() == error
         assert any(np.isnan(m).any() for m in seen)
-        no_screens(monkeypatch)
+        no_screen(monkeypatch)
         assert outcome() == error
 
     @pytest.mark.parametrize("similar", [False, True], ids=["jordan", "similar"])
     @pytest.mark.parametrize("order", [LYAPUNOV, STEIN], ids=["lyapunov", "stein"])
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_trials_run_in_the_problem_field(self, monkeypatch, field, order, similar):
-        # Both screens see float64 draws and stacks on real-field problems
-        # and complex128 ones otherwise; witnesses are complex128 and match
-        # the per-trial reference, which works in complex128 throughout.
+        # The Choi screen sees float64 draws, and psd_report float64 cones,
+        # on real-field problems and complex128 ones otherwise; witnesses
+        # are complex128 and match the per-trial reference, which works in
+        # complex128 throughout.
         rng = np.random.default_rng(32)
         spec = random_jordan_spec(rng, field=field, max_dim=6)
         if order is STEIN:  # the Stein tests keep the spectrum inside the unit disk
             spec = JordanSpec(field, tuple(EigenBlock(e.eigenvalue / 3.0, e.sizes)
                                            for e in spec.eigens))
         dtypes = []
-        screen, choi = domination.psd_screen, domination._choi_screen
-        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol:
-                            dtypes.append(stack.dtype) or screen(stack, tol))
+        report, choi = domination.psd_report, domination._choi_screen
+        monkeypatch.setattr(domination, "psd_report", lambda m, tol:
+                            dtypes.append(m.dtype) or report(m, tol))
         monkeypatch.setattr(domination, "_choi_screen", lambda setup, g, scale, tol:
                             dtypes.append(g.dtype) or choi(setup, g, scale, tol))
         refuted = 0
@@ -1278,9 +1298,9 @@ class TestOracle:
     def test_late_refutation_inside_a_full_batch(self, monkeypatch):
         # n = 8 runs one trial, then batches of 256.  This non-dominator, just
         # past the boundary, is first refuted at trial 174, inside the first
-        # full batch: the screen declines that batch once, and psd_report
-        # tests trial 0 and then trials 1..174 of the batch, none after the
-        # first "no".
+        # full batch: its C has no certificate, the Choi screen declines each
+        # trial of that batch, and psd_report tests trial 0 and then trials
+        # 1..174 of the batch, none after the first "no".
         spec = JordanSpec("complex", (EigenBlock(1 + 0.5j, (3, 2)), EigenBlock(2 - 0.3j, (2, 1))))
         rng = np.random.default_rng(108)
         inside = rational_dominator(rng, spec)
@@ -1290,16 +1310,61 @@ class TestOracle:
         sizes = domination._batch_sizes(spec.dim, 1000)
         assert list(itertools.islice(sizes, 2)) == [1, 256] and 64 < index < 1 + 256
         screens, reports = [], []
-        real_screen, real_report = domination.psd_screen, domination.psd_report
-        monkeypatch.setattr(domination, "psd_screen", lambda stack, tol:
-                            screens.append(len(stack)) or real_screen(stack, tol))
+        real_screen, real_report = domination._choi_screen, domination.psd_report
+        monkeypatch.setattr(domination, "_choi_screen", lambda setup, g, scale, tol:
+                            screens.append(real_screen(setup, g, scale, tol)) or screens[-1])
         monkeypatch.setattr(domination, "psd_report",
                             lambda m, tol: reports.append(1) or real_report(m, tol))
         status, h = domination_oracle(prob, trials=1000, seed=20)
         assert status == "violation"
         np.testing.assert_allclose(h, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
-        assert screens == [256]
+        assert [len(passed) for passed in screens] == [256] and not screens[0].any()
         assert len(reports) == 1 + (index - 1 + 1)  # trial 0, then the batch from its start
+
+    @pytest.mark.parametrize("similar", [False, True], ids=["jordan", "similar"])
+    def test_only_the_declined_trials_are_formed(self, monkeypatch, similar):
+        # A screen that passes every third trial before the first violation
+        # (sound: the per-trial loop reads no "no" there) and declines the
+        # rest.  _cone_solutions forms exactly the declined trials, in trial
+        # order, each with the targets and Y it has when its whole batch is
+        # formed, and the oracle's status, witness and psd_report count are
+        # those of a per-trial loop over them.
+        spec = JordanSpec("complex", (EigenBlock(1 + 0.5j, (3, 2)), EigenBlock(2 - 0.3j, (2, 1))))
+        rng = np.random.default_rng(108)
+        inside = rational_dominator(rng, spec)
+        outside = LyapunovProblem(spec, bumped(inside, random_element(rng, spec), 0.3))
+        prob = just_past_the_boundary(outside, LYAPUNOV, inside)
+        if similar:
+            prob = with_similarity(np.random.default_rng(3), prob)
+        index, expect = per_trial_violation(prob, LYAPUNOV, 1000, 20)
+        assert index == (28 if similar else 174)  # inside the first full batch
+        maps = _jordan_setup(prob, LYAPUNOV)
+        s_inv = None if not similar else oracle_congruence(prob, LYAPUNOV, maps.dtype)[1]
+
+        def passes(k):
+            return (k % 3 == 1) & (k < index)
+
+        def stacked(screen):
+            batches = list(domination._cone_solutions(maps, 1000, 20, s_inv, screen))
+            return [len(ys) for ys, _ in batches], *(np.concatenate(x) for x in zip(*batches))
+
+        _, all_ys, all_targets = stacked(decline)
+        sizes, ys, targets = stacked(patterned_screen(passes))
+        trials = np.arange(1000)
+        formed = np.flatnonzero(~passes(trials))
+        starts = np.cumsum([0] + list(domination._batch_sizes(spec.dim, 1000)))
+        assert sizes == [np.count_nonzero(~passes(trials[a:b])) for a, b in zip(starts, starts[1:])]
+        np.testing.assert_array_equal(targets, all_targets[formed])
+        np.testing.assert_allclose(ys, all_ys[formed], rtol=0, atol=1e-14 * np.abs(all_ys).max())
+        reports, real_report = [], domination.psd_report
+        monkeypatch.setattr(domination, "psd_report",
+                            lambda m, tol: reports.append(1) or real_report(m, tol))
+        screen = patterned_screen(passes)
+        monkeypatch.setattr(domination, "_choi_screen", lambda setup, g, scale, tol: screen(g))
+        status, h = domination_oracle(prob, trials=1000, seed=20)
+        assert status == "violation"
+        np.testing.assert_allclose(h, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+        assert len(reports) == np.count_nonzero(formed <= index)
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("order", [LYAPUNOV, STEIN], ids=["lyapunov", "stein"])
@@ -1307,16 +1372,17 @@ class TestOracle:
     def test_dominator_with_a_similarity_is_screened_in_the_jordan_basis(
             self, monkeypatch, field, order, n):
         # One psd_report (the single first trial), one Choi screen per batch
-        # of two or more, all passing, and one scale per call.  With cond(P)
-        # = 1e6 the Choi screens decline, and the counts in A's basis equal
-        # those of the oracle's work in A's basis alone.
+        # of two or more, passing all its trials, and one scale per call.
+        # With cond(P) = 1e6 the Choi screens decline every trial, and the
+        # outcome and counts equal those of screens that decline without
+        # running: psd_report tests every trial.
         rng = np.random.default_rng(48 + n)
         prob = similar_dominator(rng, field, n, order)
         batches = len(list(domination._batch_sizes(n, 1000))) - 1  # after the first trial
         counts = counting_oracle(monkeypatch)
         assert domination_oracle(prob, trials=1000, seed=1, order=order) == ("consistent", None)
-        assert counts == {"report": 1, "scale": 1, "choi": batches, "choi_passed": batches,
-                          "own": 0, "own_passed": 0}
+        assert counts == {"report": 1, "scale": 1, "choi": batches, "choi_trials": 999,
+                          "choi_passed": 999}
         ill = with_condition(rng, prob, 1e6)
         outcomes = []
         for decline_choi in (True, False):
@@ -1327,8 +1393,9 @@ class TestOracle:
                 outcomes.append(type(exc))
             outcomes.append({k: v for k, v in counts.items() if not k.startswith("choi")})
         assert outcomes[0:2] == outcomes[2:4]
-        assert outcomes[0] == "consistent" and outcomes[1]["report"] == 1
-        assert counts["choi"] == counts["own"] == batches and counts["choi_passed"] == 0
+        assert outcomes[0] == "consistent" and outcomes[1]["report"] == 1000
+        assert counts["choi"] == batches and counts["choi_trials"] == 999
+        assert counts["choi_passed"] == 0
 
     def test_no_scale_for_a_refutation_at_trial_zero(self, monkeypatch):
         # The scale (an eigvalsh of S* S) and the Choi matrix's certificate
@@ -1340,7 +1407,7 @@ class TestOracle:
         counts = counting_oracle(monkeypatch)
         report = check_domination(prob, oracle_trials=1000, seed=0)
         assert report.oracle_status == "violation"
-        assert counts["scale"] == counts["choi"] == counts["own"] == 0
+        assert counts["scale"] == counts["choi"] == counts["choi_trials"] == 0
         assert counts["report"] == 3  # Hill-Pick, Choi, trial 0
         setup = _jordan_setup(prob, LYAPUNOV)
         assert domination_oracle(prob, seed=0, setup=setup)[0] == "violation"
@@ -1492,14 +1559,14 @@ class TestOracle:
 def screened_batches(setup, prob, order, count, seed):
     """(g', Y, congruence) for each of the oracle's batches of two or more, all formed.
 
-    The screen hook keeps each batch's rows g' = inv(S) g and declines, so
-    _cone_solutions forms Y = Phi_J(g' g'*) for every batch.
+    The screen hook keeps each batch's rows g' = inv(S) g and declines
+    every trial, so _cone_solutions forms Y = Phi_J(g' g'*) for all of them.
     """
     congruence = oracle_congruence(prob, order, setup.dtype)
     rows = []
     s_inv = None if congruence is None else congruence[1]
     for ys, _ in domination._cone_solutions(setup, count, seed, s_inv,
-                                            lambda g: rows.append(g.copy()) or False):
+                                            lambda g: rows.append(g.copy()) or decline(g)):
         if len(ys) > 1:
             yield rows[-1], ys, congruence
 
@@ -1571,9 +1638,10 @@ class TestChoiScreen:
     def screened_verdicts(order, prob, setup, seed):
         """(passed, tried, refuted): the Choi screen on each batch of two or more.
 
-        Every batch it passes has its cones formed as the oracle forms them
-        and tested by psd_report, which must neither read "no" nor raise.
-        refuted counts the batches holding a cone that reads "no".
+        Every trial's cone is formed as the oracle forms it and tested by
+        psd_report, which must neither read "no" nor raise where the screen
+        passes the trial.  passed counts the batches whose every trial
+        passes, refuted the batches holding a cone that reads "no".
         """
         def verdict(cone, strict):
             try:
@@ -1588,20 +1656,21 @@ class TestChoiScreen:
             scale = (1.0, 1.0, 0.0) if congruence is None else (
                 domination._congruence_scale(congruence[0]))
             ok = domination._choi_screen(setup, g, scale, prob.tol)
+            assert ok.shape == (len(g),) and ok.dtype == bool
             cones = ys if congruence is None else np.matmul(
                 np.matmul(congruence[0], ys), congruence[2])
-            verdicts = [verdict(cone, ok) for cone in cones]
-            assert not (ok and "no" in verdicts)
-            passed, tried, refuted = passed + ok, tried + 1, refuted + ("no" in verdicts)
+            verdicts = [verdict(cone, passes) for cone, passes in zip(cones, ok)]
+            assert not any(passes and v == "no" for passes, v in zip(ok, verdicts))
+            passed, tried, refuted = passed + ok.all(), tried + 1, refuted + ("no" in verdicts)
         return passed, tried, refuted
 
     def test_passes_only_what_psd_report_accepts(self):
-        # Wherever the Choi screen passes a batch, psd_report on each of its
-        # cones neither reads "no" nor raises (boundary_population: C
-        # singular or barely indefinite, and congruences up to cond(P)^2 =
-        # 1e12).  It passes most batches without P and declines every batch
+        # Wherever the Choi screen passes a trial, psd_report on its cone
+        # neither reads "no" nor raises (boundary_population: C singular or
+        # barely indefinite, and congruences up to cond(P)^2 = 1e12).  It
+        # passes every trial of most batches without P, and of no batch
         # under cond(P) = 1e6, where the band is far below Cholesky's
-        # backward error times cond(P)^2.
+        # backward error times cond(P)^2 for all but a few trials.
         counts = {"plain": [0, 0], "ill": [0, 0]}
         for k, (order, prob) in enumerate(boundary_population()):
             passed, tried, _ = self.screened_verdicts(order, prob, _jordan_setup(prob, order), k)
@@ -1619,7 +1688,7 @@ class TestChoiScreen:
         # bumped problems, under P of condition 10 and 100 that makes the
         # congruence large (sigma_min(S)^2 >= 1e4), so m delta is small and
         # only the factor hi in hi m delta keeps their amplified negative
-        # directions out.  The screen still passes no batch holding a "no",
+        # directions out.  The screen still passes no trial that reads "no",
         # and a quarter of these batches hold one.
         rng = np.random.default_rng(52)
         refuted = tried = 0
@@ -1643,25 +1712,27 @@ class TestChoiScreen:
 
     def test_declines_a_non_finite_scale(self):
         # The scale enters every term of the screen: a NaN or an infinity
-        # in any of (hi, lo, rho) declines a batch that a finite scale passes.
+        # in any of (hi, lo, rho) declines every trial of a batch that a
+        # finite scale passes.
         setup = _jordan_setup(B_IS_IDENTITY, LYAPUNOV)
         g = np.random.default_rng(47).standard_normal((16, 2)) + 0j
         tol = B_IS_IDENTITY.tol
-        assert domination._choi_screen(setup, g, (1.0, 1.0, 0.0), tol)
-        assert domination._choi_screen(setup, g, (2.0, 0.5, 1e-14), tol)
+        assert domination._choi_screen(setup, g, (1.0, 1.0, 0.0), tol).all()
+        assert domination._choi_screen(setup, g, (2.0, 0.5, 1e-14), tol).all()
         for bad in (np.nan, np.inf):
             for k in range(3):
                 scale = [2.0, 0.5, 1e-14]
                 scale[k] = bad
-                assert not domination._choi_screen(setup, g, tuple(scale), tol)
+                assert not domination._choi_screen(setup, g, tuple(scale), tol).any()
 
     def test_declines_without_a_certificate(self):
         # A non-dominator's C is indefinite beyond any rounding: its Cholesky
-        # fails, there is no certificate, and no batch passes.
+        # fails, there is no certificate, and no trial passes.
         setup = _jordan_setup(PICK_NOT_DOMINATED, LYAPUNOV)
         g = np.random.default_rng(48).standard_normal((16, 2)) + 0j
         assert setup.certificate is None
-        assert not domination._choi_screen(setup, g, (1.0, 1.0, 0.0), PICK_NOT_DOMINATED.tol)
+        passed = domination._choi_screen(setup, g, (1.0, 1.0, 0.0), PICK_NOT_DOMINATED.tol)
+        assert passed.shape == (16,) and not passed.any()
 
 
 class TestStein:

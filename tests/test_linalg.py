@@ -12,7 +12,6 @@ from lyaporder.linalg import (
     Tolerances,
     kron,
     psd_report,
-    psd_screen,
     rank_tol,
 )
 from lyaporder.domination import _congruence_scale
@@ -244,32 +243,7 @@ def band_edge_stacks(rng, n, count, psd_rel, dtype, low_band=-2.0):
 
 
 class TestPsdScreen:
-    @pytest.mark.parametrize("psd_rel", [1e-9, 1e-6, 1e-12])
-    def test_rejects_every_stack_psd_report_calls_no(self, psd_rel):
-        self._check_rejects_every_stack_psd_report_calls_no(psd_rel, np.complex128)
-
-    @pytest.mark.parametrize("psd_rel", [1e-9, 1e-6, 1e-12])
-    def test_rejects_every_real_stack_psd_report_calls_no(self, psd_rel):
-        self._check_rejects_every_stack_psd_report_calls_no(psd_rel, np.float64)
-
-    @staticmethod
-    def _check_rejects_every_stack_psd_report_calls_no(psd_rel, dtype):
-        # band_edge_stacks straddle psd_report's "no" threshold at -band.
-        tol = Tolerances(psd_rel=psd_rel)
-        rng = np.random.default_rng(int(-np.log10(psd_rel)))
-        verdicts = {"no": 0, "marginal": 0, "passed": 0}
-        for n in range(2, 41):
-            stack = band_edge_stacks(rng, n, 77, psd_rel, dtype)
-            any_no = False
-            for m in stack:
-                verdict = psd_report(m, tol)[0]
-                passed = psd_screen(m[None], tol)
-                assert not (verdict == "no" and passed)
-                any_no |= verdict == "no"
-                verdicts[verdict] += 1
-                verdicts["passed"] += passed
-            assert not (any_no and psd_screen(stack, tol))
-        assert min(verdicts.values()) > 100
+    """The congruence scale with which the oracle's Choi screen passes trials."""
 
     @pytest.mark.parametrize("psd_rel", [1e-9, 1e-6, 1e-12])
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
@@ -279,14 +253,10 @@ class TestPsdScreen:
         # (hi, lo, rho) bracket S's squared singular values, and rho ||Y||_F
         # bounds the rounding of the oracle's fl(fl(S Y) S*), measured
         # against the product in extended precision where the platform has
-        # one.  The screen in A's basis, which those cones reach when the
-        # Choi screen declines, passes no cone that psd_report calls "no",
-        # and most PSD cones for cond(S) <= 10 at the default psd_rel.
-        tol = Tolerances(psd_rel=psd_rel)
+        # one.
         rng = np.random.default_rng(46 + int(-np.log10(psd_rel)))
         field = "complex" if dtype == np.complex128 else "real"
         wide = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
-        passed = {"psd": 0, "psd_tried": 0}
         for cond in (1.0, 3.0, 10.0, 1e2, 1e4, 1e6):
             for n in (2, 3, 5, 8, 13, 21, 34):
                 s = conditioned(rng, n, cond, field) * 10.0 ** rng.uniform(-2, 2)
@@ -303,57 +273,6 @@ class TestPsdScreen:
                         exact = (s.astype(big) @ ys.astype(big)) @ s.conj().T.astype(big)
                         error = np.sqrt((np.abs(cones - exact) ** 2).sum(axis=(1, 2)))
                         assert np.all(error <= rho * np.linalg.norm(ys, axis=(1, 2)))
-                    for cone in cones:
-                        ok = psd_screen(cone[None], tol)
-                        if ok:
-                            assert psd_report(cone, tol)[0] != "no"
-                        if cond <= 10.0 and low_band == 0.0:
-                            passed["psd"] += ok
-                            passed["psd_tried"] += 1
-        if psd_rel == 1e-9:
-            assert passed["psd"] > 0.5 * passed["psd_tried"]
-
-    def test_passes_psd_stacks_and_declines_outside_its_range(self):
-        rng = np.random.default_rng(44)
-        g = rng.standard_normal((16, 8, 8)) + 1j * rng.standard_normal((16, 8, 8))
-        w = g @ g.conj().swapaxes(-1, -2)
-        edge = 8 * 8 * 9 * np.finfo(np.float64).eps
-        assert psd_screen(w) and psd_screen(w, Tolerances(psd_rel=edge))
-        assert not psd_screen(w, Tolerances(psd_rel=edge / 2))
-        for bad in (np.nan, np.inf):
-            broken = w.copy()
-            broken[3, 1, 0] = bad
-            assert not psd_screen(broken)
-        flipped = w.copy()
-        flipped[7] *= -1.0
-        assert not psd_screen(flipped)
-        # A Hermitian deviation of 3/4 of psd_report's limit: psd_report
-        # accepts it, the screen leaves it to psd_report.
-        skewed = w.copy()
-        limit = DEFAULT_TOLERANCES.eq_rel * (1.0 + np.linalg.norm(w[5]))
-        skewed[5, 0, 1] += 0.75 * limit / np.sqrt(2.0)
-        assert psd_report(skewed[5])[0] == "yes"
-        assert not psd_screen(skewed)
-
-    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
-    def test_declines_infinite_and_overflowing_entries(self, dtype):
-        rng = np.random.default_rng(45)
-        g = rng.standard_normal((16, 8, 8))
-        if dtype == np.complex128:
-            g = g + 1j * rng.standard_normal((16, 8, 8))
-        w = g @ g.conj().swapaxes(-1, -2)
-        assert w.dtype == dtype
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert psd_screen(w)
-            for bad in (np.inf, -np.inf):
-                for where in ((3, 2, 2), (3, 1, 0)):  # diagonal, off the diagonal
-                    broken = w.copy()
-                    broken[where] = bad
-                    assert not psd_screen(broken)
-            # Entries near 1e155 are finite, but their squares overflow.
-            big = w * (1e155 / np.abs(w).max())
-            assert np.isfinite(big).all() and not psd_screen(big)
 
 
 class TestTolerances:
